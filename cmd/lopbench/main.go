@@ -15,7 +15,7 @@
 //
 //	build_csr_bfs       sequential CSR bounded-BFS APSP build
 //	build_csr_auto      the server's default engine selection
-//	build_map_baseline  the retained pre-CSR map-adjacency engine
+//	build_map_baseline  the retained pre-CSR full-row engine (map adjacency until BENCH_3)
 //	build_bitbfs        bit-parallel BFS engine
 //	csr_frozen          Graph -> CSR snapshot cost
 //	bfs_inner           one bounded BFS + touched-only reset (0 allocs)

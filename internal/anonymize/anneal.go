@@ -253,7 +253,7 @@ func (a *annealer) propose() (opacity.Evaluation, undoMove, bool) {
 		if !ok {
 			return opacity.Evaluation{}, undoMove{}, false
 		}
-		changes := append([]opacity.PairChange(nil), a.insertionChanges(e)...)
+		changes := appendInsertionChanges(nil, a.m, e, a.scratch)
 		for _, c := range changes {
 			a.m.Set(c.X, c.Y, c.NewD)
 			a.tr.Update(c.X, c.Y, c.OldD, c.NewD)
@@ -265,7 +265,7 @@ func (a *annealer) propose() (opacity.Evaluation, undoMove, bool) {
 
 	edges := a.g.Edges()
 	e := edges[a.rng.Intn(len(edges))]
-	changes := append([]opacity.PairChange(nil), a.commitRemoval(e)...)
+	changes := a.commitRemoval(e, nil)
 	a.toggleEditSets(e, false)
 	return a.tr.Evaluate(), undoMove{e: e, insert: false, changes: changes}, true
 }

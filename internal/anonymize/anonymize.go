@@ -12,14 +12,16 @@
 // found — the paper's "delay this random decision until after checking
 // all the possible combinations of size up to the given la threshold".
 //
-// Candidate moves are evaluated incrementally: a trial insertion's effect
-// on the L-capped distance matrix is exact in O(n^2) and a trial
-// removal's effect is recomputed only from the BFS sources the edge can
-// influence (package apsp), with per-type counts adjusted in O(changes)
-// (package opacity). Tests verify the incremental path always agrees
-// with full recomputation, so the heuristics make exactly the choices
-// the paper's O(|V|^3)-per-candidate implementation would make, only
-// faster.
+// Candidate moves are evaluated incrementally and ball-locally (package
+// apsp): a trial insertion scans only the pairs within L-1 of the new
+// edge's endpoints, and a trial removal runs an edge-masked bounded BFS
+// from the smaller of the edge's two crossing sets only, comparing
+// against the other set — no per-candidate term grows with n. Per-type
+// counts are then adjusted in O(changes) (package opacity). Tests verify
+// the incremental path always agrees with full recomputation, and a
+// golden test pins every choice, so the heuristics make exactly the
+// choices the paper's O(|V|^3)-per-candidate implementation would make,
+// only faster.
 package anonymize
 
 import (
@@ -241,9 +243,12 @@ type state struct {
 	scratch *apsp.Scratch
 	deltas  []int                // per-type scratch for EvaluateWith
 	changes []opacity.PairChange // reusable per-candidate change buffer
-	removed *graph.EdgeSet       // ED: never reinsert these
-	added   *graph.EdgeSet       // EA: never re-remove these
-	evals   int64
+	// comboBufs[d] holds the trial commit's change list at look-ahead
+	// depth d, reused across every combination searchCombos tries.
+	comboBufs [][]opacity.PairChange
+	removed   *graph.EdgeSet // ED: never reinsert these
+	added     *graph.EdgeSet // EA: never re-remove these
+	evals     int64
 
 	removedLog  []graph.Edge
 	insertedLog []graph.Edge
@@ -378,7 +383,7 @@ func (s *state) runRemoval() Result {
 			break
 		}
 		for _, e := range combo {
-			s.commitRemoval(e)
+			s.changes = s.commitRemoval(e, s.changes)
 			s.removedLog = append(s.removedLog, e)
 		}
 		cur = s.traceStep(false, combo)
@@ -410,7 +415,7 @@ func (s *state) runRemovalInsertion() Result {
 			break // no removable edge left: stuck
 		}
 		for _, e := range combo {
-			s.commitRemoval(e)
+			s.changes = s.commitRemoval(e, s.changes)
 			s.removedLog = append(s.removedLog, e)
 			s.removed.Add(e)
 		}

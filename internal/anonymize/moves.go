@@ -6,30 +6,32 @@ import (
 	"repro/internal/opacity"
 )
 
-// removalChanges computes, without mutating state, the pair-distance
-// changes caused by removing e from the current working graph.
-func (s *state) removalChanges(e graph.Edge) []opacity.PairChange {
-	s.changes = s.changes[:0]
-	apsp.RemovalDelta(s.g, s.m, e.U, e.V, s.scratch, func(x, y, oldD, newD int) {
-		s.changes = append(s.changes, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
+// appendRemovalChanges appends to dst the pair-distance changes caused
+// by removing e from g, without mutating anything. Workers call it with
+// their own Scratch; g and m are shared read-only.
+func appendRemovalChanges(dst []opacity.PairChange, g *graph.Graph, m apsp.Store, e graph.Edge, sc *apsp.Scratch) []opacity.PairChange {
+	apsp.RemovalDelta(g, m, e.U, e.V, sc, func(x, y, oldD, newD int) {
+		dst = append(dst, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
 	})
-	return s.changes
+	return dst
 }
 
-// insertionChanges computes, without mutating state, the pair-distance
-// changes caused by inserting e into the current working graph.
-func (s *state) insertionChanges(e graph.Edge) []opacity.PairChange {
-	s.changes = s.changes[:0]
-	apsp.InsertionDeltaScratch(s.m, e.U, e.V, s.scratch, func(x, y, oldD, newD int) {
-		s.changes = append(s.changes, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
+// appendInsertionChanges appends to dst the pair-distance changes
+// caused by inserting e, without mutating anything.
+func appendInsertionChanges(dst []opacity.PairChange, m apsp.Store, e graph.Edge, sc *apsp.Scratch) []opacity.PairChange {
+	apsp.InsertionDeltaScratch(m, e.U, e.V, sc, func(x, y, oldD, newD int) {
+		dst = append(dst, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
 	})
-	return s.changes
+	return dst
 }
 
 // commitRemoval applies the removal of e to the graph, matrix, and
-// tracker, returning the applied changes for possible undo.
-func (s *state) commitRemoval(e graph.Edge) []opacity.PairChange {
-	changes := append([]opacity.PairChange(nil), s.removalChanges(e)...)
+// tracker. The applied changes are written over buf and returned for a
+// possible undo; callers pass back a buffer they own (one per
+// look-ahead depth), so trial commits reuse memory instead of
+// allocating a change list each.
+func (s *state) commitRemoval(e graph.Edge, buf []opacity.PairChange) []opacity.PairChange {
+	changes := appendRemovalChanges(buf[:0], s.g, s.m, e, s.scratch)
 	for _, c := range changes {
 		s.m.Set(c.X, c.Y, c.NewD)
 		s.tr.Update(c.X, c.Y, c.OldD, c.NewD)
@@ -51,7 +53,8 @@ func (s *state) undoRemoval(e graph.Edge, changes []opacity.PairChange) {
 // insertions are never trial-committed: candidates are evaluated
 // incrementally via EvaluateWith, so no undo path is needed.
 func (s *state) commitInsertion(e graph.Edge) {
-	for _, c := range s.insertionChanges(e) {
+	s.changes = appendInsertionChanges(s.changes[:0], s.m, e, s.scratch)
+	for _, c := range s.changes {
 		s.m.Set(c.X, c.Y, c.NewD)
 		s.tr.Update(c.X, c.Y, c.OldD, c.NewD)
 	}
@@ -207,6 +210,9 @@ func (s *state) searchCombos(candidates []graph.Edge, size int) ([]graph.Edge, o
 		best    []graph.Edge
 		current = make([]graph.Edge, 0, size)
 	)
+	for len(s.comboBufs) < size {
+		s.comboBufs = append(s.comboBufs, nil)
+	}
 	var recurse func(start int)
 	recurse = func(start int) {
 		if len(current) == size {
@@ -220,7 +226,9 @@ func (s *state) searchCombos(candidates []graph.Edge, size int) ([]graph.Edge, o
 		// Not enough remaining candidates to fill the combination.
 		for i := start; i <= len(candidates)-(size-len(current)); i++ {
 			e := candidates[i]
-			changes := s.commitRemoval(e)
+			depth := len(current)
+			changes := s.commitRemoval(e, s.comboBufs[depth])
+			s.comboBufs[depth] = changes // keep the grown buffer
 			current = append(current, e)
 			recurse(i + 1)
 			current = current[:len(current)-1]

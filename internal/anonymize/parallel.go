@@ -68,7 +68,8 @@ func (s *state) evalRemovals(candidates []graph.Edge, evs []opacity.Evaluation) 
 	w := s.workers()
 	if w == 1 || len(candidates) < 2*w {
 		for i, e := range candidates {
-			evs[i] = s.normalize(s.tr.EvaluateWith(s.removalChanges(e), s.deltas))
+			s.changes = appendRemovalChanges(s.changes[:0], s.g, s.m, e, s.scratch)
+			evs[i] = s.normalize(s.tr.EvaluateWith(s.changes, s.deltas))
 		}
 		s.evals += int64(len(candidates))
 		return
@@ -88,11 +89,7 @@ func (s *state) evalRemovals(candidates []graph.Edge, evs []opacity.Evaluation) 
 		go func(start, end int, ws *workerState) {
 			defer wg.Done()
 			for i := start; i < end; i++ {
-				e := candidates[i]
-				ws.changes = ws.changes[:0]
-				apsp.RemovalDelta(s.g, s.m, e.U, e.V, ws.scratch, func(x, y, oldD, newD int) {
-					ws.changes = append(ws.changes, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
-				})
+				ws.changes = appendRemovalChanges(ws.changes[:0], s.g, s.m, candidates[i], ws.scratch)
 				evs[i] = s.normalize(s.tr.EvaluateWith(ws.changes, ws.deltas))
 			}
 		}(start, end, ws)
@@ -107,7 +104,8 @@ func (s *state) evalInsertions(candidates []graph.Edge, evs []opacity.Evaluation
 	w := s.workers()
 	if w == 1 || len(candidates) < 2*w {
 		for i, e := range candidates {
-			evs[i] = s.normalize(s.tr.EvaluateWith(s.insertionChanges(e), s.deltas))
+			s.changes = appendInsertionChanges(s.changes[:0], s.m, e, s.scratch)
+			evs[i] = s.normalize(s.tr.EvaluateWith(s.changes, s.deltas))
 		}
 		s.evals += int64(len(candidates))
 		return
@@ -127,11 +125,7 @@ func (s *state) evalInsertions(candidates []graph.Edge, evs []opacity.Evaluation
 		go func(start, end int, ws *workerState) {
 			defer wg.Done()
 			for i := start; i < end; i++ {
-				e := candidates[i]
-				ws.changes = ws.changes[:0]
-				apsp.InsertionDeltaScratch(s.m, e.U, e.V, ws.scratch, func(x, y, oldD, newD int) {
-					ws.changes = append(ws.changes, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
-				})
+				ws.changes = appendInsertionChanges(ws.changes[:0], s.m, candidates[i], ws.scratch)
 				evs[i] = s.normalize(s.tr.EvaluateWith(ws.changes, ws.deltas))
 			}
 		}(start, end, ws)

@@ -2,14 +2,18 @@ package apsp
 
 import "repro/internal/graph"
 
-// BoundedAPSPMapBaseline is the pre-CSR bounded-BFS engine, retained
-// verbatim as the measured baseline of the perf trajectory
-// (BENCH_*.json): it walks the mutable map adjacency, scans all n
-// candidates per source, and resets the full distance row per source —
-// the exact costs the CSR sweep removes. It produces bit-for-bit the
-// same store as every other engine (the cross-validation tests
-// include it) and exists only so the "CSR vs map adjacency" speedup
-// stays reproducible instead of being a one-off prose number.
+// BoundedAPSPMapBaseline is the pre-CSR bounded-BFS engine, retained as
+// the measured baseline of the perf trajectory (BENCH_*.json): one BFS
+// per source over the mutable Graph, scanning all n candidates per
+// source and resetting the full distance row per source — the costs the
+// CSR sweep's ball-sized emission and touched-only reset remove. It
+// produces bit-for-bit the same store as every other engine (the
+// cross-validation tests include it).
+//
+// The name records its origin: when BENCH_1–3 were taken the Graph
+// walked here was map-adjacency sets, so those files' build_map_baseline
+// rows include hash-map iteration. The Graph now holds sorted int32
+// neighbor lists, so later rows measure only the full-row costs.
 func BoundedAPSPMapBaseline(g *graph.Graph, L int, k Kind) MutableStore {
 	n := g.N()
 	m := newStoreAuto(n, L, k)

@@ -3,13 +3,11 @@ package apsp
 import "repro/internal/graph"
 
 // The bounded-BFS engines iterate a packed CSR snapshot of the graph
-// (graph.CSR, built once per APSP build via Graph.Frozen) instead of
-// the mutable map adjacency. The difference is the whole hot path: a
-// CSR neighbor window is a contiguous int32 scan, where the map walk
-// costs a hash iteration per visited vertex — and the legacy
-// Neighbors() helper allocated and sorted a fresh slice per call. On
-// top of the iteration form, two structural savings make the sweep
-// scale to million-edge graphs:
+// (graph.CSR, built once per APSP build via Graph.Frozen): the graph's
+// sorted int32 neighbor lists copied end to end into one contiguous
+// array, immutable, so every worker of a striped build shares it while
+// the source graph stays free to mutate. On top of that iteration form,
+// two structural savings make the sweep scale to million-edge graphs:
 //
 //   - touched-only resets: the BFS returns its visit order, so the
 //     distance row is cleaned in O(ball) instead of O(n) per source;

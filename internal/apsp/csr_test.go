@@ -43,7 +43,7 @@ func TestCSRSweepZeroAllocs(t *testing.T) {
 }
 
 // TestBoundedCSRMatchesBaseline: the CSR engine and the retained
-// map-adjacency baseline produce bit-identical stores.
+// full-row baseline produce bit-identical stores.
 func TestBoundedCSRMatchesBaseline(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		g := rmatGraph(t, 150, 450, seed)

@@ -5,15 +5,16 @@ import "repro/internal/graph"
 // InsertionDelta reports, without mutating anything, every unordered pair
 // whose L-capped distance would decrease if the edge {u, v} were inserted
 // into the graph that matrix m currently describes. For each such pair it
-// calls visit(x, y, oldD, newD) with x < y.
+// calls visit(x, y, oldD, newD) with x < y, in ascending (x, y) order.
 //
-// The computation is exact in O(n^2): a new shortest path created by the
-// edge {u, v} must cross it, so
+// A new shortest path created by the edge {u, v} must cross it, so
 //
 //	d'(x, y) = min(d(x, y), d(x, u) + 1 + d(v, y), d(x, v) + 1 + d(u, y)),
 //
 // and legs longer than L-1 (stored as Far or L) cannot contribute a path
-// within the cap, so the capped matrix suffices as input.
+// within the cap, so the capped matrix suffices as input. The same bound
+// makes the kernel ball-local: a pair can improve only if both endpoints
+// lie within L-1 of u or of v.
 func InsertionDelta(m Store, u, v int, visit func(x, y, oldD, newD int)) {
 	InsertionDeltaScratch(m, u, v, nil, visit)
 }
@@ -21,6 +22,13 @@ func InsertionDelta(m Store, u, v int, visit func(x, y, oldD, newD int)) {
 // InsertionDeltaScratch is InsertionDelta with caller-provided scratch
 // buffers, for the greedy sweeps that evaluate every absent edge at
 // every step: with a reused Scratch the scan allocates nothing.
+//
+// One O(n) pass reads d(x, u) and d(x, v) and collects, in ascending
+// order, the near set {x : d(x, u) <= L-1 or d(x, v) <= L-1}. Every
+// improving pair has cand = min(d(x,u)+1+d(v,y), d(x,v)+1+d(u,y)) <= L,
+// which puts both x and y in the near set, so the pair loop runs over
+// near × near only — O(n + |near|²) per candidate instead of O(n²) —
+// and visits pairs in the same ascending order a full scan would.
 func InsertionDeltaScratch(m Store, u, v int, scratch *Scratch, visit func(x, y, oldD, newD int)) {
 	n := m.N()
 	L := m.L()
@@ -28,36 +36,31 @@ func InsertionDeltaScratch(m Store, u, v int, scratch *Scratch, visit func(x, y,
 	if scratch == nil {
 		scratch = NewScratch(n)
 	}
-	du := scratch.du[:n] // capped d(x, u)
-	dv := scratch.dv[:n] // capped d(x, v)
+	du := scratch.du[:n] // capped d(x, u), valid on near
+	dv := scratch.dv[:n] // capped d(x, v), valid on near
+	near := scratch.near[:0]
 	for x := 0; x < n; x++ {
-		switch x {
-		case u:
-			du[x] = 0
-			dv[x] = m.Get(x, v)
-		case v:
-			du[x] = m.Get(x, u)
-			dv[x] = 0
-		default:
-			du[x] = m.Get(x, u)
-			dv[x] = m.Get(x, v)
+		a, b := 0, 0
+		if x != u {
+			a = m.Get(x, u)
+		}
+		if x != v {
+			b = m.Get(x, v)
+		}
+		if a <= L-1 || b <= L-1 {
+			du[x], dv[x] = a, b
+			near = append(near, x)
 		}
 	}
-	for x := 0; x < n; x++ {
+	scratch.near = near
+	for i, x := range near {
 		// Shortest leg from x to the new edge; +1 crosses the edge. The
 		// du/dv arrays carry 0 at the endpoints themselves, so the two
 		// candidate formulas are uniform over all pairs, including pairs
 		// touching u or v and the pair {u, v} itself.
 		viaU := du[x] + 1 // x -> u, cross to v, then v -> y
 		viaV := dv[x] + 1 // x -> v, cross to u, then u -> y
-		if viaU > L && viaV > L {
-			continue // x too far from both endpoints to gain anything
-		}
-		for y := x + 1; y < n; y++ {
-			old := m.Get(x, y)
-			if old == 1 {
-				continue // cannot improve below 1
-			}
+		for _, y := range near[i+1:] {
 			cand := far
 			if c := viaU + dv[y]; c < cand {
 				cand = c
@@ -65,102 +68,112 @@ func InsertionDeltaScratch(m Store, u, v int, scratch *Scratch, visit func(x, y,
 			if c := viaV + du[y]; c < cand {
 				cand = c
 			}
-			if cand < old && cand <= L {
+			if cand > L {
+				continue
+			}
+			if old := m.Get(x, y); cand < old {
 				visit(x, y, old, cand)
 			}
 		}
 	}
 }
 
-// AffectedRemovalSources returns the sorted set of vertices x whose
-// distance row may change when the edge {u, v} is removed from the graph
-// described by m: any pair (x, y) whose shortest <=L path crossed the
-// edge has, on one side, a leg of length <= L-1 to an endpoint, so
-// recomputing bounded BFS from every x with min(d(x,u), d(x,v)) <= L-1
-// (plus u and v themselves) refreshes every entry that can change.
-func AffectedRemovalSources(m Store, u, v int) []int {
-	n := m.N()
-	L := m.L()
-	out := make([]int, 0, n)
-	for x := 0; x < n; x++ {
-		if x == u || x == v {
-			out = append(out, x)
-			continue
-		}
-		if m.Get(x, u) <= L-1 || m.Get(x, v) <= L-1 {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // RemovalDelta reports, without mutating anything, every unordered
 // pair whose L-capped distance changes when the edge {u, v} is removed.
 // g must be the graph WITH the edge still present and consistent with
-// m; the edge is not actually removed — the recomputation runs bounded
-// BFS from every affected source with the edge masked out
-// (BoundedBFSIntoSkip), so g is only ever read. That read-only
-// discipline is what lets the anonymization heuristics' parallel
-// candidate scans share one graph across workers instead of cloning it
-// per worker. visit is called once per changed pair with x < y
-// (oldD < newD always, since removal can only lengthen distances).
+// m; the edge is never actually removed — recomputation runs bounded
+// BFS with the edge masked out (BoundedBFSIntoSkip), so g is only ever
+// read. That read-only discipline lets the anonymization heuristics'
+// parallel candidate scans share one graph across workers. visit is
+// called once per changed pair with x < y (oldD < newD always, since
+// removal can only lengthen distances); the call order is a
+// deterministic function of g and m.
 //
-// A changed pair whose endpoints are both affected sources would be
-// recomputed twice; it is reported exactly once, by the
-// smaller-indexed endpoint's pass.
+// The kernel is ball-local. A pair (x, y) can lengthen only if the
+// edge lay on its every shortest path x…u–v…y of length <= L, which
+// forces d(x,u) <= L-1 with d(x,v) = d(x,u)+1, and the mirror for y.
+// So x lies in the crossing set S_u = {x : d(x,u) <= L-1,
+// d(x,v) = d(x,u)+1} and y in S_v (or the reverse). Because
+// |d(x,u) - d(x,v)| <= 1 while the edge is present, two bounded BFS
+// balls of radius L-1 around u and v yield both sets without touching
+// the store. The edge-masked BFS then runs from the smaller set only,
+// and its distances are compared with the store over the other set
+// only: O(ball + |S_small|·(ball + |S_other|)) per candidate, with no
+// O(n) term.
 //
 // scratch may be nil; pass a Scratch to amortize allocations across the
-// many candidate evaluations of a greedy sweep.
+// many candidate evaluations of a greedy sweep — with one, the kernel
+// allocates nothing.
 func RemovalDelta(g *graph.Graph, m Store, u, v int, scratch *Scratch, visit func(x, y, oldD, newD int)) {
 	if !g.HasEdge(u, v) {
 		panic("apsp: RemovalDelta on absent edge")
 	}
-	n := m.N()
 	L := m.L()
+	far := m.Far()
 	if scratch == nil {
-		scratch = NewScratch(n)
+		scratch = NewScratch(m.N())
+	}
+	from, to := crossingSets(g, L, u, v, scratch)
+	if len(to) < len(from) {
+		from, to = to, from
 	}
 	dist := scratch.dist
-	queue := scratch.queue
-	affected := scratch.affected
-	sources := scratch.sources[:0]
-	for x := 0; x < n; x++ {
-		if x == u || x == v || m.Get(x, u) <= L-1 || m.Get(x, v) <= L-1 {
-			sources = append(sources, x)
-			affected[x] = true
-		}
-	}
-	scratch.sources = sources
-
-	for _, x := range sources {
-		g.BoundedBFSIntoSkip(x, L, dist, queue, u, v)
-		for y := 0; y < n; y++ {
-			if y == x {
-				dist[y] = -1
-				continue
-			}
+	for _, x := range from {
+		reached := g.BoundedBFSIntoSkip(x, L, dist, scratch.queue, u, v)
+		for _, y := range to {
 			newD := dist[y]
 			if newD < 0 {
-				newD = L + 1
+				newD = far
 			}
-			dist[y] = -1
-			if y < x && affected[y] {
-				continue // y's own pass reports the pair
+			if old := m.Get(x, y); newD != old {
+				if x < y {
+					visit(x, y, old, newD)
+				} else {
+					visit(y, x, old, newD)
+				}
 			}
-			old := m.Get(x, y)
-			if newD == old {
-				continue
-			}
-			lo, hi := x, y
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			visit(lo, hi, old, newD)
+		}
+		// Touched-only reset: the queue holds exactly the vertices the
+		// BFS wrote.
+		for _, w := range scratch.queue[:reached+1] {
+			dist[w] = -1
 		}
 	}
-	for _, x := range sources {
-		affected[x] = false
+}
+
+// crossingSets returns S_u = {x : d(x,u) <= L-1, d(x,v) = d(x,u)+1}
+// and S_v = {x : d(x,v) <= L-1, d(x,u) = d(x,v)+1} for the edge {u, v}
+// of g, each in BFS order. Every pair whose distance can grow when the
+// edge is removed has one endpoint in each set; the sets are disjoint,
+// and u ∈ S_u, v ∈ S_v. Only the two radius-(L-1) balls are visited.
+// The returned slices alias scratch and are valid until its next use.
+func crossingSets(g *graph.Graph, L, u, v int, sc *Scratch) (sU, sV []int) {
+	reachedU := g.BoundedBFSInto(u, L-1, sc.distU, sc.queueU)
+	reachedV := g.BoundedBFSInto(v, L-1, sc.distV, sc.queueV)
+	ballU := sc.queueU[:reachedU+1]
+	ballV := sc.queueV[:reachedV+1]
+	// With the edge present |d(x,u) - d(x,v)| <= 1, so x in u's ball
+	// crosses toward v exactly when v's ball does not place it at
+	// distance <= d(x,u) — outside that ball d(x,v) >= L > d(x,u).
+	sU, sV = sc.sU[:0], sc.sV[:0]
+	for _, x := range ballU {
+		if dv := sc.distV[x]; dv < 0 || dv > sc.distU[x] {
+			sU = append(sU, x)
+		}
 	}
+	for _, x := range ballV {
+		if du := sc.distU[x]; du < 0 || du > sc.distV[x] {
+			sV = append(sV, x)
+		}
+	}
+	for _, x := range ballU {
+		sc.distU[x] = -1
+	}
+	for _, x := range ballV {
+		sc.distV[x] = -1
+	}
+	sc.sU, sc.sV = sU, sV
+	return sU, sV
 }
 
 // ApplyInsertion mutates m to reflect inserting the edge {u, v} into the
@@ -184,31 +197,43 @@ func ApplyRemoval(g *graph.Graph, m MutableStore, u, v int, scratch *Scratch) {
 	}
 }
 
-// Scratch holds reusable buffers for RemovalDelta so that the greedy
-// sweeps, which evaluate every candidate edge at every step, do not
-// allocate per candidate. All buffers are O(n); RemovalDelta only
-// reads the graph, so each concurrent evaluator needs its own Scratch
-// but can share the graph and store.
+// Scratch holds reusable buffers for the delta kernels so that the
+// greedy sweeps, which evaluate every candidate edge at every step, do
+// not allocate per candidate. All buffers are O(n); the kernels only
+// read the graph and store, so each concurrent evaluator needs its own
+// Scratch but can share the graph and store.
 type Scratch struct {
-	dist     []int
-	queue    []int
-	affected []bool
-	sources  []int
-	du, dv   []int
+	// Distance rows kept all -1 between calls (touched-only reset):
+	// dist for the edge-masked BFS, distU/distV for the balls around
+	// the removed edge's endpoints.
+	dist, distU, distV []int
+	// BFS queues, capacity n so each holds its visit order on return.
+	queue, queueU, queueV []int
+	sU, sV                []int // crossing sets of the removal kernel
+	du, dv                []int // capped d(x, u), d(x, v) of the insertion kernel
+	near                  []int // the insertion kernel's near set
 }
 
 // NewScratch returns buffers sized for an n-vertex graph.
 func NewScratch(n int) *Scratch {
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
+	unset := func() []int {
+		d := make([]int, n)
+		for i := range d {
+			d[i] = -1
+		}
+		return d
 	}
 	return &Scratch{
-		dist:     dist,
-		queue:    make([]int, 0, n),
-		affected: make([]bool, n),
-		sources:  make([]int, 0, n),
-		du:       make([]int, n),
-		dv:       make([]int, n),
+		dist:   unset(),
+		distU:  unset(),
+		distV:  unset(),
+		queue:  make([]int, 0, n),
+		queueU: make([]int, 0, n),
+		queueV: make([]int, 0, n),
+		sU:     make([]int, 0, n),
+		sV:     make([]int, 0, n),
+		du:     make([]int, n),
+		dv:     make([]int, n),
+		near:   make([]int, 0, n),
 	}
 }

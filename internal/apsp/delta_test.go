@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,7 +194,19 @@ func TestPropertyInsertionOnlyShortens(t *testing.T) {
 	}
 }
 
-func TestAffectedRemovalSourcesCoverChanges(t *testing.T) {
+// cappedDist is the store lookup with the implicit zero diagonal.
+func cappedDist(m Store, x, y int) int {
+	if x == y {
+		return 0
+	}
+	return m.Get(x, y)
+}
+
+// TestCrossingSetsCoverChanges: the two crossing sets RemovalDelta
+// derives from BFS balls match their store definition, are disjoint,
+// hold the edge's endpoints, and witness every pair whose distance
+// changes when the edge is removed (one endpoint in each set).
+func TestCrossingSetsCoverChanges(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(10)
@@ -205,23 +218,179 @@ func TestAffectedRemovalSourcesCoverChanges(t *testing.T) {
 		m := BoundedAPSP(g, L)
 		edges := g.Edges()
 		e := edges[rng.Intn(len(edges))]
-		sources := AffectedRemovalSources(m, e.U, e.V)
-		inSources := make(map[int]bool)
-		for _, s := range sources {
-			inSources[s] = true
+		sU, sV := crossingSets(g, L, e.U, e.V, NewScratch(n))
+		inU, inV := make(map[int]bool), make(map[int]bool)
+		for _, x := range sU {
+			inU[x] = true
+		}
+		for _, x := range sV {
+			inV[x] = true
+		}
+		if !inU[e.U] || !inV[e.V] {
+			return false
+		}
+		for x := 0; x < n; x++ {
+			du, dv := cappedDist(m, x, e.U), cappedDist(m, x, e.V)
+			if inU[x] != (du <= L-1 && dv == du+1) || inV[x] != (dv <= L-1 && du == dv+1) {
+				return false // a set disagrees with its definition
+			}
+			if inU[x] && inV[x] {
+				return false
+			}
 		}
 		g.RemoveEdge(e.U, e.V)
 		after := BoundedAPSP(g, L)
 		g.AddEdge(e.U, e.V)
 		ok := true
 		m.EachPair(func(i, j, d int) {
-			if after.Get(i, j) != d && !inSources[i] && !inSources[j] {
-				ok = false // a changed pair escaped the affected set
+			if after.Get(i, j) != d && !(inU[i] && inV[j]) && !(inU[j] && inV[i]) {
+				ok = false // a changed pair escaped the crossing sets
 			}
 		})
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+type deltaVisit struct{ x, y, oldD, newD int }
+
+// TestPropertyRemovalDeltaMatchesRecompute differentially checks the
+// removal kernel against a bounded BFS recompute of every pair on the
+// graph with the edge really removed, over compact, packed, and overlay
+// stores: the kernel must report exactly the changed pairs, each once,
+// with x < y and the true old and new capped distances.
+func TestPropertyRemovalDeltaMatchesRecompute(t *testing.T) {
+	backings := []struct {
+		name string
+		make func(g *graph.Graph, L int) Store
+	}{
+		{"compact", func(g *graph.Graph, L int) Store { return BoundedAPSPKind(g, L, KindCompact) }},
+		{"packed", func(g *graph.Graph, L int) Store { return BoundedAPSPKind(g, L, KindPacked) }},
+		{"overlay", func(g *graph.Graph, L int) Store { return NewOverlay(BoundedAPSP(g, L)) }},
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 6 + rng.Intn(30)
+		L := 1 + rng.Intn(4)
+		g := randomGraph(n, 0.05+0.3*rng.Float64(), seed)
+		if g.M() == 0 {
+			return true
+		}
+		edges := g.Edges()
+		e := edges[rng.Intn(len(edges))]
+		h := g.Clone()
+		h.RemoveEdge(e.U, e.V)
+		want := map[[2]int]deltaVisit{}
+		for x := 0; x < n; x++ {
+			before, after := g.BoundedBFS(x, L), h.BoundedBFS(x, L)
+			for y := x + 1; y < n; y++ {
+				if before[y] != after[y] {
+					old, nd := before[y], after[y]
+					if nd < 0 {
+						nd = L + 1
+					}
+					want[[2]int{x, y}] = deltaVisit{x, y, old, nd}
+				}
+			}
+		}
+		sc := NewScratch(n)
+		for _, b := range backings {
+			m := b.make(g, L)
+			got := map[[2]int]deltaVisit{}
+			ok := true
+			RemovalDelta(g, m, e.U, e.V, sc, func(x, y, oldD, newD int) {
+				k := [2]int{x, y}
+				if _, dup := got[k]; dup || x >= y {
+					ok = false
+				}
+				got[k] = deltaVisit{x, y, oldD, newD}
+			})
+			if !ok || len(got) != len(want) {
+				t.Logf("%s seed=%d: %d changes, want %d", b.name, seed, len(got), len(want))
+				return false
+			}
+			for k, w := range want {
+				if got[k] != w {
+					t.Logf("%s seed=%d pair %v: got %+v want %+v", b.name, seed, k, got[k], w)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaKernelsVisitDeterministic: two calls with the same inputs
+// report the identical visit sequence, for both kernels, including
+// across a fresh and a reused Scratch.
+func TestDeltaKernelsVisitDeterministic(t *testing.T) {
+	g := randomGraph(40, 0.08, 5)
+	const L = 3
+	m := BoundedAPSP(g, L)
+	record := func(run func(sc *Scratch, visit func(x, y, oldD, newD int)), sc *Scratch) []deltaVisit {
+		var seq []deltaVisit
+		run(sc, func(x, y, oldD, newD int) { seq = append(seq, deltaVisit{x, y, oldD, newD}) })
+		return seq
+	}
+	reused := NewScratch(g.N())
+	for _, e := range g.Edges() {
+		rem := func(sc *Scratch, visit func(x, y, oldD, newD int)) { RemovalDelta(g, m, e.U, e.V, sc, visit) }
+		a, b := record(rem, NewScratch(g.N())), record(rem, reused)
+		if !slices.Equal(a, b) || !slices.Equal(a, record(rem, reused)) {
+			t.Fatalf("removal %v: visit sequences differ", e)
+		}
+	}
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if g.HasEdge(u, v) {
+				continue
+			}
+			ins := func(sc *Scratch, visit func(x, y, oldD, newD int)) { InsertionDeltaScratch(m, u, v, sc, visit) }
+			a, b := record(ins, NewScratch(g.N())), record(ins, reused)
+			if !slices.Equal(a, b) {
+				t.Fatalf("insertion %d-%d: visit sequences differ", u, v)
+			}
+			// The insertion kernel visits in ascending (x, y) order.
+			if !slices.IsSortedFunc(a, func(p, q deltaVisit) int {
+				if p.x != q.x {
+					return p.x - q.x
+				}
+				return p.y - q.y
+			}) {
+				t.Fatalf("insertion %d-%d: visits not ascending", u, v)
+			}
+		}
+	}
+}
+
+// TestDeltaKernelsAllocFree: with a warm Scratch neither kernel
+// allocates, whatever the store backing.
+func TestDeltaKernelsAllocFree(t *testing.T) {
+	g := randomGraph(60, 0.06, 11)
+	const L = 3
+	base := BoundedAPSP(g, L)
+	e := g.Edges()[g.M()/2]
+	u, v := 0, 1
+	for g.HasEdge(u, v) {
+		v++
+	}
+	sum := 0
+	visit := func(x, y, oldD, newD int) { sum += newD - oldD }
+	for _, m := range []Store{base, BoundedAPSPKind(g, L, KindPacked), NewOverlay(base)} {
+		sc := NewScratch(g.N())
+		if a := testing.AllocsPerRun(50, func() { RemovalDelta(g, m, e.U, e.V, sc, visit) }); a != 0 {
+			t.Errorf("%T: RemovalDelta allocates %v per call", m, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { InsertionDeltaScratch(m, u, v, sc, visit) }); a != 0 {
+			t.Errorf("%T: InsertionDeltaScratch allocates %v per call", m, a)
+		}
+	}
+	if sum == 0 {
+		t.Fatal("fixture produced no distance changes")
 	}
 }

@@ -36,9 +36,10 @@
 // compact default, and EngineKind(g, L, kind), which selects the
 // backing. Build dispatches on an Engine value for callers that take
 // the choice from configuration. The package also provides the exact
-// O(n^2) insertion delta and the affected-region removal recomputation
-// used for incremental candidate evaluation by the anonymization
-// heuristics; both operate on any Store.
+// ball-local delta kernels used for incremental candidate evaluation by
+// the anonymization heuristics — InsertionDeltaScratch over the near
+// set of the inserted edge, RemovalDelta over the crossing sets of the
+// removed one (see delta.go); both operate on any Store.
 package apsp
 
 import "fmt"

@@ -32,7 +32,11 @@
 // long repair chains from accumulating unbounded overlay indirection.
 package apsp
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // RepairOptions tunes the repair heuristics. The zero value selects
 // the defaults; fields are fractions of n (rows, edits) or of the
@@ -140,7 +144,7 @@ func RepairStore(base Store, child *graph.Graph, diff graph.Diff, opts RepairOpt
 	// the child graph — exact final values even when removed edges'
 	// neighborhoods overlap.
 	if len(diff.Removes) > 0 {
-		rows := removalRows(o, diff.Removes, sc)
+		rows := removalRows(o, diff.Removes)
 		maxRows := int(opts.MaxRowFraction * float64(n))
 		if maxRows < minRowFloor {
 			maxRows = minRowFloor
@@ -219,17 +223,17 @@ func repairInsertion(o *Overlay, u, v int, sc *Scratch, budget int64) bool {
 }
 
 // removalRows returns the union of rows the removal batch can change,
-// deduplicated. For each removed edge {u, v} it computes the two
-// crossing sets against the current (post-insertion) store —
+// ascending and deduplicated. For each removed edge {u, v} it computes
+// the two crossing sets against the current (post-insertion) store —
 // S_u = {x : d(x,u) <= L-1 and d(x,v) == d(x,u)+1} and the mirror
 // S_v — and keeps the smaller: a pair (x, y) whose distance grows had
 // a shortest path crossing the edge, which places x in S_u and y in
 // S_v (or vice versa), so one side's rows witness every changed cell.
-func removalRows(o *Overlay, removes []graph.Edge, sc *Scratch) []int {
+// (RemovalDelta derives the same sets from BFS balls; here the graph
+// with the edges present is not at hand, so the store answers.)
+func removalRows(o *Overlay, removes []graph.Edge) []int {
 	n, L := o.N(), o.L()
-	seen := sc.affected // reused bitmap; reset before return
-	var rows []int
-	var sU, sV []int
+	var rows, sU, sV []int
 	for _, e := range removes {
 		u, v := e.U, e.V
 		sU, sV = sU[:0], sV[:0]
@@ -252,17 +256,10 @@ func removalRows(o *Overlay, removes []graph.Edge, sc *Scratch) []int {
 		if len(sV) < len(sU) {
 			side = sV
 		}
-		for _, x := range side {
-			if !seen[x] {
-				seen[x] = true
-				rows = append(rows, x)
-			}
-		}
+		rows = append(rows, side...)
 	}
-	for _, x := range rows {
-		seen[x] = false
-	}
-	return rows
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
 // rerow recomputes each listed row exactly by bounded BFS on the child

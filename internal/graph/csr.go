@@ -3,17 +3,14 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph's
-// adjacency: neighbor lists packed into one int32 slice, indexed by a
-// per-vertex offset table, each vertex's window sorted ascending. It is
-// the iteration form of the distance-engine hot paths — walking a
-// packed window costs a handful of cache lines where walking the
-// mutable map adjacency costs a hash iteration and an allocation per
-// call — and the sorted windows make every traversal order
-// deterministic without per-call sorting.
+// adjacency: the graph's sorted int32 neighbor lists packed end to end
+// into one slice, indexed by a per-vertex offset table. It is the
+// iteration form of the bulk distance engines — one contiguous array
+// instead of n separately allocated lists, and an immutable value that
+// goroutines can share while the source graph keeps mutating.
 //
 // A CSR is a point-in-time snapshot: later mutations of the source
 // Graph are not reflected. Build one per bulk computation with
@@ -36,16 +33,8 @@ func (g *Graph) Frozen() *CSR {
 		offsets:   make([]int32, n+1),
 		neighbors: make([]int32, 2*g.m),
 	}
-	for v := 0; v < n; v++ {
-		c.offsets[v+1] = c.offsets[v] + int32(g.degree[v])
-	}
-	for v := 0; v < n; v++ {
-		w := c.offsets[v]
-		for u := range g.adj[v] {
-			c.neighbors[w] = int32(u)
-			w++
-		}
-		slices.Sort(c.neighbors[c.offsets[v]:w])
+	for v, nbrs := range g.adj {
+		c.offsets[v+1] = c.offsets[v] + int32(copy(c.neighbors[c.offsets[v]:], nbrs))
 	}
 	return c
 }
@@ -108,8 +97,7 @@ func (c *CSR) BoundedBFSInto(src, maxDepth int, dist []int32, queue []int32) []i
 // distance row, with -1 for unreachable vertices. It is the CSR
 // counterpart of Graph.BFSDistances for callers that issue many
 // per-source queries against a frozen snapshot (the attack package's
-// adversary): the row is freshly allocated, but the traversal itself
-// never touches the map adjacency.
+// adversary). The row is freshly allocated.
 func (c *CSR) BFSDistances(src int) []int32 {
 	n := c.N()
 	dist := make([]int32, n)

@@ -41,7 +41,7 @@ func TestFrozenSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestCSRBoundedBFSMatchesGraph: CSR BFS agrees with the map-adjacency
+// TestCSRBoundedBFSMatchesGraph: CSR BFS agrees with the mutable graph's
 // BFS at every depth, and the returned visit order is exactly the set
 // of written entries.
 func TestCSRBoundedBFSMatchesGraph(t *testing.T) {

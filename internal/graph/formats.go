@@ -71,7 +71,7 @@ func ReadGraphML(r io.Reader) (*Graph, error) {
 		}
 		index[id] = i
 	}
-	g := New(len(ids))
+	edges := make([]Edge, 0, len(doc.Graph.Edges))
 	for _, e := range doc.Graph.Edges {
 		u, ok := index[e.Source]
 		if !ok {
@@ -81,8 +81,9 @@ func ReadGraphML(r io.Reader) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("graph: edge references unknown node %q", e.Target)
 		}
-		g.AddEdge(u, v) // skips self-loops and duplicates
+		edges = append(edges, Edge{U: u, V: v})
 	}
+	g, _ := build(len(ids), edges) // drops self-loops and duplicates
 	return g, nil
 }
 
@@ -199,14 +200,15 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 			}
 		}
 	}
-	g := New(n)
+	var edges []Edge
 	for _, r := range rows {
 		for _, u := range r.neighbors {
 			if u < 0 {
 				return nil, fmt.Errorf("graph: negative neighbor %d of %d", u, r.v)
 			}
-			g.AddEdge(r.v, u)
+			edges = append(edges, Edge{U: r.v, V: u})
 		}
 	}
+	g, _ := build(n, edges)
 	return g, nil
 }

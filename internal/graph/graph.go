@@ -4,54 +4,96 @@
 // together with traversal, sampling, structural statistics, and
 // edge-list input/output.
 //
-// Vertices are dense integers in [0, N()). All mutating operations keep
-// degree bookkeeping up to date in O(1). Iteration order over vertices is
-// ascending; helpers that surface neighbor or edge collections return them
-// in deterministic (sorted) order so that seeded experiments are
-// reproducible bit-for-bit.
+// Vertices are dense integers in [0, N()). Adjacency is a sorted int32
+// neighbor list per vertex, so every iteration — over vertices,
+// neighbors, or edges — runs in ascending order and seeded experiments
+// are reproducible bit-for-bit.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Graph is a mutable simple undirected graph over the vertex set
 // {0, ..., n-1}. The zero value is not usable; construct with New or one
 // of the decoding helpers.
+//
+// Adjacency is one sorted, duplicate-free int32 neighbor list per
+// vertex. Membership tests are a binary search, insertion and deletion
+// shift the tail of two short lists, and every traversal walks packed
+// memory in ascending order — the same layout Frozen copies into a CSR,
+// so the mutable working graph of the anonymization loop scans like a
+// frozen snapshot.
 type Graph struct {
-	adj    []map[int]struct{}
-	degree []int
-	m      int
+	adj [][]int32 // adj[v] ascending, no duplicates, no v itself
+	m   int
 }
 
 // New returns an empty simple graph on n vertices and no edges.
-// It panics if n is negative.
+// It panics if n is negative or exceeds the int32 vertex space.
 func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	g := &Graph{
-		adj:    make([]map[int]struct{}, n),
-		degree: make([]int, n),
+	if int64(n) > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: vertex count %d exceeds int32 index space", n))
 	}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]struct{})
-	}
-	return g
+	return &Graph{adj: make([][]int32, n)}
 }
 
 // FromEdges builds a graph on n vertices from the given edge list.
 // Duplicate edges and self-loops are rejected with a panic, since they
 // indicate a malformed input for a simple graph.
 func FromEdges(n int, edges []Edge) *Graph {
-	g := New(n)
-	for _, e := range edges {
-		if !g.AddEdge(e.U, e.V) {
-			panic(fmt.Sprintf("graph: duplicate or invalid edge %v", e))
-		}
+	g, dropped := build(n, edges)
+	if dropped > 0 {
+		panic(fmt.Sprintf("graph: %d duplicate or invalid edges among %d", dropped, len(edges)))
 	}
 	return g
+}
+
+// build is the bulk constructor behind FromEdges and the decoders: it
+// appends both directions of every edge, then sorts each neighbor list
+// once, instead of paying an ordered insert per edge. Self-loops,
+// out-of-range endpoints, and duplicates (in either orientation) are
+// dropped; dropped counts them.
+func build(n int, edges []Edge) (*Graph, int) {
+	g := New(n)
+	deg := make([]int32, n)
+	for _, e := range edges {
+		if g.inRange(e.U, e.V) {
+			deg[e.U]++
+			deg[e.V]++
+		}
+	}
+	for v := range g.adj {
+		g.adj[v] = make([]int32, 0, deg[v])
+	}
+	for _, e := range edges {
+		if !g.inRange(e.U, e.V) {
+			continue
+		}
+		g.adj[e.U] = append(g.adj[e.U], int32(e.V))
+		g.adj[e.V] = append(g.adj[e.V], int32(e.U))
+	}
+	half := 0
+	for v, nbrs := range g.adj {
+		slices.Sort(nbrs)
+		g.adj[v] = slices.Compact(nbrs)
+		half += len(g.adj[v])
+	}
+	g.m = half / 2
+	// Every in-range edge was appended once, so whatever Compact removed
+	// was a duplicate.
+	return g, len(edges) - g.m
+}
+
+// inRange reports whether {u, v} is a valid simple-graph edge slot:
+// distinct endpoints, both vertices of g.
+func (g *Graph) inRange(u, v int) bool {
+	return u != v && u >= 0 && v >= 0 && u < len(g.adj) && v < len(g.adj)
 }
 
 // N returns the number of vertices.
@@ -61,22 +103,28 @@ func (g *Graph) N() int { return len(g.adj) }
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the current degree of vertex v.
-func (g *Graph) Degree(v int) int { return g.degree[v] }
+func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // Degrees returns a copy of the current degree sequence, indexed by vertex.
 func (g *Graph) Degrees() []int {
-	d := make([]int, len(g.degree))
-	copy(d, g.degree)
+	d := make([]int, len(g.adj))
+	for v, nbrs := range g.adj {
+		d[v] = len(nbrs)
+	}
 	return d
 }
 
 // HasEdge reports whether the undirected edge {u, v} is present.
 // Out-of-range endpoints and self-loops report false.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u == v || u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
+	if !g.inRange(u, v) {
 		return false
 	}
-	_, ok := g.adj[u][v]
+	// Search the shorter list.
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
+	}
+	_, ok := slices.BinarySearch(g.adj[u], int32(v))
 	return ok
 }
 
@@ -84,16 +132,16 @@ func (g *Graph) HasEdge(u, v int) bool {
 // the graph unchanged) if the edge already exists, is a self-loop, or has
 // an endpoint out of range.
 func (g *Graph) AddEdge(u, v int) bool {
-	if u == v || u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
+	if !g.inRange(u, v) {
 		return false
 	}
-	if _, ok := g.adj[u][v]; ok {
+	i, ok := slices.BinarySearch(g.adj[u], int32(v))
+	if ok {
 		return false
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.degree[u]++
-	g.degree[v]++
+	g.adj[u] = slices.Insert(g.adj[u], i, int32(v))
+	j, _ := slices.BinarySearch(g.adj[v], int32(u))
+	g.adj[v] = slices.Insert(g.adj[v], j, int32(u))
 	g.m++
 	return true
 }
@@ -101,13 +149,16 @@ func (g *Graph) AddEdge(u, v int) bool {
 // RemoveEdge deletes the undirected edge {u, v}. It returns false if the
 // edge was not present.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	if !g.HasEdge(u, v) {
+	if !g.inRange(u, v) {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.degree[u]--
-	g.degree[v]--
+	i, ok := slices.BinarySearch(g.adj[u], int32(v))
+	if !ok {
+		return false
+	}
+	g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	j, _ := slices.BinarySearch(g.adj[v], int32(u))
+	g.adj[v] = slices.Delete(g.adj[v], j, j+1)
 	g.m--
 	return true
 }
@@ -115,20 +166,19 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 // Neighbors returns the neighbors of v in ascending order. The returned
 // slice is freshly allocated and safe to retain.
 func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for w := range g.adj[v] {
-		out = append(out, w)
+	out := make([]int, len(g.adj[v]))
+	for i, w := range g.adj[v] {
+		out[i] = int(w)
 	}
-	sort.Ints(out)
 	return out
 }
 
-// EachNeighbor calls fn for every neighbor of v in unspecified order.
-// It is the allocation-free counterpart of Neighbors for hot loops whose
-// result does not depend on iteration order.
+// EachNeighbor calls fn for every neighbor of v in ascending order. It
+// is the allocation-free counterpart of Neighbors; fn must not mutate
+// v's adjacency.
 func (g *Graph) EachNeighbor(v int, fn func(w int)) {
-	for w := range g.adj[v] {
-		fn(w)
+	for _, w := range g.adj[v] {
+		fn(int(w))
 	}
 }
 
@@ -136,24 +186,19 @@ func (g *Graph) EachNeighbor(v int, fn func(w int)) {
 // lexicographically. The slice is freshly allocated.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
-	for u := range g.adj {
-		for v := range g.adj[u] {
-			if u < v {
-				out = append(out, Edge{U: u, V: v})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	g.EachEdge(func(u, v int) {
+		out = append(out, Edge{U: u, V: v})
+	})
 	return out
 }
 
-// EachEdge calls fn once per undirected edge with u < v, in unspecified
-// order.
+// EachEdge calls fn once per undirected edge with u < v, in canonical
+// (lexicographic) order. fn must not mutate the graph.
 func (g *Graph) EachEdge(fn func(u, v int)) {
-	for u := range g.adj {
-		for v := range g.adj[u] {
-			if u < v {
-				fn(u, v)
+	for u, nbrs := range g.adj {
+		for _, v := range nbrs {
+			if int(v) > u {
+				fn(u, int(v))
 			}
 		}
 	}
@@ -161,18 +206,9 @@ func (g *Graph) EachEdge(fn func(u, v int)) {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:    make([]map[int]struct{}, len(g.adj)),
-		degree: make([]int, len(g.degree)),
-		m:      g.m,
-	}
-	copy(c.degree, g.degree)
+	c := &Graph{adj: make([][]int32, len(g.adj)), m: g.m}
 	for v, nbrs := range g.adj {
-		m := make(map[int]struct{}, len(nbrs))
-		for w := range nbrs {
-			m[w] = struct{}{}
-		}
-		c.adj[v] = m
+		c.adj[v] = slices.Clone(nbrs)
 	}
 	return c
 }
@@ -183,13 +219,8 @@ func (g *Graph) Equal(h *Graph) bool {
 		return false
 	}
 	for u := range g.adj {
-		if len(g.adj[u]) != len(h.adj[u]) {
+		if !slices.Equal(g.adj[u], h.adj[u]) {
 			return false
-		}
-		for v := range g.adj[u] {
-			if _, ok := h.adj[u][v]; !ok {
-				return false
-			}
 		}
 	}
 	return true
@@ -199,9 +230,9 @@ func (g *Graph) Equal(h *Graph) bool {
 // vertex set.
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, d := range g.degree {
-		if d > max {
-			max = d
+	for _, nbrs := range g.adj {
+		if len(nbrs) > max {
+			max = len(nbrs)
 		}
 	}
 	return max
@@ -211,30 +242,31 @@ func (g *Graph) MaxDegree() int {
 // with the slice sized MaxDegree()+1 (length 1 for an edgeless graph).
 func (g *Graph) DegreeHistogram() []int {
 	counts := make([]int, g.MaxDegree()+1)
-	for _, d := range g.degree {
-		counts[d]++
+	for _, nbrs := range g.adj {
+		counts[len(nbrs)]++
 	}
 	return counts
 }
 
-// Validate checks internal consistency (symmetry of adjacency, degree
-// bookkeeping, edge count, absence of self-loops) and returns a
-// descriptive error for the first violation found. It is intended for
-// tests and for auditing long mutation sequences.
+// Validate checks internal consistency (sorted duplicate-free neighbor
+// lists, symmetry of adjacency, edge count, absence of self-loops) and
+// returns a descriptive error for the first violation found. It is
+// intended for tests and for auditing long mutation sequences.
 func (g *Graph) Validate() error {
 	m2 := 0
-	for u := range g.adj {
-		if len(g.adj[u]) != g.degree[u] {
-			return fmt.Errorf("graph: vertex %d degree book %d != adjacency size %d", u, g.degree[u], len(g.adj[u]))
-		}
-		for v := range g.adj[u] {
+	for u, nbrs := range g.adj {
+		for i, w := range nbrs {
+			v := int(w)
+			if i > 0 && nbrs[i-1] >= w {
+				return fmt.Errorf("graph: neighbor list of %d not strictly ascending at %d (%d after %d)", u, i, w, nbrs[i-1])
+			}
 			if v == u {
 				return fmt.Errorf("graph: self-loop at %d", u)
 			}
 			if v < 0 || v >= len(g.adj) {
 				return fmt.Errorf("graph: neighbor %d of %d out of range", v, u)
 			}
-			if _, ok := g.adj[v][u]; !ok {
+			if _, ok := slices.BinarySearch(g.adj[v], int32(u)); !ok {
 				return fmt.Errorf("graph: asymmetric edge %d-%d", u, v)
 			}
 			m2++

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,126 @@ func TestPropertyAddRemoveRoundTrip(t *testing.T) {
 		return g.Equal(before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateRejectsCorruptNeighborLists: Validate enforces the
+// adjacency representation's invariant — every neighbor list strictly
+// ascending — on top of symmetry and edge-count bookkeeping.
+func TestValidateRejectsCorruptNeighborLists(t *testing.T) {
+	fresh := func() *Graph { return FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}}) }
+	if err := fresh().Validate(); err != nil {
+		t.Fatalf("valid graph rejected: %v", err)
+	}
+	cases := map[string]func(g *Graph){
+		"unsorted":   func(g *Graph) { g.adj[0][0], g.adj[0][1] = g.adj[0][1], g.adj[0][0] },
+		"duplicate":  func(g *Graph) { g.adj[0][2] = g.adj[0][1] },
+		"self-loop":  func(g *Graph) { g.adj[3] = []int32{0, 3} },
+		"range":      func(g *Graph) { g.adj[3] = []int32{0, 9} },
+		"asymmetric": func(g *Graph) { g.adj[3] = nil; g.adj[2] = []int32{0, 1, 3} },
+		"edge-count": func(g *Graph) { g.m++ },
+	}
+	for name, corrupt := range cases {
+		g := fresh()
+		corrupt(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a corrupt graph", name)
+		}
+	}
+}
+
+// TestPropertyMutationsMatchMapModel drives a random add/remove
+// sequence against a map-of-sets model and checks every observable —
+// return values, membership, degrees, ascending neighbor lists,
+// canonical edge order, and the frozen CSR — after each step.
+func TestPropertyMutationsMatchMapModel(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(14)
+		g := New(n)
+		model := make([]map[int]bool, n)
+		for v := range model {
+			model[v] = map[int]bool{}
+		}
+		for step := 0; step < 200; step++ {
+			u, v := rng.Intn(n+1)-rng.Intn(2), rng.Intn(n) // occasionally out of range
+			valid := u >= 0 && u < n && u != v
+			if rng.Intn(3) > 0 {
+				want := valid && !model[u][v]
+				if g.AddEdge(u, v) != want {
+					return false
+				}
+				if want {
+					model[u][v], model[v][u] = true, true
+				}
+			} else {
+				want := valid && model[u][v]
+				if g.RemoveEdge(u, v) != want {
+					return false
+				}
+				if want {
+					delete(model[u], v)
+					delete(model[v], u)
+				}
+			}
+		}
+		if g.Validate() != nil {
+			return false
+		}
+		var edges []Edge
+		c := g.Frozen()
+		for v := 0; v < n; v++ {
+			var want []int
+			for w := range model[v] {
+				want = append(want, w)
+				if v < w {
+					edges = append(edges, Edge{U: v, V: w})
+				}
+			}
+			slices.Sort(want)
+			var each []int
+			g.EachNeighbor(v, func(w int) { each = append(each, w) })
+			var frozen []int
+			for _, w := range c.Neighbors(v) {
+				frozen = append(frozen, int(w))
+			}
+			if g.Degree(v) != len(want) || !slices.Equal(g.Neighbors(v), want) ||
+				!slices.Equal(each, want) || !slices.Equal(frozen, want) {
+				return false
+			}
+			for w := 0; w < n; w++ {
+				if g.HasEdge(v, w) != model[v][w] {
+					return false
+				}
+			}
+		}
+		sortEdges(edges)
+		return slices.Equal(g.Edges(), edges) && g.M() == len(edges)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkBuildMatchesIncremental: the append-then-sort constructor
+// behind FromEdges and the decoders builds exactly the graph repeated
+// AddEdge calls build, silently dropping self-loops, out-of-range
+// endpoints, and duplicates in either orientation.
+func TestBulkBuildMatchesIncremental(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(20)
+		edges := make([]Edge, rng.Intn(60))
+		want := New(n)
+		for i := range edges {
+			edges[i] = Edge{U: rng.Intn(n+1) - rng.Intn(2), V: rng.Intn(n)}
+			want.AddEdge(edges[i].U, edges[i].V)
+		}
+		got, dropped := build(n, edges)
+		return got.Validate() == nil && got.Equal(want) && dropped == len(edges)-want.M()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }

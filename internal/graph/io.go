@@ -102,10 +102,11 @@ func ReadEdgeList(r io.Reader) (*Graph, []int, error) {
 		sorted = append(sorted, -1) // isolated vertex with no original ID
 		n++
 	}
-	g := New(n)
-	for _, e := range edges {
-		g.AddEdge(perm[e.u], perm[e.v]) // silently skips self-loops and duplicates
+	relabeled := make([]Edge, len(edges))
+	for i, e := range edges {
+		relabeled[i] = Edge{U: perm[e.u], V: perm[e.v]}
 	}
+	g, _ := build(n, relabeled) // silently drops self-loops and duplicates
 	return g, sorted, nil
 }
 

@@ -17,14 +17,15 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
 		}
 		index[v] = i
 	}
-	sub := New(len(vertices))
+	var edges []Edge
 	for i, v := range vertices {
-		for w := range g.adj[v] {
-			if j, ok := index[w]; ok && i < j {
-				sub.AddEdge(i, j)
+		for _, w := range g.adj[v] {
+			if j, ok := index[int(w)]; ok && i < j {
+				edges = append(edges, Edge{U: i, V: j})
 			}
 		}
 	}
+	sub, _ := build(len(vertices), edges)
 	orig := make([]int, len(vertices))
 	copy(orig, vertices)
 	return sub, orig
@@ -54,7 +55,7 @@ func (g *Graph) RelabelByDegree() (*Graph, []int) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return g.degree[order[a]] > g.degree[order[b]]
+		return g.Degree(order[a]) > g.Degree(order[b])
 	})
 	return g.relabel(order)
 }
@@ -65,10 +66,11 @@ func (g *Graph) relabel(order []int) (*Graph, []int) {
 	for newID, oldID := range order {
 		index[oldID] = newID
 	}
-	out := New(g.N())
+	edges := make([]Edge, 0, g.m)
 	g.EachEdge(func(u, v int) {
-		out.AddEdge(index[u], index[v])
+		edges = append(edges, Edge{U: index[u], V: index[v]})
 	})
+	out, _ := build(g.N(), edges)
 	orig := make([]int, len(order))
 	copy(orig, order)
 	return out, orig

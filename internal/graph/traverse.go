@@ -14,10 +14,10 @@ func (g *Graph) BFSDistances(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for w := range g.adj[u] {
+		for _, w := range g.adj[u] {
 			if dist[w] < 0 {
 				dist[w] = dist[u] + 1
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -44,7 +44,10 @@ func (g *Graph) BoundedBFS(src, maxDepth int) []int {
 // BoundedBFSInto is the allocation-conscious form of BoundedBFS: it writes
 // distances into dist (which must have length N() and be pre-filled with
 // -1) and uses queue as scratch space when non-nil. It returns the number
-// of vertices reached (excluding src).
+// of vertices reached (excluding src). When cap(queue) >= N() the
+// traversal never reallocates, so on return queue[:reached+1] holds the
+// visit order — src first, then every vertex written in dist — and the
+// caller can reset exactly those entries to -1.
 func (g *Graph) BoundedBFSInto(src, maxDepth int, dist []int, queue []int) int {
 	if queue == nil {
 		queue = make([]int, 0, g.N())
@@ -59,11 +62,11 @@ func (g *Graph) BoundedBFSInto(src, maxDepth int, dist []int, queue []int) int {
 		if du >= maxDepth {
 			continue
 		}
-		for w := range g.adj[u] {
+		for _, w := range g.adj[u] {
 			if dist[w] < 0 {
 				dist[w] = du + 1
 				reached++
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -89,14 +92,20 @@ func (g *Graph) BoundedBFSIntoSkip(src, maxDepth int, dist []int, queue []int, s
 		if du >= maxDepth {
 			continue
 		}
-		for w := range g.adj[u] {
-			if (u == su && w == sv) || (u == sv && w == su) {
-				continue
-			}
-			if dist[w] < 0 {
+		// At most one neighbor of u is masked: the other endpoint of the
+		// skipped edge when u is one of its endpoints, else none.
+		skip := int32(-1)
+		switch u {
+		case su:
+			skip = int32(sv)
+		case sv:
+			skip = int32(su)
+		}
+		for _, w := range g.adj[u] {
+			if dist[w] < 0 && w != skip {
 				dist[w] = du + 1
 				reached++
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -120,10 +129,10 @@ func (g *Graph) ConnectedComponents() (labels []int, count int) {
 		queue = append(queue[:0], v)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for w := range g.adj[u] {
+			for _, w := range g.adj[u] {
 				if labels[w] < 0 {
 					labels[w] = count
-					queue = append(queue, w)
+					queue = append(queue, int(w))
 				}
 			}
 		}
@@ -184,15 +193,25 @@ func (g *Graph) GeodesicLength(u, v int) int {
 
 // CountTrianglesAt returns the number of edges among the neighbors of v,
 // i.e. the numerator (unordered) of the local clustering coefficient.
+// Each neighbor a contributes |N(a) ∩ N(v) ∩ (a, ∞)|, counted by a merge
+// of the two sorted lists.
 func (g *Graph) CountTrianglesAt(v int) int {
 	nbrs := g.adj[v]
 	count := 0
-	for a := range nbrs {
-		for b := range g.adj[a] {
-			if b > a {
-				if _, ok := nbrs[b]; ok {
-					count++
-				}
+	for i, a := range nbrs {
+		rest := nbrs[i+1:] // neighbors of v above a
+		adjA := g.adj[a]
+		j, k := 0, 0
+		for j < len(rest) && k < len(adjA) {
+			switch {
+			case rest[j] < adjA[k]:
+				j++
+			case rest[j] > adjA[k]:
+				k++
+			default:
+				count++
+				j++
+				k++
 			}
 		}
 	}

@@ -20,6 +20,11 @@
 //	csr_frozen          Graph -> CSR snapshot cost
 //	bfs_inner           one bounded BFS + touched-only reset (0 allocs)
 //	anonymize_greedy    capped greedy removal run (ci scale only)
+//	tracker_evaluate    one Tracker.EvaluateWith on a removal candidate's
+//	                    change list (epinions100, L=2; ci scale only)
+//	greedy_step         one committed step of a full store-seeded Rem run
+//	                    at θ=0, averaged over its steps (epinions100, L=2;
+//	                    ci scale only)
 //	warm_restart_mapped registry reboot with -mmap-stores hydration
 //	stream_build_file   streaming APSP build straight into a snapshot file
 //	mutate_clone        seed-store mutation via full deep clone (the old path)
@@ -48,8 +53,10 @@ import (
 
 	"repro/internal/anonymize"
 	"repro/internal/apsp"
+	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/opacity"
 	"repro/internal/registry"
 )
 
@@ -189,6 +196,16 @@ func runScale(scale string) ([]Result, error) {
 		r := row("anonymize_greedy", res)
 		r.N, r.M = ag.N(), ag.M() // row() records the big graph's dims; fix them
 		rows = append(rows, r)
+
+		greedyRows, err := benchGreedyLayers()
+		if err != nil {
+			return nil, err
+		}
+		for _, gr := range greedyRows {
+			r := row(gr.name, gr.res)
+			r.N, r.M, r.L = gr.g.N(), gr.g.M(), greedyL
+			rows = append(rows, r)
+		}
 	}
 
 	warm, err := benchWarmRestart(g)
@@ -223,6 +240,72 @@ func runScale(scale string) ([]Result, error) {
 	}
 	rows = append(rows, row("paged_under_budget", paged))
 	return rows, nil
+}
+
+// greedyL is the distance threshold of the greedy-loop layer suites,
+// the perfbench greedy workload's.
+const greedyL = 2
+
+// layerResult is a named benchmark on g.
+type layerResult struct {
+	name string
+	res  testing.BenchmarkResult
+	g    *graph.Graph
+}
+
+// perUnit rescales a benchmark whose every op did units of work to
+// report per unit.
+func perUnit(res testing.BenchmarkResult, units int) testing.BenchmarkResult {
+	res.N *= units
+	return res
+}
+
+// benchGreedyLayers times the greedy loop's layers on the perfbench
+// greedy workload's shape (an epinions100 sample, L=2, θ=0):
+// tracker_evaluate is one Tracker.EvaluateWith call on a removal
+// candidate's change list, and greedy_step is one committed step of a
+// full Rem run seeded from a prebuilt store, averaged over the run.
+func benchGreedyLayers() ([]layerResult, error) {
+	g, err := dataset.GenerateByKey("epinions100", 1)
+	if err != nil {
+		return nil, err
+	}
+	st := apsp.Build(g, greedyL, apsp.BuildOptions{})
+	types := opacity.NewDegreeTypes(g.Degrees())
+	tr := opacity.NewTracker(types, st)
+	scratch := apsp.NewScratch(g.N())
+	var lists [][]opacity.PairChange
+	for _, e := range g.Edges() {
+		var changes []opacity.PairChange
+		apsp.RemovalDelta(g, st, e.U, e.V, scratch, func(x, y, oldD, newD int) {
+			changes = append(changes, opacity.PairChange{X: x, Y: y, OldD: oldD, NewD: newD})
+		})
+		lists = append(lists, changes)
+	}
+	deltas := make([]int, types.NumTypes())
+	evaluate := bench(func() {
+		for _, changes := range lists {
+			tr.EvaluateWith(changes, deltas)
+		}
+	})
+
+	opts := anonymize.Options{L: greedyL, Seed: 1, Distances: st}
+	res, err := anonymize.Run(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	if res.Steps == 0 {
+		return nil, fmt.Errorf("greedy_step: the run committed no step")
+	}
+	step := bench(func() {
+		if _, err := anonymize.Run(g, opts); err != nil {
+			panic(err)
+		}
+	})
+	return []layerResult{
+		{name: "tracker_evaluate", res: perUnit(evaluate, len(lists)), g: g},
+		{name: "greedy_step", res: perUnit(step, res.Steps), g: g},
+	}, nil
 }
 
 // bench runs fn under testing.Benchmark with allocation reporting.

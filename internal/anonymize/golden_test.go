@@ -200,7 +200,7 @@ func TestLookAheadTrialCommitsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := s.removalCandidates(nil)[:40]
+	candidates := s.cands.edges[:40]
 	s.searchCombos(candidates, 2) // grow the per-depth buffers
 	allocs := testing.AllocsPerRun(3, func() { s.searchCombos(candidates, 2) })
 	trials := len(candidates) * (len(candidates) - 1) / 2

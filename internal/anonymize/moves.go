@@ -51,7 +51,7 @@ func (s *state) undoRemoval(e graph.Edge, changes []opacity.PairChange) {
 
 // commitInsertion applies the insertion of e. Unlike removals,
 // insertions are never trial-committed: candidates are evaluated
-// incrementally via EvaluateWith, so no undo path is needed.
+// incrementally via EvaluateDeltas, so no undo path is needed.
 func (s *state) commitInsertion(e graph.Edge) {
 	s.changes = appendInsertionChanges(s.changes[:0], s.m, e, s.scratch)
 	for _, c := range s.changes {
@@ -59,6 +59,26 @@ func (s *state) commitInsertion(e graph.Edge) {
 		s.tr.Update(c.X, c.Y, c.OldD, c.NewD)
 	}
 	s.g.AddEdge(e.U, e.V)
+}
+
+// applyRemoval commits the removal of e for real, as opposed to a
+// look-ahead trial: it invalidates the cached removal deltas around e
+// on the graph that still contains it, commits, drops e from the
+// candidates, and logs it.
+func (s *state) applyRemoval(e graph.Edge) {
+	s.cands.stampAround(s.g, e)
+	s.changes = s.commitRemoval(e, s.changes)
+	s.cands.drop(e)
+	s.removedLog = append(s.removedLog, e)
+}
+
+// applyInsertion commits the insertion of e, invalidates the cached
+// removal deltas around e on the graph that now contains it, and logs
+// it.
+func (s *state) applyInsertion(e graph.Edge) {
+	s.commitInsertion(e)
+	s.cands.stampAround(s.g, e)
+	s.insertedLog = append(s.insertedLog, e)
 }
 
 // reservoir implements the paper's tie-breaking policy (Algorithm 4
@@ -89,23 +109,6 @@ func (r *reservoir) offer(ev opacity.Evaluation, rng interface{ Float64() float6
 	return false
 }
 
-// removalCandidates returns the current removal candidates in
-// deterministic order: all present edges, minus the exclusion set (EA
-// for Rem-Ins).
-func (s *state) removalCandidates(exclude *graph.EdgeSet) []graph.Edge {
-	all := s.g.Edges()
-	if exclude == nil || exclude.Len() == 0 {
-		return all
-	}
-	out := all[:0]
-	for _, e := range all {
-		if !exclude.Has(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // normalize strips the population component when the ablation option
 // disabling the N(lo) tie-break is set.
 func (s *state) normalize(ev opacity.Evaluation) opacity.Evaluation {
@@ -116,13 +119,14 @@ func (s *state) normalize(ev opacity.Evaluation) opacity.Evaluation {
 }
 
 // bestSingleRemoval scans all removal candidates and returns the
-// greedy-best edge and its evaluation. Candidate evaluation may run on
-// multiple workers (Options.Workers); the reservoir tie-break always
-// consumes the evaluations in candidate order, so parallel runs choose
-// exactly the same edges as sequential ones.
-func (s *state) bestSingleRemoval(candidates []graph.Edge) (graph.Edge, opacity.Evaluation, bool) {
+// greedy-best edge and its evaluation. Stale candidates' deltas may be
+// recomputed on multiple workers (Options.Workers); the reservoir
+// tie-break always consumes the evaluations in candidate order, so
+// parallel runs choose exactly the same edges as sequential ones.
+func (s *state) bestSingleRemoval() (graph.Edge, opacity.Evaluation, bool) {
+	candidates := s.cands.edges
 	evs := s.evalBuf(len(candidates))
-	s.evalRemovals(candidates, evs)
+	s.evalRemovals(evs)
 	var (
 		res    reservoir
 		chosen graph.Edge
@@ -154,7 +158,7 @@ func (s *state) chooseInsertion() (graph.Edge, bool) {
 		}
 	}
 	evs := s.evalBuf(len(s.insertBuf))
-	s.evalInsertions(s.insertBuf, evs)
+	s.evalInsertions()
 	var (
 		res    reservoir
 		chosen graph.Edge
@@ -174,13 +178,13 @@ func (s *state) chooseInsertion() (graph.Edge, bool) {
 // combination found; if none improves, the overall best candidate (the
 // smallest size wins ties) is returned so the greedy always progresses.
 // A nil return means there are no candidates at all.
-func (s *state) chooseRemovalCombo(cur opacity.Evaluation, exclude *graph.EdgeSet) []graph.Edge {
+func (s *state) chooseRemovalCombo(cur opacity.Evaluation) []graph.Edge {
 	cur = s.normalize(cur)
-	candidates := s.removalCandidates(exclude)
+	candidates := s.cands.edges
 	if len(candidates) == 0 {
 		return nil
 	}
-	single, ev, ok := s.bestSingleRemoval(candidates)
+	single, ev, ok := s.bestSingleRemoval()
 	if !ok {
 		return nil
 	}

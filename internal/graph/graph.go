@@ -54,22 +54,43 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return g
 }
 
-// build is the bulk constructor behind FromEdges and the decoders: it
-// appends both directions of every edge, then sorts each neighbor list
-// once, instead of paying an ordered insert per edge. Self-loops,
-// out-of-range endpoints, and duplicates (in either orientation) are
-// dropped; dropped counts them.
+// FromPairs bulk-builds a graph on n vertices from [u v] pairs. Unlike
+// FromEdges it does not panic: self-loops, out-of-range endpoints, and
+// duplicates are dropped, exactly as edge-by-edge AddEdge calls would
+// drop them, and the adjacency is allocated once.
+func FromPairs(n int, pairs [][2]int) *Graph {
+	edges := make([]Edge, len(pairs))
+	for i, p := range pairs {
+		edges[i] = Edge{U: p[0], V: p[1]}
+	}
+	g, _ := build(n, edges)
+	return g
+}
+
+// build is the bulk constructor behind FromEdges, FromPairs and the
+// decoders: it appends both directions of every edge, then sorts each
+// neighbor list once, instead of paying an ordered insert per edge. The
+// lists are carved from one backing array, each list's capacity ending
+// where the next begins, so a later insert reallocates that list alone.
+// Self-loops, out-of-range endpoints, and duplicates (in either
+// orientation) are dropped; dropped counts them.
 func build(n int, edges []Edge) (*Graph, int) {
 	g := New(n)
 	deg := make([]int32, n)
+	total := 0
 	for _, e := range edges {
 		if g.inRange(e.U, e.V) {
 			deg[e.U]++
 			deg[e.V]++
+			total += 2
 		}
 	}
-	for v := range g.adj {
-		g.adj[v] = make([]int32, 0, deg[v])
+	flat := make([]int32, total)
+	off := 0
+	for v, d := range deg {
+		end := off + int(d)
+		g.adj[v] = flat[off:off:end]
+		off = end
 	}
 	for _, e := range edges {
 		if !g.inRange(e.U, e.V) {
@@ -204,11 +225,17 @@ func (g *Graph) EachEdge(fn func(u, v int)) {
 	}
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The copied lists are carved
+// from one backing array, each list's capacity ending where the next
+// begins, so a later insert reallocates that list alone.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{adj: make([][]int32, len(g.adj)), m: g.m}
+	flat := make([]int32, 2*g.m)
+	off := 0
 	for v, nbrs := range g.adj {
-		c.adj[v] = slices.Clone(nbrs)
+		end := off + len(nbrs)
+		c.adj[v] = append(flat[off:off:end], nbrs...)
+		off = end
 	}
 	return c
 }

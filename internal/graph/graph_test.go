@@ -387,7 +387,13 @@ func TestBulkBuildMatchesIncremental(t *testing.T) {
 			want.AddEdge(edges[i].U, edges[i].V)
 		}
 		got, dropped := build(n, edges)
-		return got.Validate() == nil && got.Equal(want) && dropped == len(edges)-want.M()
+		pairs := make([][2]int, len(edges))
+		for i, e := range edges {
+			pairs[i] = [2]int{e.U, e.V}
+		}
+		fromPairs := FromPairs(n, pairs)
+		return got.Validate() == nil && got.Equal(want) && dropped == len(edges)-want.M() &&
+			fromPairs.Validate() == nil && fromPairs.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

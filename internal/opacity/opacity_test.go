@@ -3,6 +3,7 @@ package opacity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,15 +338,19 @@ func TestTrackerAccessors(t *testing.T) {
 	if tr.Count(id) != before {
 		t.Fatal("Counts() aliases tracker state")
 	}
-	// SetCounts restores a snapshot.
+	// An Update and its reverse restore a snapshot, index included.
 	snap := tr.Counts()
+	ev := tr.Evaluate()
 	tr.Update(1, 2, 1, 2) // pretend the pair left the <=L set
 	if tr.Count(id) == before {
 		t.Fatal("Update had no effect")
 	}
-	tr.SetCounts(snap)
-	if tr.Count(id) != before {
-		t.Fatal("SetCounts did not restore")
+	tr.Update(1, 2, 2, 1)
+	if tr.Count(id) != before || !slices.Equal(tr.Counts(), snap) {
+		t.Fatal("reverse Update did not restore the counts")
+	}
+	if tr.Evaluate() != ev {
+		t.Fatalf("reverse Update left Evaluate at %+v, want %+v", tr.Evaluate(), ev)
 	}
 }
 

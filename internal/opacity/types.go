@@ -33,14 +33,13 @@ type TypeAssigner interface {
 // the unordered pair of the two vertices' ORIGINAL degrees. All degree
 // combinations occurring in the graph define types.
 type DegreeTypes struct {
-	degrees   []int // original degree per vertex, frozen
-	distinct  []int // sorted distinct degree values
-	degIndex  map[int]int
-	nv        []int // vertex count per distinct degree
-	numTypes  int
-	totals    []int
-	labels    []string
-	typeOfDeg func(di, dj int) int
+	degrees  []int   // original degree per vertex, frozen
+	class    []int32 // per vertex: index of its degree in distinct
+	distinct []int   // sorted distinct degree values
+	nv       []int   // vertex count per distinct degree
+	numTypes int
+	totals   []int
+	labels   []string
 }
 
 // NewDegreeTypes builds the degree-based type system from the original
@@ -57,11 +56,15 @@ func NewDegreeTypes(degrees []int) *DegreeTypes {
 		d.distinct = append(d.distinct, deg)
 	}
 	sort.Ints(d.distinct)
-	d.degIndex = make(map[int]int, len(d.distinct))
+	degIndex := make(map[int]int32, len(d.distinct))
 	d.nv = make([]int, len(d.distinct))
 	for i, deg := range d.distinct {
-		d.degIndex[deg] = i
+		degIndex[deg] = int32(i)
 		d.nv[i] = seen[deg]
+	}
+	d.class = make([]int32, len(degrees))
+	for v, deg := range degrees {
+		d.class[v] = degIndex[deg]
 	}
 	k := len(d.distinct)
 	d.numTypes = k * (k + 1) / 2
@@ -88,10 +91,10 @@ func (d *DegreeTypes) pairID(gi, hi int) int {
 	return gi*k - gi*(gi-1)/2 + (hi - gi)
 }
 
-// TypeOf implements TypeAssigner using original degrees.
+// TypeOf implements TypeAssigner using original degrees: two slice
+// reads of the per-vertex degree class, then the dense pair ID.
 func (d *DegreeTypes) TypeOf(u, v int) int {
-	gi := d.degIndex[d.degrees[u]]
-	hi := d.degIndex[d.degrees[v]]
+	gi, hi := int(d.class[u]), int(d.class[v])
 	if gi > hi {
 		gi, hi = hi, gi
 	}

@@ -75,17 +75,13 @@ func (r *Registry) Mutate(parent *Graph, adds, removes [][2]int) (g *Graph, crea
 
 	// Build outside the lock, like Put: adjacency construction must not
 	// block concurrent lookups.
-	raw := graph.New(n)
-	for _, e := range childEdges {
-		raw.AddEdge(e[0], e[1])
-	}
+	raw := graph.FromPairs(n, childEdges)
 	ent := &Graph{
-		id:      id,
-		edges:   childEdges,
-		raw:     raw,
-		pub:     lopacity.FromEdges(n, childEdges),
-		degrees: raw.Degrees(),
-		reg:     r,
+		id:    id,
+		edges: childEdges,
+		raw:   raw,
+		pub:   lopacity.WrapGraph(raw),
+		reg:   r,
 		lineage: &Lineage{
 			Parent:  parent.id,
 			Adds:    edgePairs(d.Adds),

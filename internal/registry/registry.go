@@ -260,13 +260,15 @@ type storeEntry struct {
 // Graph is one registered graph: parsed once, content-addressed, with
 // an LRU cache of built distance stores beneath it. Everything except
 // the store cache is immutable after construction, so a Graph may be
-// shared freely across concurrent requests.
+// shared freely across concurrent requests. The entry holds one graph:
+// raw is the adjacency and pub exposes it to the public API without a
+// copy. edges keeps the canonical edge list the content address and
+// every request's cache key are computed from.
 type Graph struct {
 	id      string
 	edges   [][2]int
 	raw     *graph.Graph
 	pub     *lopacity.Graph
-	degrees []int
 	reg     *Registry
 	lineage *Lineage // non-nil iff registered via Mutate (or recovered)
 
@@ -291,9 +293,8 @@ func (g *Graph) M() int { return len(g.edges) }
 // callers must treat it as read-only.
 func (g *Graph) Edges() [][2]int { return g.edges }
 
-// Degrees returns the degree sequence. The slice is shared: callers
-// must treat it as read-only.
-func (g *Graph) Degrees() []int { return g.degrees }
+// Degrees returns the degree sequence in a fresh slice.
+func (g *Graph) Degrees() []int { return g.raw.Degrees() }
 
 // Public returns the graph as the public-API type. The graph is shared
 // across requests; callers must not mutate it (every operation in this
@@ -616,16 +617,12 @@ func New(cfg Config) *Registry {
 // loader already validated it) and does not write back to disk. Called
 // only during loadFromDisk, before the registry is shared.
 func (r *Registry) insertLoadedGraph(id string, n int, canonical [][2]int) *Graph {
-	raw := graph.New(n)
-	for _, e := range canonical {
-		raw.AddEdge(e[0], e[1])
-	}
+	raw := graph.FromPairs(n, canonical)
 	ent := &Graph{
 		id:         id,
 		edges:      canonical,
 		raw:        raw,
-		pub:        lopacity.FromEdges(n, canonical),
-		degrees:    raw.Degrees(),
+		pub:        lopacity.WrapGraph(raw),
 		reg:        r,
 		stores:     make(map[storeKey]*list.Element),
 		storeOrder: list.New(),
@@ -658,16 +655,12 @@ func (r *Registry) Put(n int, edges [][2]int) (g *Graph, created bool, err error
 	// Build outside the lock: adjacency construction is O(n + m) and
 	// must not block concurrent lookups. A lost registration race is
 	// resolved below in favor of the first writer.
-	raw := graph.New(n)
-	for _, e := range canonical {
-		raw.AddEdge(e[0], e[1])
-	}
+	raw := graph.FromPairs(n, canonical)
 	ent := &Graph{
 		id:         id,
 		edges:      canonical,
 		raw:        raw,
-		pub:        lopacity.FromEdges(n, canonical),
-		degrees:    raw.Degrees(),
+		pub:        lopacity.WrapGraph(raw),
 		reg:        r,
 		stores:     make(map[storeKey]*list.Element),
 		storeOrder: list.New(),

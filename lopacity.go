@@ -70,12 +70,14 @@ func NewGraph(n int) *Graph {
 // FromEdges builds a graph on n vertices from an edge list. Duplicate
 // edges and self-loops are ignored, matching the simple-graph model.
 func FromEdges(n int, edges [][2]int) *Graph {
-	g := NewGraph(n)
-	for _, e := range edges {
-		g.AddEdge(e[0], e[1])
-	}
-	return g
+	return &Graph{g: graph.FromPairs(n, edges)}
 }
+
+// WrapGraph exposes an internal graph as the public type without
+// copying it: both views share one adjacency, so neither may be mutated
+// while the other is in use. The serving registry uses it to keep one
+// graph per registered entry.
+func WrapGraph(g *graph.Graph) *Graph { return &Graph{g: g} }
 
 // ReadEdgeList parses a whitespace-separated "u v" edge list (SNAP
 // style; '#' comments allowed) and returns the graph.

@@ -81,7 +81,6 @@ func BenchmarkAblationLookahead(b *testing.B) { benchExperiment(b, "ablation-loo
 
 func BenchmarkExtKIsoTradeoff(b *testing.B) { benchExperiment(b, "ext-kiso") }
 func BenchmarkExtAnneal(b *testing.B)       { benchExperiment(b, "ext-anneal") }
-func BenchmarkExtBitBFS(b *testing.B)       { benchExperiment(b, "ext-bitbfs") }
 func BenchmarkExtCentrality(b *testing.B)   { benchExperiment(b, "ext-centrality") }
 func BenchmarkExtRMAT(b *testing.B)         { benchExperiment(b, "ext-rmat") }
 
@@ -99,14 +98,14 @@ func BenchmarkMaxLO(b *testing.B) {
 	}
 }
 
-func BenchmarkBoundedAPSP(b *testing.B) {
+func BenchmarkBuild(b *testing.B) {
 	g, err := dataset.GenerateByKey("gnutella500", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = apsp.BoundedAPSP(g, 2)
+		_ = apsp.Build(g, 2, apsp.BuildOptions{})
 	}
 }
 
@@ -206,20 +205,15 @@ func storeBenchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-func benchStoreBuild(b *testing.B, k apsp.Kind) {
-	g := storeBenchGraph(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = apsp.BoundedAPSPKind(g, 2, k)
-	}
+// storeIn builds the gnutella500 store at L=2 in the given backing.
+func storeIn(g *graph.Graph, k apsp.Kind) apsp.MutableStore {
+	m := apsp.NewStore(g.N(), 2, k)
+	apsp.Copy(m, apsp.Build(g, 2, apsp.BuildOptions{}))
+	return m
 }
 
-func BenchmarkStoreBuildCompact(b *testing.B) { benchStoreBuild(b, apsp.KindCompact) }
-func BenchmarkStoreBuildPacked(b *testing.B)  { benchStoreBuild(b, apsp.KindPacked) }
-
 func benchStoreEachPair(b *testing.B, k apsp.Kind) {
-	m := apsp.BoundedAPSPKind(storeBenchGraph(b), 2, k)
+	m := storeIn(storeBenchGraph(b), k)
 	l := m.L()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -240,7 +234,7 @@ func BenchmarkStoreEachPairPacked(b *testing.B)  { benchStoreEachPair(b, apsp.Ki
 
 func benchStoreInsertionDelta(b *testing.B, k apsp.Kind) {
 	g := storeBenchGraph(b)
-	m := apsp.BoundedAPSPKind(g, 2, k)
+	m := storeIn(g, k)
 	// A deterministic absent edge: the delta scan is O(n^2) regardless.
 	u, v := -1, -1
 	for i := 0; i < g.N() && u < 0; i++ {
@@ -262,7 +256,7 @@ func BenchmarkStoreInsertionDeltaPacked(b *testing.B)  { benchStoreInsertionDelt
 
 func benchStoreRemovalDelta(b *testing.B, k apsp.Kind) {
 	g := storeBenchGraph(b)
-	m := apsp.BoundedAPSPKind(g, 2, k)
+	m := storeIn(g, k)
 	e := g.Edges()[g.M()/2]
 	scratch := apsp.NewScratch(g.N())
 	b.ResetTimer()

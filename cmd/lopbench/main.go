@@ -13,10 +13,8 @@
 //
 // Suites (each row records ns/op, B/op, allocs/op, and the graph):
 //
-//	build_csr_bfs       sequential CSR bounded-BFS APSP build
-//	build_csr_auto      the server's default engine selection
-//	build_map_baseline  the retained pre-CSR full-row engine (map adjacency until BENCH_3)
-//	build_bitbfs        bit-parallel BFS engine
+//	build_csr_auto      apsp.Build: the one bit-parallel sweep every build runs,
+//	                    with the auto-parallel worker rule
 //	csr_frozen          Graph -> CSR snapshot cost
 //	bfs_inner           one bounded BFS + touched-only reset (0 allocs)
 //	anonymize_greedy    capped greedy removal run (ci scale only)
@@ -161,17 +159,8 @@ func runScale(scale string) ([]Result, error) {
 	}
 	var rows []Result
 
-	rows = append(rows, row("build_csr_bfs", bench(func() {
-		apsp.BoundedAPSPKind(g, benchL, apsp.KindCompact)
-	})))
 	rows = append(rows, row("build_csr_auto", bench(func() {
 		apsp.Build(g, benchL, apsp.BuildOptions{})
-	})))
-	rows = append(rows, row("build_map_baseline", bench(func() {
-		apsp.BoundedAPSPMapBaseline(g, benchL, apsp.KindCompact)
-	})))
-	rows = append(rows, row("build_bitbfs", bench(func() {
-		apsp.BitBFSKind(g, benchL, apsp.KindCompact)
 	})))
 	rows = append(rows, row("csr_frozen", bench(func() {
 		g.Frozen()
@@ -368,7 +357,7 @@ func benchWarmRestart(g *graph.Graph) (testing.BenchmarkResult, error) {
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
-	sg.Distances(benchL, apsp.EngineAuto, apsp.KindCompact)
+	sg.Store(benchL)
 	id := sg.ID()
 
 	var misses int64
@@ -380,7 +369,7 @@ func benchWarmRestart(g *graph.Graph) (testing.BenchmarkResult, error) {
 			if !ok {
 				panic("warm registry lost the graph")
 			}
-			wg.Distances(benchL, apsp.EngineAuto, apsp.KindCompact)
+			wg.Store(benchL)
 			misses = r.Stats().StoreMisses
 		}
 	})

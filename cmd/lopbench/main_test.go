@@ -22,16 +22,16 @@ func writeReport(t *testing.T, rep Report) string {
 }
 
 func TestCompareWithinRatio(t *testing.T) {
-	base := Report{Results: []Result{{Name: "build_csr_bfs", Scale: "ci", NsOp: 1000}}}
-	cur := Report{Results: []Result{{Name: "build_csr_bfs", Scale: "ci", NsOp: 1900}}}
+	base := Report{Results: []Result{{Name: "build_csr_auto", Scale: "ci", NsOp: 1000}}}
+	cur := Report{Results: []Result{{Name: "build_csr_auto", Scale: "ci", NsOp: 1900}}}
 	if err := compare(cur, writeReport(t, base), 2.0); err != nil {
 		t.Fatalf("1.9x should pass a 2.0x gate: %v", err)
 	}
 }
 
 func TestCompareFlagsRegression(t *testing.T) {
-	base := Report{Results: []Result{{Name: "build_csr_bfs", Scale: "ci", NsOp: 1000}}}
-	cur := Report{Results: []Result{{Name: "build_csr_bfs", Scale: "ci", NsOp: 2500}}}
+	base := Report{Results: []Result{{Name: "build_csr_auto", Scale: "ci", NsOp: 1000}}}
+	cur := Report{Results: []Result{{Name: "build_csr_auto", Scale: "ci", NsOp: 2500}}}
 	err := compare(cur, writeReport(t, base), 2.0)
 	if err == nil {
 		t.Fatal("2.5x regression passed a 2.0x gate")
@@ -46,11 +46,11 @@ func TestCompareSkipsUnmatchedSuites(t *testing.T) {
 	// must not fail the gate, and scales are matched independently.
 	base := Report{Results: []Result{
 		{Name: "retired_suite", Scale: "ci", NsOp: 1},
-		{Name: "build_csr_bfs", Scale: "full", NsOp: 1},
+		{Name: "build_csr_auto", Scale: "full", NsOp: 1},
 	}}
 	cur := Report{Results: []Result{
 		{Name: "brand_new_suite", Scale: "ci", NsOp: 999_999},
-		{Name: "build_csr_bfs", Scale: "ci", NsOp: 999_999},
+		{Name: "build_csr_auto", Scale: "ci", NsOp: 999_999},
 	}}
 	if err := compare(cur, writeReport(t, base), 2.0); err != nil {
 		t.Fatalf("unmatched suites must be skipped: %v", err)

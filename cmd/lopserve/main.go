@@ -6,7 +6,6 @@
 // Usage:
 //
 //	lopserve -addr :8080 -max-body 8388608 -max-budget 30s \
-//	         -engine auto -store compact \
 //	         -workers 4 -queue 64 -cache-entries 256 -job-ttl 15m \
 //	         -graphs 64 -stores-per-graph 4 -preload gnutella500=1 \
 //	         -data-dir /var/lib/lopserve \
@@ -157,8 +156,6 @@ func main() {
 		maxBody      = flag.Int64("max-body", 8<<20, "maximum request body bytes")
 		maxVerts     = flag.Int("max-vertices", 20000, "maximum graph size accepted")
 		maxBudget    = flag.Duration("max-budget", 30*time.Second, "per-request anonymization wall-clock cap")
-		engine       = flag.String("engine", "auto", "default APSP engine: auto, bfs, fw, pointer, or bitbfs")
-		store        = flag.String("store", "compact", "default distance-store backing: compact (uint8), packed (int32), mapped, or paged (read-only snapshot views; builds fall back to compact)")
 		workers      = flag.Int("workers", 0, "async job worker goroutines (0 selects 4)")
 		queue        = flag.Int("queue", 0, "async job queue depth before 429s (0 selects 64)")
 		cacheEntries = flag.Int("cache-entries", 0, "content-addressed result cache capacity (0 selects 256)")
@@ -197,8 +194,6 @@ func main() {
 		MaxBodyBytes:       *maxBody,
 		MaxVertices:        *maxVerts,
 		MaxBudget:          *maxBudget,
-		Engine:             *engine,
-		Store:              *store,
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		CacheEntries:       *cacheEntries,

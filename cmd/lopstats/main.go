@@ -25,8 +25,6 @@ func main() {
 		l       = flag.Int("L", 1, "path-length threshold for the opacity report")
 		list    = flag.Bool("list", false, "list built-in dataset keys and exit")
 		opacity = flag.Bool("opacity", false, "include the per-type opacity matrix")
-		engine  = flag.String("engine", "auto", "APSP engine: auto, bfs, fw, pointer, or bitbfs")
-		store   = flag.String("store", "compact", "distance-store backing: compact (uint8) or packed (int32)")
 	)
 	flag.Parse()
 
@@ -39,13 +37,13 @@ func main() {
 		return
 	}
 
-	if err := run(os.Stdout, *in, *ds, *seed, *l, *opacity, *engine, *store); err != nil {
+	if err := run(os.Stdout, *in, *ds, *seed, *l, *opacity); err != nil {
 		fmt.Fprintln(os.Stderr, "lopstats:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, in, ds string, seed int64, l int, showOpacity bool, engine, store string) error {
+func run(w io.Writer, in, ds string, seed int64, l int, showOpacity bool) error {
 	g, err := load(in, ds, seed)
 	if err != nil {
 		return err
@@ -60,10 +58,7 @@ func run(w io.Writer, in, ds string, seed int64, l int, showOpacity bool, engine
 	fmt.Fprintf(w, "assort.    %+.4f\n", p.Assortativity)
 	fmt.Fprintf(w, "avg path   %.2f\n", p.AvgPathLength)
 
-	rep, err := g.OpacityWith(l, nil, lopacity.ReportOptions{Engine: engine, Store: store})
-	if err != nil {
-		return err
-	}
+	rep := g.Opacity(l)
 	fmt.Fprintf(w, "max %d-opacity  %.4f\n", rep.L, rep.MaxOpacity)
 	if showOpacity {
 		fmt.Fprintf(w, "%-12s %8s %8s %10s\n", "type", "|T|", "<=L", "opacity")

@@ -10,7 +10,7 @@ import (
 
 func TestRunOnDataset(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "", "gnutella100", 1, 1, false, "auto", "compact"); err != nil {
+	if err := run(&out, "", "gnutella100", 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -29,7 +29,7 @@ func TestRunOnFileWithOpacityMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(&out, path, "", 1, 1, true, "bitbfs", "packed"); err != nil {
+	if err := run(&out, path, "", 1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -43,10 +43,10 @@ func TestRunOnFileWithOpacityMatrix(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "/does/not/exist", "", 1, 1, false, "auto", "compact"); err == nil {
+	if err := run(&out, "/does/not/exist", "", 1, 1, false); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if err := run(&out, "", "no-such-key", 1, 1, false, "auto", "compact"); err == nil {
+	if err := run(&out, "", "no-such-key", 1, 1, false); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }

@@ -77,7 +77,7 @@ func (g *Graph) OpacityBy(L int, classify PairClassifier) (OpacityReport, error)
 	}
 
 	within := make([]int, types.NumTypes())
-	m := apsp.BoundedAPSP(g.g, L)
+	m := apsp.Build(g.g, L, apsp.BuildOptions{})
 	m.EachPair(func(u, v, d int) {
 		if d > L {
 			return
@@ -192,7 +192,7 @@ func (g *Graph) OpacityByLabels(L int, labels []string) (OpacityReport, error) {
 		return OpacityReport{}, err
 	}
 	within := make([]int, lt.NumTypes())
-	m := apsp.BoundedAPSP(g.g, L)
+	m := apsp.Build(g.g, L, apsp.BuildOptions{})
 	m.EachPair(func(u, v, d int) {
 		if d <= L {
 			within[lt.TypeOf(u, v)]++

@@ -52,11 +52,6 @@ type AnnealOptions struct {
 	Progress func(Progress)
 	// Types overrides the vertex-pair type system, as in Options.Types.
 	Types opacity.TypeAssigner
-	// Engine and Store select the initial distance build and backing,
-	// as in Options; the defaults (auto engine, compact store) are
-	// right for every annealing workload.
-	Engine apsp.Engine
-	Store  apsp.Kind
 	// Distances optionally seeds the run from a prebuilt store, as in
 	// Options.Distances: the run mutates a sparse copy-on-write overlay
 	// over it, never the store itself.
@@ -101,7 +96,7 @@ func AnnealContext(ctx context.Context, g *graph.Graph, opts AnnealOptions) (Res
 	s, err := newState(ctx, g, Options{
 		L: opts.L, Theta: opts.Theta, Seed: opts.Seed, LookAhead: 1,
 		Budget: opts.Budget, Types: opts.Types, Progress: opts.Progress,
-		Engine: opts.Engine, Store: opts.Store, Distances: opts.Distances,
+		Distances: opts.Distances,
 	})
 	if err != nil {
 		return Result{}, err

@@ -94,16 +94,6 @@ type Options struct {
 	// evaluate, while selection stays sequential over the candidate
 	// order with the seeded RNG.
 	Workers int
-	// Engine selects the APSP algorithm for the initial distance-store
-	// build; the zero value (EngineAuto) is bounded BFS striped over
-	// Workers goroutines. Every engine builds the identical store, so
-	// the choice never changes which edges the heuristics pick.
-	Engine apsp.Engine
-	// Store selects the distance-store backing; the zero value is the
-	// compact uint8 store, 4x smaller than the packed int32 layout.
-	// Runs on either backing choose identical edges — the stores hold
-	// identical capped distances.
-	Store apsp.Kind
 	// Distances, when non-nil, is a prebuilt L-capped distance store of
 	// the INPUT graph (same vertex count, same L). The run wraps it in a
 	// sparse copy-on-write overlay (apsp.Overlay) instead of rebuilding
@@ -112,10 +102,10 @@ type Options struct {
 	// same store may seed concurrent runs, including read-only mapped
 	// and paged views of triangles larger than RAM. No full-triangle
 	// copy is ever taken: a run that commits no moves allocates O(1) for
-	// the seed, and one that does pays O(mutated cells). Engine and
-	// Store are ignored for the initial build when set; every prebuilt
+	// the seed, and one that does pays O(mutated cells). Every prebuilt
 	// store holds the identical capped distances a fresh build would, so
-	// the anonymization outcome is unchanged.
+	// the anonymization outcome is unchanged. When nil, the run builds
+	// the store with apsp.Build over Workers goroutines.
 	Distances apsp.Store
 	// Budget bounds the wall-clock time of the run; 0 means unlimited.
 	// When the budget is exhausted the run stops between greedy
@@ -303,11 +293,7 @@ func newState(ctx context.Context, g *graph.Graph, opts Options) (*state, error)
 		}
 		m = apsp.NewOverlay(opts.Distances)
 	} else {
-		m = apsp.Build(work, opts.L, apsp.BuildOptions{
-			Engine:  opts.Engine,
-			Kind:    opts.Store,
-			Workers: opts.Workers,
-		})
+		m = apsp.Build(work, opts.L, apsp.BuildOptions{Workers: opts.Workers})
 	}
 	var deadline time.Time
 	if opts.Budget > 0 {

@@ -104,7 +104,7 @@ func TestAnnealContextCancel(t *testing.T) {
 func TestPrebuiltDistancesSeed(t *testing.T) {
 	g := randomGraph(40, 0.1, 3)
 	for _, kind := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked} {
-		prebuilt := apsp.Build(g, 2, apsp.BuildOptions{Kind: kind})
+		prebuilt := storeIn(g, 2, kind)
 		pristine := apsp.Clone(prebuilt)
 		opts := Options{L: 2, Theta: 0.3, Heuristic: RemovalInsertion, Seed: 7}
 

@@ -23,6 +23,14 @@ func storeTestGraph() *graph.Graph {
 	return g
 }
 
+// storeIn builds the L-capped store of g and copies it into the given
+// heap backing, so a run can be seeded from either.
+func storeIn(g *graph.Graph, L int, kind apsp.Kind) apsp.Store {
+	m := apsp.NewStore(g.N(), L, kind)
+	apsp.Copy(m, apsp.Build(g, L, apsp.BuildOptions{}))
+	return m
+}
+
 func sameEdges(a, b []graph.Edge) bool {
 	if len(a) != len(b) {
 		return false
@@ -37,8 +45,8 @@ func sameEdges(a, b []graph.Edge) bool {
 
 // TestAnonymizerIdenticalAcrossStores is the top-of-stack cross-store
 // guarantee: a run on the compact uint8 store commits exactly the same
-// edges, in the same order, as a run on the packed int32 store — at
-// every worker count, for both heuristics and the annealer.
+// edges, in the same order, as a run seeded from the packed int32
+// store — at every worker count, for both heuristics and the annealer.
 func TestAnonymizerIdenticalAcrossStores(t *testing.T) {
 	for _, h := range []Heuristic{Removal, RemovalInsertion} {
 		for _, workers := range []int{1, 8} {
@@ -46,7 +54,7 @@ func TestAnonymizerIdenticalAcrossStores(t *testing.T) {
 			for _, kind := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked} {
 				res, err := Run(storeTestGraph(), Options{
 					L: 2, Theta: 0.4, Heuristic: h, LookAhead: 2,
-					Seed: 7, Workers: workers, Store: kind,
+					Seed: 7, Workers: workers, Distances: storeIn(storeTestGraph(), 2, kind),
 				})
 				if err != nil {
 					t.Fatalf("%v workers=%d store=%v: %v", h, workers, kind, err)
@@ -74,7 +82,7 @@ func TestAnnealerIdenticalAcrossStores(t *testing.T) {
 	var results []Result
 	for _, kind := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked} {
 		res, err := Anneal(storeTestGraph(), AnnealOptions{
-			L: 2, Theta: 0.4, Seed: 5, Steps: 400, Store: kind,
+			L: 2, Theta: 0.4, Seed: 5, Steps: 400, Distances: storeIn(storeTestGraph(), 2, kind),
 		})
 		if err != nil {
 			t.Fatalf("store=%v: %v", kind, err)
@@ -88,24 +96,26 @@ func TestAnnealerIdenticalAcrossStores(t *testing.T) {
 	}
 }
 
-// TestEngineChoiceDoesNotChangeRun: every initial-build engine yields
-// the same distance store, so the greedy trajectory is engine-invariant.
+// TestEngineChoiceDoesNotChangeRun: the sweep and the paper's two
+// Floyd-Warshall algorithms yield the same distance store, so a run
+// seeded from any of them follows the trajectory of a run that builds
+// its own.
 func TestEngineChoiceDoesNotChangeRun(t *testing.T) {
-	var ref Result
-	for i, e := range []apsp.Engine{apsp.EngineAuto, apsp.EngineBFS, apsp.EngineFW, apsp.EnginePointer, apsp.EngineBit} {
-		res, err := Run(storeTestGraph(), Options{
-			L: 2, Theta: 0.4, Heuristic: RemovalInsertion, LookAhead: 1,
-			Seed: 3, Engine: e,
-		})
+	opts := Options{L: 2, Theta: 0.4, Heuristic: RemovalInsertion, LookAhead: 1, Seed: 3}
+	ref, err := Run(storeTestGraph(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(*graph.Graph, int) apsp.MutableStore{
+		"fw": apsp.LPrunedFW, "pointer": apsp.PointerFW,
+	} {
+		opts.Distances = build(storeTestGraph(), 2)
+		res, err := Run(storeTestGraph(), opts)
 		if err != nil {
-			t.Fatalf("engine=%v: %v", e, err)
-		}
-		if i == 0 {
-			ref = res
-			continue
+			t.Fatalf("engine=%s: %v", name, err)
 		}
 		if !sameEdges(ref.Removed, res.Removed) || !sameEdges(ref.Inserted, res.Inserted) {
-			t.Errorf("engine=%v chose different edges than auto", e)
+			t.Errorf("engine=%s chose different edges than the sweep", name)
 		}
 	}
 }
@@ -117,8 +127,8 @@ func TestTrackerCountsIdenticalAcrossStores(t *testing.T) {
 	g := storeTestGraph()
 	types := opacity.NewDegreeTypes(g.Degrees())
 	for _, L := range []int{1, 2, 3} {
-		tc := opacity.NewTracker(types, apsp.BoundedAPSPKind(g, L, apsp.KindCompact))
-		tp := opacity.NewTracker(types, apsp.BoundedAPSPKind(g, L, apsp.KindPacked))
+		tc := opacity.NewTracker(types, storeIn(g, L, apsp.KindCompact))
+		tp := opacity.NewTracker(types, storeIn(g, L, apsp.KindPacked))
 		for id := 0; id < types.NumTypes(); id++ {
 			if tc.Count(id) != tp.Count(id) {
 				t.Errorf("L=%d type %d: compact count %d != packed count %d",

@@ -24,7 +24,7 @@ func TestRMATBackingsEquivalenceMatrix(t *testing.T) {
 	dir := t.TempDir()
 	for _, L := range []int{2, 3} {
 		g := rmatGraph(t, 150, 450, int64(10+L))
-		oracle := BoundedAPSPKind(g, L, KindCompact)
+		oracle := build(g, L)
 		want := eachPairStream(oracle)
 
 		check := func(name string, s Store) {
@@ -42,15 +42,13 @@ func TestRMATBackingsEquivalenceMatrix(t *testing.T) {
 			}
 		}
 
-		check("packed", BoundedAPSPKind(g, L, KindPacked))
+		check("packed", asKind(build(g, L), KindPacked))
 		check("overlay/compact", NewOverlay(oracle))
-		check("overlay/packed", NewOverlay(BoundedAPSPKind(g, L, KindPacked)))
+		check("overlay/packed", NewOverlay(asKind(build(g, L), KindPacked)))
 
 		for _, kind := range []Kind{KindCompact, KindPacked} {
 			path := filepath.Join(dir, kind.String()+".store")
-			if err := BuildToFile(path, g, L, BuildOptions{Kind: kind}); err != nil {
-				t.Fatal(err)
-			}
+			snapshotFile(t, path, g, L, kind)
 			mapped, err := OpenMappedStore(path)
 			if err != nil {
 				t.Fatal(err)
@@ -74,9 +72,9 @@ func TestRMATBackingsEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestKindPagedPlumbing: parse/fold/NewStore behave like the mapped
-// alias — "paged" parses, folds to the payload's heap kind for cache
-// keys, and cannot be built from scratch.
+// TestKindPagedPlumbing: parse/NewStore behave like the mapped alias —
+// "paged" parses and cannot be built from scratch; a built store's
+// backing comes from KindFor(L) alone.
 func TestKindPagedPlumbing(t *testing.T) {
 	k, err := ParseKind("paged")
 	if err != nil || k != KindPaged {
@@ -85,11 +83,11 @@ func TestKindPagedPlumbing(t *testing.T) {
 	if k.String() != "paged" {
 		t.Fatalf("KindPaged.String() = %q", k.String())
 	}
-	if got := EffectiveKind(KindPaged, 3); got != KindCompact {
-		t.Fatalf("EffectiveKind(paged, 3) = %v, want compact", got)
+	if got := KindFor(3); got != KindCompact {
+		t.Fatalf("KindFor(3) = %v, want compact", got)
 	}
-	if got := EffectiveKind(KindPaged, MaxCompactL+1); got != KindPacked {
-		t.Fatalf("EffectiveKind(paged, big L) = %v, want packed", got)
+	if got := KindFor(MaxCompactL + 1); got != KindPacked {
+		t.Fatalf("KindFor(big L) = %v, want packed", got)
 	}
 	defer func() {
 		if recover() == nil {

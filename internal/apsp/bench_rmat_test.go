@@ -27,43 +27,20 @@ func benchName(n, m int) string {
 	return fmt.Sprintf("n%d_m%d", n, m)
 }
 
+// BenchmarkBuildRMATCSR is the sequential sweep.
 func BenchmarkBuildRMATCSR(b *testing.B) {
 	for _, sz := range benchSizes() {
 		g := rmatGraph(b, sz[0], sz[1], 42)
 		b.Run(benchName(sz[0], g.M()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				BoundedAPSPKind(g, benchL, KindCompact)
+				build(g, benchL)
 			}
 		})
 	}
 }
 
-func BenchmarkBuildRMATMapBaseline(b *testing.B) {
-	for _, sz := range benchSizes() {
-		g := rmatGraph(b, sz[0], sz[1], 42)
-		b.Run(benchName(sz[0], g.M()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				BoundedAPSPMapBaseline(g, benchL, KindCompact)
-			}
-		})
-	}
-}
-
-func BenchmarkBuildRMATBitBFS(b *testing.B) {
-	for _, sz := range benchSizes() {
-		g := rmatGraph(b, sz[0], sz[1], 42)
-		b.Run(benchName(sz[0], g.M()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				BitBFSKind(g, benchL, KindCompact)
-			}
-		})
-	}
-}
-
-// BenchmarkCSRFrozen isolates the snapshot cost the CSR engines pay up
+// BenchmarkCSRFrozen isolates the snapshot cost every build pays up
 // front — it must stay a small fraction of the sweep it accelerates.
 func BenchmarkCSRFrozen(b *testing.B) {
 	for _, sz := range benchSizes() {
@@ -77,40 +54,10 @@ func BenchmarkCSRFrozen(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSInnerLoop measures one bounded-BFS source sweep plus its
-// touched-only reset on a prebuilt CSR — the engine inner loop. The
-// headline claim is the allocs/op column: zero.
-func BenchmarkBFSInnerLoop(b *testing.B) {
-	for _, sz := range benchSizes() {
-		g := rmatGraph(b, sz[0], sz[1], 42)
-		c := g.Frozen()
-		n := c.N()
-		dist := make([]int32, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		queue := make([]int32, 0, n)
-		b.Run(benchName(sz[0], g.M()), func(b *testing.B) {
-			b.ReportAllocs()
-			src := 0
-			for i := 0; i < b.N; i++ {
-				visited := c.BoundedBFSInto(src, benchL, dist, queue)
-				for _, v := range visited {
-					dist[v] = -1
-				}
-				queue = visited[:0]
-				src++
-				if src == n {
-					src = 0
-				}
-			}
-		})
-	}
-}
-
 var benchStoreSink Store
 
-// BenchmarkBuildAuto is the engine-selection default the server runs.
+// BenchmarkBuildAuto is the default build the server runs: the sweep
+// with the auto-parallel worker rule.
 func BenchmarkBuildAuto(b *testing.B) {
 	for _, sz := range benchSizes() {
 		g := rmatGraph(b, sz[0], sz[1], 42)

@@ -2,28 +2,28 @@ package apsp
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/graph"
 )
 
-// Engine selects which APSP algorithm builds the initial distance
-// store. The zero value, EngineAuto, picks the bounded-BFS engine,
-// parallelized over the configured workers — the right default on the
-// sparse graphs the privacy model targets.
+// Engine names an APSP algorithm a caller may ask for. Every full build
+// runs the same bit-parallel sweep (see sweep.go) and every algorithm
+// yields identical cells, so an Engine is only a hint: the HTTP service
+// still accepts and validates the names, and no build consults them.
+// LPrunedFW and PointerFW (the paper's Algorithms 2 and 3) remain as
+// callable oracles.
 type Engine int
 
 const (
-	// EngineAuto is bounded BFS, striped over BuildOptions.Workers
-	// goroutines when more than one is configured.
+	// EngineAuto is the default hint.
 	EngineAuto Engine = iota
-	// EngineBFS forces the sequential bounded-BFS engine.
+	// EngineBFS names bounded BFS.
 	EngineBFS
-	// EngineFW is the paper's Algorithm 2 (L-pruned Floyd-Warshall).
+	// EngineFW names the paper's Algorithm 2 (L-pruned Floyd-Warshall).
 	EngineFW
-	// EnginePointer is the paper's Algorithm 3 (pointer-based FW).
+	// EnginePointer names the paper's Algorithm 3 (pointer-based FW).
 	EnginePointer
-	// EngineBit is the bit-parallel BFS (64 sources per word).
+	// EngineBit names the bit-parallel BFS.
 	EngineBit
 )
 
@@ -45,8 +45,8 @@ func (e Engine) String() string {
 }
 
 // ParseEngine resolves an engine name ("auto", "bfs", "fw", "pointer",
-// "bitbfs"; "" selects auto). CLI tools and the HTTP service share this
-// mapping.
+// "bitbfs"; "" selects auto). The HTTP service uses it to reject
+// unknown names.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "auto":
@@ -63,46 +63,28 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("apsp: unknown engine %q (want auto, bfs, fw, pointer, or bitbfs)", s)
 }
 
-// BuildOptions selects the engine, store backing, and parallelism of a
-// full distance-store build. The zero value is the package default:
-// bounded CSR BFS into a compact store, parallel when the graph is
-// large enough to repay the goroutine setup (see autoParallelMinN).
+// BuildOptions sets the parallelism of a full distance-store build.
 type BuildOptions struct {
-	Engine Engine
-	Kind   Kind
-	// Workers is the goroutine count for EngineAuto; values below 2 run
-	// sequentially, except that the zero value on graphs with at least
-	// autoParallelMinN vertices auto-selects one worker per CPU. All
-	// engines return bit-for-bit identical stores at every worker count.
+	// Workers is the goroutine count the sweep deals its 64-source
+	// batches to; values below 2 run sequentially, except that the
+	// zero value on graphs with at least autoParallelMinN vertices
+	// selects one worker per CPU. Every worker count yields a
+	// bit-for-bit identical store.
 	Workers int
 }
 
-// autoParallelMinN is the vertex count from which EngineAuto with
-// unset Workers stripes the CSR sweep over all CPUs. Below it the
-// sequential sweep finishes before the goroutines would be scheduled;
-// above it the build is the dominant cost of a request and should use
-// the machine.
-const autoParallelMinN = 4096
-
-// Build computes the L-capped distance store of g with the configured
-// engine and backing. Every engine produces an identical store (the
-// cross-validation tests assert this), so the choice only affects build
-// time and memory.
+// Build computes the L-capped distance store of g with the bit-parallel
+// sweep, into the backing KindFor(L) selects.
 func Build(g *graph.Graph, L int, o BuildOptions) MutableStore {
-	switch o.Engine {
-	case EngineBFS:
-		return BoundedAPSPKind(g, L, o.Kind)
-	case EngineFW:
-		return LPrunedFWKind(g, L, o.Kind)
-	case EnginePointer:
-		return PointerFWKind(g, L, o.Kind)
-	case EngineBit:
-		return BitBFSKind(g, L, o.Kind)
-	default:
-		workers := o.Workers
-		if workers == 0 && g.N() >= autoParallelMinN {
-			workers = runtime.NumCPU()
-		}
-		return BoundedAPSPParallelKind(g, L, workers, o.Kind)
+	c := g.Frozen()
+	n := c.N()
+	m := NewStore(n, L, KindFor(L))
+	sw := newSweeper(c, L, o.Workers)
+	switch t := m.(type) {
+	case *CompactMatrix:
+		sweepRows(sw, t.data, 0, n)
+	case *Matrix:
+		sweepRows(sw, t.data, 0, n)
 	}
+	return m
 }

@@ -7,7 +7,7 @@ import "fmt"
 // L+1 must fit in a uint8. Every experiment in the paper uses L <= 6.
 const MaxCompactL = 254
 
-// CompactMatrix is the default Store implementation: a packed
+// CompactMatrix is the Store backing of every L <= MaxCompactL: a packed
 // upper-triangular matrix of L-capped geodesic distances with one byte
 // per pair. Because the privacy model caps every stored distance at
 // Far() = L+1, a uint8 cell is lossless whenever L <= MaxCompactL — at

@@ -15,7 +15,7 @@ func TestInsertionDeltaPath(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	m := BoundedAPSP(g, 3)
+	m := build(g, 3)
 	changed := map[[2]int][2]int{}
 	InsertionDelta(m, 0, 3, func(x, y, oldD, newD int) {
 		changed[[2]int{x, y}] = [2]int{oldD, newD}
@@ -39,7 +39,7 @@ func TestInsertionDeltaPath(t *testing.T) {
 func TestApplyInsertionMatchesRecompute(t *testing.T) {
 	g := randomGraph(14, 0.15, 9)
 	L := 3
-	m := BoundedAPSP(g, L)
+	m := build(g, L)
 	// Pick an absent edge deterministically.
 	var u, v int
 	found := false
@@ -56,7 +56,7 @@ func TestApplyInsertionMatchesRecompute(t *testing.T) {
 	}
 	ApplyInsertion(m, u, v)
 	g.AddEdge(u, v)
-	if want := BoundedAPSP(g, L); !Equal(m, want) {
+	if want := build(g, L); !Equal(m, want) {
 		t.Fatal("ApplyInsertion disagrees with full recomputation")
 	}
 }
@@ -64,7 +64,7 @@ func TestApplyInsertionMatchesRecompute(t *testing.T) {
 func TestRemovalDeltaRestoresGraph(t *testing.T) {
 	g := randomGraph(10, 0.3, 3)
 	before := g.Clone()
-	m := BoundedAPSP(g, 2)
+	m := build(g, 2)
 	e := g.Edges()[0]
 	RemovalDelta(g, m, e.U, e.V, nil, func(x, y, oldD, newD int) {})
 	if !g.Equal(before) {
@@ -74,7 +74,7 @@ func TestRemovalDeltaRestoresGraph(t *testing.T) {
 
 func TestRemovalDeltaAbsentEdgePanics(t *testing.T) {
 	g := graph.New(3)
-	m := BoundedAPSP(g, 1)
+	m := build(g, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RemovalDelta on absent edge did not panic")
@@ -86,14 +86,14 @@ func TestRemovalDeltaAbsentEdgePanics(t *testing.T) {
 func TestApplyRemovalMatchesRecompute(t *testing.T) {
 	g := randomGraph(14, 0.2, 21)
 	L := 3
-	m := BoundedAPSP(g, L)
+	m := build(g, L)
 	if g.M() == 0 {
 		t.Skip("no edges")
 	}
 	e := g.Edges()[g.M()/2]
 	ApplyRemoval(g, m, e.U, e.V, nil)
 	g.RemoveEdge(e.U, e.V)
-	if want := BoundedAPSP(g, L); !Equal(m, want) {
+	if want := build(g, L); !Equal(m, want) {
 		t.Fatal("ApplyRemoval disagrees with full recomputation")
 	}
 }
@@ -104,7 +104,7 @@ func TestPropertyInsertionDeltaExact(t *testing.T) {
 		n := 8 + rng.Intn(10)
 		L := 1 + rng.Intn(3)
 		g := randomGraph(n, 0.2, seed)
-		m := BoundedAPSP(g, L)
+		m := build(g, L)
 		u := rng.Intn(n)
 		v := rng.Intn(n)
 		if u == v || g.HasEdge(u, v) {
@@ -112,7 +112,7 @@ func TestPropertyInsertionDeltaExact(t *testing.T) {
 		}
 		ApplyInsertion(m, u, v)
 		g.AddEdge(u, v)
-		return Equal(m, BoundedAPSP(g, L))
+		return Equal(m, build(g, L))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestPropertyRemovalDeltaExact(t *testing.T) {
 		if g.M() == 0 {
 			return true
 		}
-		m := BoundedAPSP(g, L)
+		m := build(g, L)
 		edges := g.Edges()
 		e := edges[rng.Intn(len(edges))]
 		sc := scratch
@@ -138,7 +138,7 @@ func TestPropertyRemovalDeltaExact(t *testing.T) {
 		}
 		ApplyRemoval(g, m, e.U, e.V, sc)
 		g.RemoveEdge(e.U, e.V)
-		return Equal(m, BoundedAPSP(g, L))
+		return Equal(m, build(g, L))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestPropertyRemovalOnlyLengthens(t *testing.T) {
 		if g.M() == 0 {
 			return true
 		}
-		m := BoundedAPSP(g, L)
+		m := build(g, L)
 		edges := g.Edges()
 		e := edges[rng.Intn(len(edges))]
 		ok := true
@@ -176,7 +176,7 @@ func TestPropertyInsertionOnlyShortens(t *testing.T) {
 		n := 8 + rng.Intn(10)
 		L := 1 + rng.Intn(3)
 		g := randomGraph(n, 0.2, seed)
-		m := BoundedAPSP(g, L)
+		m := build(g, L)
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v || g.HasEdge(u, v) {
 			return true
@@ -215,7 +215,7 @@ func TestCrossingSetsCoverChanges(t *testing.T) {
 		if g.M() == 0 {
 			return true
 		}
-		m := BoundedAPSP(g, L)
+		m := build(g, L)
 		edges := g.Edges()
 		e := edges[rng.Intn(len(edges))]
 		sU, sV := crossingSets(g, L, e.U, e.V, NewScratch(n))
@@ -239,7 +239,7 @@ func TestCrossingSetsCoverChanges(t *testing.T) {
 			}
 		}
 		g.RemoveEdge(e.U, e.V)
-		after := BoundedAPSP(g, L)
+		after := build(g, L)
 		g.AddEdge(e.U, e.V)
 		ok := true
 		m.EachPair(func(i, j, d int) {
@@ -266,9 +266,9 @@ func TestPropertyRemovalDeltaMatchesRecompute(t *testing.T) {
 		name string
 		make func(g *graph.Graph, L int) Store
 	}{
-		{"compact", func(g *graph.Graph, L int) Store { return BoundedAPSPKind(g, L, KindCompact) }},
-		{"packed", func(g *graph.Graph, L int) Store { return BoundedAPSPKind(g, L, KindPacked) }},
-		{"overlay", func(g *graph.Graph, L int) Store { return NewOverlay(BoundedAPSP(g, L)) }},
+		{"compact", func(g *graph.Graph, L int) Store { return build(g, L) }},
+		{"packed", func(g *graph.Graph, L int) Store { return asKind(build(g, L), KindPacked) }},
+		{"overlay", func(g *graph.Graph, L int) Store { return NewOverlay(build(g, L)) }},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -331,7 +331,7 @@ func TestPropertyRemovalDeltaMatchesRecompute(t *testing.T) {
 func TestDeltaKernelsVisitDeterministic(t *testing.T) {
 	g := randomGraph(40, 0.08, 5)
 	const L = 3
-	m := BoundedAPSP(g, L)
+	m := build(g, L)
 	record := func(run func(sc *Scratch, visit func(x, y, oldD, newD int)), sc *Scratch) []deltaVisit {
 		var seq []deltaVisit
 		run(sc, func(x, y, oldD, newD int) { seq = append(seq, deltaVisit{x, y, oldD, newD}) })
@@ -373,7 +373,7 @@ func TestDeltaKernelsVisitDeterministic(t *testing.T) {
 func TestDeltaKernelsAllocFree(t *testing.T) {
 	g := randomGraph(60, 0.06, 11)
 	const L = 3
-	base := BoundedAPSP(g, L)
+	base := build(g, L)
 	e := g.Edges()[g.M()/2]
 	u, v := 0, 1
 	for g.HasEdge(u, v) {
@@ -381,7 +381,7 @@ func TestDeltaKernelsAllocFree(t *testing.T) {
 	}
 	sum := 0
 	visit := func(x, y, oldD, newD int) { sum += newD - oldD }
-	for _, m := range []Store{base, BoundedAPSPKind(g, L, KindPacked), NewOverlay(base)} {
+	for _, m := range []Store{base, asKind(build(g, L), KindPacked), NewOverlay(base)} {
 		sc := NewScratch(g.N())
 		if a := testing.AllocsPerRun(50, func() { RemovalDelta(g, m, e.U, e.V, sc, visit) }); a != 0 {
 			t.Errorf("%T: RemovalDelta allocates %v per call", m, a)

@@ -52,9 +52,9 @@ func TestEnginesAgreeOnFigure1(t *testing.T) {
 	for L := 1; L <= 4; L++ {
 		ref := FromClassic(ClassicFW(g), L)
 		for name, m := range map[string]Store{
-			"BoundedAPSP": BoundedAPSP(g, L),
-			"LPrunedFW":   LPrunedFW(g, L),
-			"PointerFW":   PointerFW(g, L),
+			"Build":     build(g, L),
+			"LPrunedFW": LPrunedFW(g, L),
+			"PointerFW": PointerFW(g, L),
 		} {
 			if !Equal(m, ref) {
 				t.Errorf("L=%d: %s disagrees with classic FW", L, name)
@@ -71,7 +71,7 @@ func TestPropertyEnginesAgreeOnRandomGraphs(t *testing.T) {
 		L := 1 + rng.Intn(4)
 		g := randomGraph(n, p, seed)
 		ref := FromClassic(ClassicFW(g), L)
-		return Equal(BoundedAPSP(g, L), ref) &&
+		return Equal(build(g, L), ref) &&
 			Equal(LPrunedFW(g, L), ref) &&
 			Equal(PointerFW(g, L), ref)
 	}
@@ -84,7 +84,7 @@ func TestBoundedAPSPDisconnected(t *testing.T) {
 	g := graph.New(5)
 	g.AddEdge(0, 1)
 	g.AddEdge(3, 4)
-	m := BoundedAPSP(g, 2)
+	m := build(g, 2)
 	if m.Get(0, 1) != 1 || m.Get(3, 4) != 1 {
 		t.Fatal("edges not at distance 1")
 	}
@@ -111,9 +111,9 @@ func TestLPrunedFWLeavesBeyondLFar(t *testing.T) {
 func TestEnginesL1IsAdjacency(t *testing.T) {
 	g := randomGraph(12, 0.3, 5)
 	for name, m := range map[string]Store{
-		"BoundedAPSP": BoundedAPSP(g, 1),
-		"LPrunedFW":   LPrunedFW(g, 1),
-		"PointerFW":   PointerFW(g, 1),
+		"Build":     build(g, 1),
+		"LPrunedFW": LPrunedFW(g, 1),
+		"PointerFW": PointerFW(g, 1),
 	} {
 		ok := true
 		m.EachPair(func(i, j, d int) {

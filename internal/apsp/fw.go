@@ -56,14 +56,12 @@ func ClassicFW(g *graph.Graph) [][]int {
 // distances the privacy model needs. A relaxation through intermediate k
 // is attempted only when both legs are shorter than L and their sum does
 // not exceed L; everything longer is provably irrelevant to the question
-// "is d(i, j) <= L?". The result is an L-capped Store with the default
-// compact backing; LPrunedFWKind selects the backing explicitly.
-func LPrunedFW(g *graph.Graph, L int) MutableStore { return LPrunedFWKind(g, L, KindCompact) }
-
-// LPrunedFWKind runs Algorithm 2 into a store of the given kind.
-func LPrunedFWKind(g *graph.Graph, L int, k Kind) MutableStore {
+// "is d(i, j) <= L?". The result is an L-capped Store in the backing
+// KindFor(L) selects. Builds use the sweep; this is an oracle for tests
+// and experiments.
+func LPrunedFW(g *graph.Graph, L int) MutableStore {
 	n := g.N()
-	m := newStoreAuto(n, L, k)
+	m := NewStore(n, L, KindFor(L))
 	if L >= 1 {
 		seedEdges(g.Frozen(), m)
 	}
@@ -106,36 +104,12 @@ func seedEdges(c *graph.CSR, m MutableStore) {
 	}
 }
 
-// BoundedAPSP computes the L-capped distance store by running one
-// depth-L bounded BFS per source vertex over a CSR snapshot of the
-// graph. On the sparse graphs of the paper's evaluation this is far
-// cheaper than any Floyd-Warshall variant (O(sum of L-ball volumes)
-// instead of O(n^3)) and is therefore the default engine for the
-// anonymization heuristics. The result uses the default compact
-// backing; BoundedAPSPKind selects it explicitly.
-func BoundedAPSP(g *graph.Graph, L int) MutableStore { return BoundedAPSPKind(g, L, KindCompact) }
-
-// BoundedAPSPKind runs the bounded-BFS engine into a store of the given
-// kind.
-func BoundedAPSPKind(g *graph.Graph, L int, k Kind) MutableStore {
-	return BoundedCSRKind(g.Frozen(), L, k)
-}
-
-// BoundedCSRKind runs the sequential bounded-BFS engine over an
-// already-frozen CSR snapshot. Callers that hold a snapshot (the
-// parallel engine, benchmarks) use this form to freeze exactly once.
-func BoundedCSRKind(c *graph.CSR, L int, k Kind) MutableStore {
-	n := c.N()
-	m := newStoreAuto(n, L, k)
-	boundedCSRRange(c, L, m, 0, n, newCSRScratch(n))
-	return m
-}
-
 // FromClassic converts a full reference distance matrix into an L-capped
-// Store (compact backing); used by tests to compare engines.
+// Store in the backing KindFor(L) selects; used by tests to compare
+// engines.
 func FromClassic(full [][]int, L int) MutableStore {
 	n := len(full)
-	m := newStoreAuto(n, L, KindCompact)
+	m := NewStore(n, L, KindFor(L))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if d := full[i][j]; d >= 1 && d <= L {

@@ -25,7 +25,7 @@ func writeStoreFile(t *testing.T, dir string, s Store) string {
 func TestMappedStoreRoundTrip(t *testing.T) {
 	for _, kind := range []Kind{KindCompact, KindPacked} {
 		g := randomGraph(40, 0.15, int64(kind)+1)
-		src := BoundedAPSPKind(g, 3, kind)
+		src := asKind(build(g, 3), kind)
 		path := writeStoreFile(t, t.TempDir(), src)
 		m, err := OpenMappedStore(path)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestMappedStoreRoundTrip(t *testing.T) {
 // shared persistent artifact is a compile error, not a runtime panic.
 func TestMappedStoreIsReadOnly(t *testing.T) {
 	g := randomGraph(10, 0.3, 1)
-	path := writeStoreFile(t, t.TempDir(), BoundedAPSP(g, 2))
+	path := writeStoreFile(t, t.TempDir(), build(g, 2))
 	m, err := OpenMappedStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestMappedStoreIsReadOnly(t *testing.T) {
 // writes to it never show through the mapping or the file.
 func TestMappedStoreCloneIndependence(t *testing.T) {
 	g := randomGraph(20, 0.2, 2)
-	src := BoundedAPSP(g, 3)
+	src := build(g, 3)
 	path := writeStoreFile(t, t.TempDir(), src)
 	m, err := OpenMappedStore(path)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestMappedStoreCloneIndependence(t *testing.T) {
 func TestOpenMappedStoreRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	g := randomGraph(12, 0.3, 3)
-	data, err := MarshalStore(BoundedAPSP(g, 2))
+	data, err := MarshalStore(build(g, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestOpenMappedStoreRejectsCorrupt(t *testing.T) {
 // but cannot leak into a mutable store — Clone's decode rejects it.
 func TestMappedStoreCorruptCellCaughtByClone(t *testing.T) {
 	g := randomGraph(10, 0.4, 4)
-	data, err := MarshalStore(BoundedAPSP(g, 2))
+	data, err := MarshalStore(build(g, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMappedStoreCorruptCellCaughtByClone(t *testing.T) {
 // snapshot bytes, and they outlive Close.
 func TestMarshalMappedStore(t *testing.T) {
 	g := randomGraph(15, 0.25, 5)
-	src := BoundedAPSP(g, 3)
+	src := build(g, 3)
 	want, err := MarshalStore(src)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +185,8 @@ func TestMarshalMappedStore(t *testing.T) {
 	}
 }
 
-// TestParseKindMapped: the request-level spelling resolves, and
-// EffectiveKind folds it onto the heap kind its payload uses.
+// TestParseKindMapped: the request-level spelling resolves, and a
+// mapped view is opened from a file, never built.
 func TestParseKindMapped(t *testing.T) {
 	for _, spelling := range []string{"mapped", "mmap"} {
 		k, err := ParseKind(spelling)
@@ -196,12 +196,6 @@ func TestParseKindMapped(t *testing.T) {
 	}
 	if KindMapped.String() != "mapped" {
 		t.Fatalf("KindMapped.String() = %q", KindMapped.String())
-	}
-	if got := EffectiveKind(KindMapped, 3); got != KindCompact {
-		t.Fatalf("EffectiveKind(mapped, 3) = %v, want compact", got)
-	}
-	if got := EffectiveKind(KindMapped, MaxCompactL+1); got != KindPacked {
-		t.Fatalf("EffectiveKind(mapped, %d) = %v, want packed", MaxCompactL+1, got)
 	}
 	defer func() {
 		if recover() == nil {

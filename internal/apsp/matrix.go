@@ -7,39 +7,36 @@
 // distance when it is <= L, and the sentinel Far() = L+1 otherwise
 // (covering both "longer than L" and "unreachable"). This is precisely the
 // pruning insight behind the paper's Algorithms 2 and 3 — and it also
-// means a capped entry never exceeds L+1, so the Store abstraction ships
-// two interchangeable backings:
+// means a capped entry never exceeds L+1, so the Store abstraction has
+// two heap backings:
 //
-//   - CompactMatrix (KindCompact, the default): one uint8 per pair,
-//     valid for L <= MaxCompactL. A quarter of the memory and cache
-//     traffic of the int32 layout on every scan.
-//   - Matrix (KindPacked): the original packed int32 layout, kept for
-//     thresholds beyond MaxCompactL and as the cross-validation twin.
+//   - CompactMatrix (KindCompact): one uint8 per pair, the backing of
+//     every L <= MaxCompactL. A quarter of the memory and cache traffic
+//     of the int32 layout on every scan.
+//   - Matrix (KindPacked): the packed int32 layout, the backing of
+//     every L above MaxCompactL.
 //
-// All code above this package programs against the Store interface;
-// NewStore, ParseKind, and EffectiveKind select the backing, and the
-// package-level Equal/Clone/Copy/CountWithin/Histogram helpers work on
-// any Store regardless of backing.
+// A store is identified by its graph and L alone: KindFor derives the
+// backing from L, and nothing else about a build is configurable but
+// its parallelism. All code above this package programs against the
+// Store interface, and the package-level Equal/Clone/Copy/CountWithin/
+// Histogram helpers work on any Store regardless of backing.
 //
-// Four engines produce the same store and are cross-validated in tests
-// on both backings:
+// One sweep builds every store: Build (heap stores) and StreamBuild /
+// BuildToFile (snapshot files) run a bit-parallel BFS over 64-source
+// batches on a frozen CSR snapshot, dealing the batches over workers
+// and writing each batch's half-rows straight into a cell span (see
+// sweep.go). The paper's Algorithm 2 (LPrunedFW, an L-pruned
+// Floyd-Warshall) and Algorithm 3 (PointerFW, which rides linked lists
+// of sub-L cells instead of scanning full rows) stay as oracles for the
+// tests and experiments, together with the textbook ClassicFW; the
+// tests assert all of them agree with the sweep cell for cell.
 //
-//   - BoundedAPSP: one depth-L-truncated BFS per source; the default,
-//     asymptotically cheapest on the sparse graphs of the evaluation.
-//     BoundedAPSPParallel stripes the sources over goroutines.
-//   - LPrunedFW: the paper's Algorithm 2, an L-pruned Floyd-Warshall.
-//   - PointerFW: the paper's Algorithm 3, a pointer-based variant that
-//     rides linked lists of sub-L cells instead of scanning full rows.
-//   - BitBFS: a bit-parallel BFS processing 64 sources per word.
-//
-// Each engine comes in two forms: Engine(g, L), which builds into the
-// compact default, and EngineKind(g, L, kind), which selects the
-// backing. Build dispatches on an Engine value for callers that take
-// the choice from configuration. The package also provides the exact
-// ball-local delta kernels used for incremental candidate evaluation by
-// the anonymization heuristics — InsertionDeltaScratch over the near
-// set of the inserted edge, RemovalDelta over the crossing sets of the
-// removed one (see delta.go); both operate on any Store.
+// The package also provides the exact ball-local delta kernels used for
+// incremental candidate evaluation by the anonymization heuristics —
+// InsertionDeltaScratch over the near set of the inserted edge,
+// RemovalDelta over the crossing sets of the removed one (see
+// delta.go); both operate on any Store.
 package apsp
 
 import "fmt"
@@ -48,8 +45,8 @@ import "fmt"
 // matrix of L-capped geodesic distances over a fixed vertex set. Entry
 // (i, j), i != j, is the exact geodesic distance d(i, j) when
 // d(i, j) <= L, and Far() = L+1 otherwise. The diagonal is implicit
-// (distance 0) and not stored. Unless L exceeds MaxCompactL, prefer the
-// 4x smaller CompactMatrix (the package default).
+// (distance 0) and not stored. It is the backing of every L above
+// MaxCompactL; below it the 4x smaller CompactMatrix is used.
 type Matrix struct {
 	n    int
 	l    int

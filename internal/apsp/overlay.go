@@ -182,7 +182,7 @@ func (o *Overlay) Clone() Store {
 // kind — the escape hatch for callers that need a standalone artifact
 // (serialization, long-lived caching) rather than a view.
 func (o *Overlay) Compact() MutableStore {
-	m := NewStore(o.n, o.L(), EffectiveKind(KindOf(o.base), o.L()))
+	m := NewStore(o.n, o.L(), KindOf(o.base))
 	Copy(m, o)
 	return m
 }

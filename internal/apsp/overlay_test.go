@@ -24,7 +24,7 @@ func mutateRandom(m MutableStore, count int, seed int64) {
 // dirty cell exists.
 func TestOverlayReadThrough(t *testing.T) {
 	g := randomGraph(30, 0.2, 7)
-	base := BoundedAPSP(g, 3)
+	base := build(g, 3)
 	o := NewOverlay(base)
 	if o.N() != base.N() || o.L() != base.L() || o.Far() != base.Far() {
 		t.Fatal("overlay dimensions diverge from base")
@@ -49,7 +49,7 @@ func TestOverlayReadThrough(t *testing.T) {
 func TestOverlayMatchesMutatedClone(t *testing.T) {
 	for _, kind := range []Kind{KindCompact, KindPacked} {
 		g := randomGraph(40, 0.15, 11)
-		base := Build(g, 3, BuildOptions{Kind: kind})
+		base := asKind(build(g, 3), kind)
 		pristine := base.Clone()
 
 		o := NewOverlay(base)
@@ -86,7 +86,7 @@ func TestOverlayMatchesMutatedClone(t *testing.T) {
 // keep sharing the read-only base.
 func TestOverlayCloneIndependence(t *testing.T) {
 	g := randomGraph(25, 0.2, 3)
-	base := BoundedAPSP(g, 3)
+	base := build(g, 3)
 	o := NewOverlay(base)
 	mutateRandom(o, 100, 1)
 
@@ -115,7 +115,7 @@ func TestOverlayCloneIndependence(t *testing.T) {
 // probe/revert scans leave the overlay as sparse as they found it.
 func TestOverlayReconvergence(t *testing.T) {
 	g := randomGraph(20, 0.3, 5)
-	base := BoundedAPSP(g, 2)
+	base := build(g, 2)
 	o := NewOverlay(base)
 
 	i, j := -1, -1
@@ -146,7 +146,7 @@ func TestOverlayReconvergence(t *testing.T) {
 // heap clone — the mutation path of every anonymization run.
 func TestOverlayDeltaEquivalence(t *testing.T) {
 	g := randomGraph(30, 0.2, 9)
-	base := BoundedAPSP(g, 3)
+	base := build(g, 3)
 	o := NewOverlay(base)
 	c := base.Clone().(MutableStore)
 

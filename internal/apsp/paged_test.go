@@ -12,11 +12,9 @@ import (
 func pagedFixture(t *testing.T, n int, p float64, seed int64, L int, kind Kind, budget int64) (Store, *PagedStore, *PageCache) {
 	t.Helper()
 	g := randomGraph(n, p, seed)
-	oracle := Build(g, L, BuildOptions{Kind: kind})
+	oracle := asKind(build(g, L), kind)
 	path := filepath.Join(t.TempDir(), "s.store")
-	if err := BuildToFile(path, g, L, BuildOptions{Kind: kind}); err != nil {
-		t.Fatal(err)
-	}
+	snapshotFile(t, path, g, L, kind)
 	cache := NewPageCache(budget)
 	ps, err := OpenPagedStore(path, cache)
 	if err != nil {

@@ -14,12 +14,10 @@ import "repro/internal/graph"
 // Algorithm 3's out/in pointer walk over column and row k visits. Because
 // distances only ever decrease and a cell is appended exactly when it
 // first crosses below L, the append-only lists never hold duplicates.
-func PointerFW(g *graph.Graph, L int) MutableStore { return PointerFWKind(g, L, KindCompact) }
-
-// PointerFWKind runs Algorithm 3 into a store of the given kind.
-func PointerFWKind(g *graph.Graph, L int, k Kind) MutableStore {
+// Like LPrunedFW it is an oracle; builds use the sweep.
+func PointerFW(g *graph.Graph, L int) MutableStore {
 	n := g.N()
-	m := newStoreAuto(n, L, k)
+	m := NewStore(n, L, KindFor(L))
 	low := make([][]int, n)
 	c := g.Frozen()
 	if L >= 1 {

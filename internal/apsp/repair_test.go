@@ -281,22 +281,20 @@ func TestRepairBackingsEquivalenceMatrix(t *testing.T) {
 		}
 	}
 
-	for _, eng := range []Engine{EngineAuto, EngineBFS, EngineFW, EnginePointer, EngineBit} {
+	for eng, run := range map[string]func(*graph.Graph, int) MutableStore{"sweep": build, "fw": LPrunedFW, "pointer": PointerFW} {
 		for _, kind := range []Kind{KindCompact, KindPacked} {
-			want, err := MarshalStore(Build(child, L, BuildOptions{Engine: eng, Kind: kind}))
+			want, err := MarshalStore(asKind(run(child, L), kind))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tag := eng.String() + "/" + kind.String()
+			tag := eng + "/" + kind.String()
 
-			heap := Build(g, L, BuildOptions{Engine: eng, Kind: kind})
+			heap := asKind(run(g, L), kind)
 			check(tag+"/heap", heap, want)
 			check(tag+"/overlay", NewOverlay(heap), want)
 
-			path := filepath.Join(dir, tag[:1]+kind.String()+".store")
-			if err := BuildToFile(path, g, L, BuildOptions{Engine: eng, Kind: kind}); err != nil {
-				t.Fatal(err)
-			}
+			path := filepath.Join(dir, eng+"-"+kind.String()+".store")
+			snapshotFile(t, path, g, L, kind)
 			mapped, err := OpenMappedStore(path)
 			if err != nil {
 				t.Fatal(err)

@@ -172,7 +172,7 @@ func MarshalStore(s Store) ([]byte, error) {
 		// the result outlives a Close of the store.
 		return append([]byte(nil), t.raw...), nil
 	}
-	c := NewStore(s.N(), s.L(), EffectiveKind(KindOf(s), s.L()))
+	c := NewStore(s.N(), s.L(), KindOf(s))
 	Copy(c, s)
 	return MarshalStore(c)
 }

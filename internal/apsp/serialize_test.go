@@ -24,14 +24,14 @@ func serializeTestGraph(n int, seed int64) *graph.Graph {
 }
 
 // TestSerializeRoundTrip: marshal/unmarshal equality for both store
-// kinds across every engine — the snapshot a warm restart reloads must
-// be indistinguishable from the store it replaces.
+// kinds across the sweep and both oracles — the snapshot a warm restart
+// reloads must be indistinguishable from the store it replaces.
 func TestSerializeRoundTrip(t *testing.T) {
 	g := serializeTestGraph(60, 7)
 	for _, L := range []int{1, 3, 6} {
-		for _, engine := range []Engine{EngineAuto, EngineBFS, EngineFW, EnginePointer, EngineBit} {
+		for engine, run := range map[string]func(*graph.Graph, int) MutableStore{"sweep": build, "fw": LPrunedFW, "pointer": PointerFW} {
 			for _, kind := range []Kind{KindCompact, KindPacked} {
-				s := Build(g, L, BuildOptions{Engine: engine, Kind: kind})
+				s := asKind(run(g, L), kind)
 				data, err := MarshalStore(s)
 				if err != nil {
 					t.Fatalf("L=%d %v/%v: marshal: %v", L, engine, kind, err)
@@ -80,7 +80,7 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := MarshalStore(Build(g, 3, BuildOptions{Kind: KindPacked}))
+	packed, err := MarshalStore(asKind(build(g, 3), KindPacked))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 func TestUnmarshalKindMismatch(t *testing.T) {
 	g := serializeTestGraph(10, 5)
 	compact, _ := MarshalStore(Build(g, 2, BuildOptions{}))
-	packed, _ := MarshalStore(Build(g, 2, BuildOptions{Kind: KindPacked}))
+	packed, _ := MarshalStore(asKind(build(g, 2), KindPacked))
 	var m Matrix
 	if err := m.UnmarshalBinary(compact); err == nil || !strings.Contains(err.Error(), "not packed") {
 		t.Errorf("Matrix accepted a compact snapshot (err=%v)", err)
@@ -138,8 +138,8 @@ func TestUnmarshalKindMismatch(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	g := serializeTestGraph(40, 11)
 	for _, kind := range []Kind{KindCompact, KindPacked} {
-		orig := Build(g, 3, BuildOptions{Kind: kind})
-		want := Build(g, 3, BuildOptions{Kind: kind})
+		orig := asKind(build(g, 3), kind)
+		want := asKind(build(g, 3), kind)
 
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {

@@ -12,9 +12,9 @@ import (
 // and the sentinel Far() = L+1 otherwise. The diagonal is implicit
 // (distance 0) and never stored.
 //
-// Four backings implement it: CompactMatrix (uint8 cells, the default —
-// a capped distance never exceeds L+1, so one byte suffices whenever
-// L <= MaxCompactL), Matrix (int32 cells, the original packed layout,
+// Four backings implement it: CompactMatrix (uint8 cells, every built
+// store with L <= MaxCompactL — a capped distance never exceeds L+1, so
+// one byte suffices), Matrix (int32 cells, the original packed layout,
 // needed only for thresholds beyond MaxCompactL), MappedStore (a
 // read-only memory-mapped view of a persisted snapshot), and PagedStore
 // (a read-only window over a snapshot file through a bounded page
@@ -54,32 +54,29 @@ type MutableStore interface {
 	Set(i, j, d int)
 }
 
-// Kind selects a Store implementation. The zero value is the compact
-// uint8 backing, which is the package default everywhere.
+// Kind names a Store backing. A build never takes one: KindFor derives
+// the backing from L, so a store's identity is its graph and threshold
+// alone. The HTTP service still accepts and validates the names as
+// hints.
 type Kind int
 
 const (
 	// KindCompact stores one byte per pair: 4x smaller than the packed
-	// int32 layout and cache-friendlier on every scan. Valid for
-	// L <= MaxCompactL, which covers every threshold the privacy model
-	// uses in practice.
+	// int32 layout and cache-friendlier on every scan. It is the
+	// backing of every threshold up to MaxCompactL, which covers every
+	// threshold the privacy model uses in practice.
 	KindCompact Kind = iota
-	// KindPacked is the original int32 layout; it has no threshold
-	// ceiling and exists as the fallback for L > MaxCompactL and as the
-	// cross-validation twin for the compact store.
+	// KindPacked is the int32 layout; it has no threshold ceiling and
+	// is the backing of every L above MaxCompactL.
 	KindPacked
-	// KindMapped is the read-only MappedStore view over a persisted
-	// snapshot file. It is a hydration/request alias, not a buildable
-	// backing: NewStore panics on it, and EffectiveKind folds it to the
-	// heap kind its payload decodes into, so cache keys and build paths
-	// treat a mapped store and its heap twin as the same artifact.
+	// KindMapped names the read-only MappedStore view over a persisted
+	// snapshot file. It is a residency, not a buildable backing:
+	// NewStore panics on it, and the view reports its payload's kind.
 	KindMapped
-	// KindPaged is the read-only PagedStore view: a snapshot file
+	// KindPaged names the read-only PagedStore view: a snapshot file
 	// windowed through a bounded LRU page cache. Like KindMapped it is a
-	// hydration/request alias — NewStore panics on it and EffectiveKind
-	// folds it to the payload's heap kind — but unlike mmap its resident
-	// memory is explicitly capped, so it serves triangles larger than
-	// RAM.
+	// residency — NewStore panics on it — but its resident memory is
+	// explicitly capped, so it serves triangles larger than RAM.
 	KindPaged
 )
 
@@ -98,9 +95,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind resolves a case-sensitive store name ("compact", "packed";
-// "" selects the compact default). CLI tools and the HTTP service share
-// this mapping.
+// ParseKind resolves a case-sensitive store name ("compact", "packed",
+// "mapped", "paged"; "" selects compact). The HTTP service uses it to
+// reject unknown names.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "compact", "uint8":
@@ -115,27 +112,18 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("apsp: unknown store %q (want compact, packed, mapped, or paged)", s)
 }
 
-// EffectiveKind returns the kind actually usable for threshold L: the
-// requested kind, except that compact silently falls back to packed
-// when L exceeds MaxCompactL, so callers resolving user input never
-// trip the constructor bound. KindMapped and KindPaged fold the same
-// way — a snapshot's payload is compact whenever compact is legal for
-// L — so requests for store=mapped or store=paged resolve to the cache
-// slot the snapshot hydrates.
-func EffectiveKind(k Kind, L int) Kind {
-	if (k == KindCompact || k == KindMapped || k == KindPaged) && L > MaxCompactL {
+// KindFor returns the backing of every built store at threshold L:
+// compact up to MaxCompactL, packed above it.
+func KindFor(L int) Kind {
+	if L > MaxCompactL {
 		return KindPacked
 	}
-	if k == KindMapped || k == KindPaged {
-		return KindCompact
-	}
-	return k
+	return KindCompact
 }
 
 // NewStore returns an all-Far store for n vertices and threshold L with
 // the given backing. It panics on invalid dimensions and on
-// KindCompact with L > MaxCompactL; use EffectiveKind to resolve
-// untrusted thresholds first.
+// KindCompact with L > MaxCompactL; KindFor(L) is always legal.
 func NewStore(n, L int, k Kind) MutableStore {
 	switch k {
 	case KindPacked:
@@ -150,17 +138,11 @@ func NewStore(n, L int, k Kind) MutableStore {
 	panic(fmt.Sprintf("apsp: unknown store kind %d", int(k)))
 }
 
-// newStoreAuto builds the engine-default store: the requested kind,
-// degraded to packed when the compact cells cannot hold L+1.
-func newStoreAuto(n, L int, k Kind) MutableStore {
-	return NewStore(n, L, EffectiveKind(k, L))
-}
-
-// KindOf reports the backing of a store, defaulting to KindCompact for
+// KindOf reports the backing of a store, defaulting to KindFor(L) for
 // foreign implementations. A mapped or paged store reports its payload
 // kind (what Clone decodes into), not KindMapped/KindPaged, and an
-// overlay reports its base's kind, so serialization and cache-key
-// logic built on KindOf keeps treating every view as its heap twin.
+// overlay reports its base's kind, so serialization built on KindOf
+// treats every view as its heap twin.
 func KindOf(s Store) Kind {
 	switch t := s.(type) {
 	case *Matrix:
@@ -169,10 +151,12 @@ func KindOf(s Store) Kind {
 		return t.Kind()
 	case *PagedStore:
 		return t.Kind()
+	case *CompactMatrix:
+		return KindCompact
 	case *Overlay:
 		return KindOf(t.Base())
 	}
-	return KindCompact
+	return KindFor(s.L())
 }
 
 // BackingName names the concrete representation of a store for

@@ -31,22 +31,24 @@ func TestCompactRejectsOversizedL(t *testing.T) {
 }
 
 // TestPackedAcceptsOversizedL: the int32 layout has no threshold
-// ceiling and is what EffectiveKind degrades to.
+// ceiling and is the backing KindFor derives past MaxCompactL.
 func TestPackedAcceptsOversizedL(t *testing.T) {
 	L := MaxCompactL + 10
 	if m := NewStore(4, L, KindPacked); m.Far() != L+1 {
 		t.Fatalf("packed store mangled Far: %d", m.Far())
 	}
-	if got := EffectiveKind(KindCompact, L); got != KindPacked {
-		t.Fatalf("EffectiveKind(compact, %d) = %v, want packed", L, got)
+	if got := KindFor(L); got != KindPacked {
+		t.Fatalf("KindFor(%d) = %v, want packed", L, got)
 	}
-	if got := EffectiveKind(KindCompact, MaxCompactL); got != KindCompact {
-		t.Fatalf("EffectiveKind(compact, %d) = %v, want compact", MaxCompactL, got)
+	if got := KindFor(MaxCompactL); got != KindCompact {
+		t.Fatalf("KindFor(%d) = %v, want compact", MaxCompactL, got)
 	}
-	// Engine builders resolve the fallback rather than panicking.
+	// Build and both oracles derive the packed backing rather than panicking.
 	g := fixture.Figure1()
-	if m := BoundedAPSPKind(g, L, KindCompact); KindOf(m) != KindPacked {
-		t.Fatal("engine did not degrade compact to packed beyond MaxCompactL")
+	for name, m := range map[string]Store{"Build": build(g, L), "LPrunedFW": LPrunedFW(g, L), "PointerFW": PointerFW(g, L)} {
+		if KindOf(m) != KindPacked {
+			t.Fatalf("%s built %v beyond MaxCompactL, want packed", name, KindOf(m))
+		}
 	}
 }
 
@@ -80,19 +82,18 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeAcrossStores is the tentpole cross-validation: every
-// engine on every backing produces the identical matrix.
+// TestEnginesAgreeAcrossStores is the cross-validation: the sweep and
+// the oracles, copied into every backing, produce the identical matrix.
 func TestEnginesAgreeAcrossStores(t *testing.T) {
 	g := fixture.Figure1()
 	for L := 1; L <= 4; L++ {
 		ref := FromClassic(ClassicFW(g), L)
 		for _, k := range kinds {
 			for name, m := range map[string]Store{
-				"BoundedAPSP": BoundedAPSPKind(g, L, k),
-				"LPrunedFW":   LPrunedFWKind(g, L, k),
-				"PointerFW":   PointerFWKind(g, L, k),
-				"BitBFS":      BitBFSKind(g, L, k),
-				"Parallel4":   BoundedAPSPParallelKind(g, L, 4, k),
+				"Build":     asKind(build(g, L), k),
+				"LPrunedFW": asKind(LPrunedFW(g, L), k),
+				"PointerFW": asKind(PointerFW(g, L), k),
+				"Parallel4": asKind(Build(g, L, BuildOptions{Workers: 4}), k),
 			} {
 				if KindOf(m) != k {
 					t.Errorf("L=%d %s/%v: wrong backing %v", L, name, k, KindOf(m))
@@ -105,8 +106,9 @@ func TestEnginesAgreeAcrossStores(t *testing.T) {
 	}
 }
 
-// TestPropertyStoresAgreeOnRandomGraphs: compact and packed runs of the
-// same engine are entry-for-entry identical on random graphs.
+// TestPropertyStoresAgreeOnRandomGraphs: compact and packed copies of
+// the same engine's store are entry-for-entry identical on random
+// graphs.
 func TestPropertyStoresAgreeOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -114,9 +116,9 @@ func TestPropertyStoresAgreeOnRandomGraphs(t *testing.T) {
 		p := 0.05 + rng.Float64()*0.3
 		L := 1 + rng.Intn(4)
 		g := randomGraph(n, p, seed)
-		return Equal(BoundedAPSPKind(g, L, KindCompact), BoundedAPSPKind(g, L, KindPacked)) &&
-			Equal(LPrunedFWKind(g, L, KindCompact), LPrunedFWKind(g, L, KindPacked)) &&
-			Equal(PointerFWKind(g, L, KindCompact), PointerFWKind(g, L, KindPacked))
+		return Equal(build(g, L), asKind(build(g, L), KindPacked)) &&
+			Equal(asKind(LPrunedFW(g, L), KindCompact), asKind(LPrunedFW(g, L), KindPacked)) &&
+			Equal(asKind(PointerFW(g, L), KindCompact), asKind(PointerFW(g, L), KindPacked))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -133,8 +135,8 @@ func TestPropertyDeltasAgreeAcrossStores(t *testing.T) {
 		n := 8 + rng.Intn(12)
 		L := 1 + rng.Intn(3)
 		g := randomGraph(n, 0.25, seed)
-		mc := BoundedAPSPKind(g, L, KindCompact)
-		mp := BoundedAPSPKind(g, L, KindPacked)
+		mc := build(g, L)
+		mp := asKind(build(g, L), KindPacked)
 
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v && !g.HasEdge(u, v) {
@@ -180,22 +182,20 @@ func TestPropertyDeltasAgreeAcrossStores(t *testing.T) {
 	}
 }
 
-// TestBuildDispatch: the configuration-driven builder reaches every
-// engine and backing and always produces the reference matrix.
+// TestBuildDispatch: Build dispatches on L alone — the compact backing
+// up to MaxCompactL, packed above it — at every worker count, and
+// always produces the reference matrix.
 func TestBuildDispatch(t *testing.T) {
 	g := fixture.Figure1()
-	L := 2
-	ref := FromClassic(ClassicFW(g), L)
-	for _, e := range []Engine{EngineAuto, EngineBFS, EngineFW, EnginePointer, EngineBit} {
-		for _, k := range kinds {
-			for _, w := range []int{0, 4} {
-				m := Build(g, L, BuildOptions{Engine: e, Kind: k, Workers: w})
-				if KindOf(m) != k {
-					t.Errorf("Build(%v, %v): wrong backing %v", e, k, KindOf(m))
-				}
-				if !Equal(m, ref) {
-					t.Errorf("Build(%v, %v, workers=%d) disagrees with reference", e, k, w)
-				}
+	for _, L := range []int{2, MaxCompactL, MaxCompactL + 1} {
+		ref := FromClassic(ClassicFW(g), L)
+		for _, w := range []int{0, 1, 4} {
+			m := Build(g, L, BuildOptions{Workers: w})
+			if KindOf(m) != KindFor(L) {
+				t.Errorf("Build(L=%d): backing %v, want %v", L, KindOf(m), KindFor(L))
+			}
+			if !Equal(m, ref) {
+				t.Errorf("Build(L=%d, workers=%d) disagrees with reference", L, w)
 			}
 		}
 	}

@@ -6,71 +6,107 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
 
 // Streaming snapshot builder: "build" and "persist" as one pass.
 //
-// The registry used to build the full triangle in heap, marshal it,
-// and only then write the snapshot — which means a store could never
-// be persisted without first fitting in RAM. StreamBuild inverts the
-// lifecycle: it runs the same bounded CSR BFS sweep the heap engines
-// use, but flushes each source's half-row to the writer the moment its
-// BFS completes and never retains the triangle. Peak memory is O(n)
-// per worker (one BFS scratch plus one row buffer), independent of the
-// O(n²/2) payload, so a snapshot larger than RAM can be built on its
-// way to disk and then served back through MappedStore or PagedStore.
+// StreamBuild runs the same sweep as Build, but renders the triangle
+// one block of rows at a time into a bounded buffer and flushes each
+// block to the writer, in order, before rendering the next. It never
+// retains the triangle: peak memory is one block plus the per-worker
+// BFS scratch, independent of the O(n²/2) payload, so a snapshot
+// larger than RAM can be built on its way to disk and then served back
+// through MappedStore or PagedStore.
 //
 // The output is byte-for-byte the LOPS snapshot MarshalStore produces
-// for the same graph, threshold, and kind — the serialization tests
+// for the heap build of the same graph and threshold — the tests
 // assert this — so everything that reads snapshots (boot hydration,
 // mmap, paging, quarantine) is oblivious to which path wrote them.
 
-// streamMaxBlockCells bounds the payload bytes buffered per in-flight
-// block in the parallel pipeline: blocks are sized to at most this
-// many cells, so memory stays bounded no matter how large n grows.
+// streamMaxBlockCells is the number of cells from which a block closes,
+// once it also holds a batch per worker, so memory stays bounded no
+// matter how large n grows.
 const streamMaxBlockCells = 1 << 20
 
 // StreamBuild writes the L-capped distance snapshot of g to w in one
-// pass. o.Kind selects the payload layout (mapped/paged fold to their
-// heap twin, compact degrades to packed past MaxCompactL, exactly like
-// Build); o.Workers parallelizes the sweep with per-source rows still
-// written in order. o.Engine is ignored: every engine produces an
-// identical store (an invariant the cross-validation tests enforce),
-// and only the BFS sweep can emit finished rows incrementally.
+// pass, with the payload layout KindFor(L) selects. o.Workers
+// parallelizes the sweep within each block; blocks are written in
+// order.
 func StreamBuild(w io.Writer, g *graph.Graph, L int, o BuildOptions) error {
 	if L < 0 {
 		return fmt.Errorf("apsp: invalid threshold L=%d", L)
 	}
-	kind := EffectiveKind(o.Kind, L)
+	kind := KindFor(L)
 	c := g.Frozen()
 	n := c.N()
-
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(appendStoreHeader(nil, kind, n, L)); err != nil {
 		return err
 	}
-
-	workers := o.Workers
-	if workers == 0 && n >= autoParallelMinN {
-		workers = runtime.NumCPU()
-	}
-	if cpus := runtime.NumCPU(); workers > cpus {
-		workers = cpus
-	}
+	sw := newSweeper(c, L, o.Workers)
 	var err error
-	if workers < 2 || n < 2 {
-		err = streamSequential(bw, c, L, kind)
+	if kind == KindCompact {
+		err = streamTriangle(sw, uint8(L+1), func(cells []uint8) error {
+			_, err := bw.Write(cells)
+			return err
+		})
 	} else {
-		err = streamParallel(bw, c, L, kind, workers)
+		var out []byte
+		err = streamTriangle(sw, int32(L+1), func(cells []int32) error {
+			out = out[:0]
+			for _, x := range cells {
+				out = binary.LittleEndian.AppendUint32(out, uint32(x))
+			}
+			_, err := bw.Write(out)
+			return err
+		})
 	}
 	if err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// streamTriangle sweeps the triangle block by block into one reused
+// all-Far buffer and hands each finished block to emit.
+func streamTriangle[T uint8 | int32](sw *sweeper, far T, emit func([]T) error) error {
+	n := sw.c.N()
+	var buf []T
+	for _, b := range streamBlocks(n, len(sw.scratch)) {
+		size := rowOffset(n, b[1]) - rowOffset(n, b[0])
+		if cap(buf) < size {
+			buf = make([]T, size)
+		}
+		cells := buf[:size]
+		for i := range cells {
+			cells[i] = far
+		}
+		sweepRows(sw, cells, b[0], b[1])
+		if err := emit(cells); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// streamBlocks partitions the rows [0, n) into contiguous blocks of
+// whole 64-source batches. A block closes once it holds at least
+// streamMaxBlockCells cells and one batch per worker, so every worker
+// has a batch to sweep and a single huge batch still forms a block.
+func streamBlocks(n, workers int) [][2]int {
+	var blocks [][2]int
+	lo, batches := 0, 0
+	for s := 0; s < n; s += batchSize {
+		hi := min(s+batchSize, n)
+		batches++
+		if hi == n || (batches >= workers && rowOffset(n, hi)-rowOffset(n, lo) >= streamMaxBlockCells) {
+			blocks = append(blocks, [2]int{lo, hi})
+			lo, batches = hi, 0
+		}
+	}
+	return blocks
 }
 
 // BuildToFile streams the snapshot of g into path (truncating any
@@ -91,175 +127,4 @@ func BuildToFile(path string, g *graph.Graph, L int, o BuildOptions) error {
 		return err
 	}
 	return f.Close()
-}
-
-// fillRow initializes one half-row buffer to all-Far and returns it
-// sliced to the row's byte width.
-func fillRow(row []byte, width int, kind Kind, far int) []byte {
-	if kind == KindCompact {
-		row = row[:width]
-		for i := range row {
-			row[i] = byte(far)
-		}
-		return row
-	}
-	row = row[:4*width]
-	for i := 0; i < width; i++ {
-		binary.LittleEndian.PutUint32(row[4*i:], uint32(far))
-	}
-	return row
-}
-
-// emitRows runs the bounded BFS for each source in [lo, hi), rendering
-// each half-row into row (reused across sources) and handing the
-// finished slice to sink. It is the streaming twin of boundedCSRCells:
-// same sweep, same touched-only resets, but rows leave through an
-// io sink instead of landing in a retained triangle.
-func emitRows(c *graph.CSR, L int, kind Kind, lo, hi int, sc *csrScratch, row []byte, sink func([]byte) error) error {
-	n := c.N()
-	far := L + 1
-	for s := lo; s < hi; s++ {
-		width := n - 1 - s
-		out := fillRow(row, width, kind, far)
-		visited := c.BoundedBFSInto(s, L, sc.dist, sc.queue)
-		for _, v := range visited {
-			if int(v) > s {
-				// Cell (s, v) sits at offset v-s-1 within row s.
-				if kind == KindCompact {
-					out[int(v)-s-1] = byte(sc.dist[v])
-				} else {
-					binary.LittleEndian.PutUint32(out[4*(int(v)-s-1):], uint32(sc.dist[v]))
-				}
-			}
-			sc.dist[v] = -1
-		}
-		sc.queue = visited[:0]
-		if width > 0 {
-			if err := sink(out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// streamSequential is the single-goroutine sweep: one scratch, one row
-// buffer, rows written as produced.
-func streamSequential(w io.Writer, c *graph.CSR, L int, kind Kind) error {
-	n := c.N()
-	cell := 1
-	if kind == KindPacked {
-		cell = 4
-	}
-	row := make([]byte, cell*maxInt(n-1, 0))
-	sc := newCSRScratch(n)
-	return emitRows(c, L, kind, 0, n, sc, row, func(b []byte) error {
-		_, err := w.Write(b)
-		return err
-	})
-}
-
-// streamBlock is one contiguous source range rendered into a buffer by
-// a worker, awaiting its in-order turn at the writer.
-type streamBlock struct {
-	idx int
-	buf []byte
-}
-
-// streamBlocks partitions [0, n) into contiguous source ranges of at
-// most streamMaxBlockCells triangle cells each (a range is always at
-// least one source, so a single huge row still forms a block).
-func streamBlocks(n int) [][2]int {
-	var blocks [][2]int
-	lo, cells := 0, 0
-	for s := 0; s < n; s++ {
-		cells += n - 1 - s
-		if cells >= streamMaxBlockCells || s == n-1 {
-			blocks = append(blocks, [2]int{lo, s + 1})
-			lo, cells = s+1, 0
-		}
-	}
-	return blocks
-}
-
-// streamParallel pipelines the sweep: workers render blocks of rows
-// into buffers, a collector writes them strictly in order. In-flight
-// buffers are bounded by a semaphore sized workers+2, so peak memory
-// is O(workers × blockBytes) regardless of n. Handing blocks out in
-// ascending order guarantees the collector's next-needed block always
-// already holds a semaphore slot, so the pipeline cannot deadlock.
-func streamParallel(w io.Writer, c *graph.CSR, L int, kind Kind, workers int) error {
-	n := c.N()
-	blocks := streamBlocks(n)
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	cell := 1
-	if kind == KindPacked {
-		cell = 4
-	}
-
-	jobs := make(chan int)
-	results := make(chan streamBlock, workers)
-	sem := make(chan struct{}, workers+2)
-	done := make(chan error, 1)
-
-	// Collector: write blocks in index order, buffering out-of-order
-	// arrivals. Each written block frees one semaphore slot.
-	go func() {
-		pending := make(map[int][]byte)
-		next := 0
-		var werr error
-		for blk := range results {
-			pending[blk.idx] = blk.buf
-			for buf, ok := pending[next]; ok; buf, ok = pending[next] {
-				if werr == nil {
-					_, werr = w.Write(buf)
-				}
-				delete(pending, next)
-				next++
-				<-sem
-			}
-		}
-		done <- werr
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newCSRScratch(n)
-			for idx := range jobs {
-				lo, hi := blocks[idx][0], blocks[idx][1]
-				size := 0
-				for s := lo; s < hi; s++ {
-					size += n - 1 - s
-				}
-				buf := make([]byte, 0, cell*size)
-				row := make([]byte, cell*maxInt(n-1-lo, 0))
-				_ = emitRows(c, L, kind, lo, hi, sc, row, func(b []byte) error {
-					buf = append(buf, b...)
-					return nil
-				})
-				results <- streamBlock{idx: idx, buf: buf}
-			}
-		}()
-	}
-
-	for idx := range blocks {
-		sem <- struct{}{}
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-	return <-done
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

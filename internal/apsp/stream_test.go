@@ -9,8 +9,8 @@ import (
 
 // TestStreamBuildMatchesMarshal: the streaming builder's output is
 // byte-for-byte the snapshot MarshalStore produces from a heap build —
-// for both payload kinds, at every worker count, so the registry can
-// switch lifecycles without any reader noticing.
+// at every worker count, so the registry can switch lifecycles without
+// any reader noticing.
 func TestStreamBuildMatchesMarshal(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -26,52 +26,49 @@ func TestStreamBuildMatchesMarshal(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		g := randomGraph(gc.n, gc.p, gc.seed)
-		for _, kind := range []Kind{KindCompact, KindPacked} {
-			want, err := MarshalStore(Build(g, 3, BuildOptions{Kind: kind}))
-			if err != nil {
-				t.Fatal(err)
+		want, err := MarshalStore(build(g, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 3} {
+			var buf bytes.Buffer
+			if err := StreamBuild(&buf, g, 3, BuildOptions{Workers: workers}); err != nil {
+				t.Fatalf("%s/w=%d: %v", gc.name, workers, err)
 			}
-			for _, workers := range []int{0, 1, 3} {
-				var buf bytes.Buffer
-				if err := StreamBuild(&buf, g, 3, BuildOptions{Kind: kind, Workers: workers}); err != nil {
-					t.Fatalf("%s/%v/w=%d: %v", gc.name, kind, workers, err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("%s/%v/w=%d: streamed snapshot differs from marshalled build", gc.name, kind, workers)
-				}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s/w=%d: streamed snapshot differs from marshalled build", gc.name, workers)
 			}
 		}
 	}
 }
 
-// TestStreamBuildFoldsKinds: mapped and paged requests stream the
-// payload of their heap twin, and compact degrades to packed past
-// MaxCompactL — the same folds Build applies.
+// TestStreamBuildFoldsKinds: the streamed payload takes the backing
+// KindFor(L) derives — compact up to MaxCompactL, packed past it — and
+// spans several blocks without a seam.
 func TestStreamBuildFoldsKinds(t *testing.T) {
-	g := randomGraph(20, 0.2, 9)
-	want, err := MarshalStore(Build(g, 2, BuildOptions{Kind: KindCompact}))
-	if err != nil {
-		t.Fatal(err)
+	g := randomGraph(1600, 0.003, 9) // ~1.3M cells: two blocks
+	if len(streamBlocks(g.N(), 2)) < 2 {
+		t.Fatal("fixture fits one block")
 	}
-	for _, kind := range []Kind{KindMapped, KindPaged} {
+	for _, L := range []int{2, MaxCompactL + 1} {
 		var buf bytes.Buffer
-		if err := StreamBuild(&buf, g, 2, BuildOptions{Kind: kind}); err != nil {
+		if err := StreamBuild(&buf, g, L, BuildOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("%v: streamed snapshot differs from compact twin", kind)
+		k, _, _, err := decodeStoreHeader(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var buf bytes.Buffer
-	if err := StreamBuild(&buf, g, MaxCompactL+1, BuildOptions{Kind: KindCompact}); err != nil {
-		t.Fatal(err)
-	}
-	k, _, _, err := decodeStoreHeader(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != KindPacked {
-		t.Fatalf("L>MaxCompactL streamed kind %v, want packed", k)
+		if k != KindFor(L) {
+			t.Fatalf("L=%d streamed kind %v, want %v", L, k, KindFor(L))
+		}
+		st, err := UnmarshalStore(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(st, bfsOracle(g, L)) {
+			t.Fatalf("L=%d: streamed store differs from the per-source BFS", L)
+		}
 	}
 }
 
@@ -117,19 +114,25 @@ func TestBuildToFileRoundTrip(t *testing.T) {
 }
 
 // TestStreamBlocks: the block partition covers [0, n) exactly once, in
-// order, with every block non-empty.
+// order, with every block non-empty, made of whole 64-source batches,
+// and holding a batch per worker unless it is the last.
 func TestStreamBlocks(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 1000, 5000} {
-		blocks := streamBlocks(n)
-		next := 0
-		for _, b := range blocks {
-			if b[0] != next || b[1] <= b[0] {
-				t.Fatalf("n=%d: bad block %v after %d", n, b, next)
+		for _, workers := range []int{1, 3} {
+			blocks := streamBlocks(n, workers)
+			next := 0
+			for i, b := range blocks {
+				if b[0] != next || b[1] <= b[0] || b[0]%batchSize != 0 {
+					t.Fatalf("n=%d: bad block %v after %d", n, b, next)
+				}
+				if i < len(blocks)-1 && b[1]-b[0] < workers*batchSize {
+					t.Fatalf("n=%d workers=%d: block %v holds fewer batches than workers", n, workers, b)
+				}
+				next = b[1]
 			}
-			next = b[1]
-		}
-		if next != n {
-			t.Fatalf("n=%d: blocks end at %d", n, next)
+			if next != n {
+				t.Fatalf("n=%d: blocks end at %d", n, next)
+			}
 		}
 	}
 }

@@ -15,7 +15,7 @@ func TestIDsStableAndComplete(t *testing.T) {
 	ids := IDs()
 	want := []string{
 		"ablation-engines", "ablation-lookahead", "ablation-tiebreak",
-		"ext-anneal", "ext-bitbfs", "ext-centrality", "ext-kiso", "ext-rmat",
+		"ext-anneal", "ext-centrality", "ext-kiso", "ext-rmat",
 		"fig10", "fig11", "fig12",
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig6g", "fig6h",
 		"fig7a", "fig7b",

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/anonymize"
-	"repro/internal/apsp"
 	"repro/internal/attack"
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -17,7 +16,6 @@ import (
 func init() {
 	register("ext-kiso", extKIso)
 	register("ext-anneal", extAnneal)
-	register("ext-bitbfs", extBitBFS)
 	register("ext-centrality", extCentrality)
 	register("ext-rmat", extRMAT)
 }
@@ -156,45 +154,6 @@ func extAnneal(cfg Config) (Table, error) {
 		cfg.progress("  %s done", key)
 	}
 	t.Note = "annealing explores removals+insertions jointly; measured: the greedy heuristics dominate clearly at evaluation scale — the default schedule accepts many uphill edits it never pays back, so SA distortion is an order of magnitude worse"
-	return t, nil
-}
-
-// extBitBFS extends the engine ablation with the bit-parallel BFS
-// engine: 64 BFS trees per machine word versus one per pass.
-func extBitBFS(cfg Config) (Table, error) {
-	t := Table{
-		Title:   "Extension: bit-parallel BFS engine vs paper engines",
-		Columns: []string{"dataset", "L", "BitBFS", "BoundedBFS", "L-pruned FW", "Pointer FW", "agree"},
-	}
-	keys := []string{"gnutella100", "enron100", "google500", "gnutella1000"}
-	if cfg.Full {
-		keys = append(keys, "acm2000")
-	}
-	for _, key := range keys {
-		g, err := dataset.GenerateByKey(key, cfg.Seed)
-		if err != nil {
-			return Table{}, err
-		}
-		for _, L := range []int{1, 2, 4} {
-			build := func(f func() apsp.Store) (time.Duration, apsp.Store) {
-				start := time.Now()
-				m := f()
-				return time.Since(start), m
-			}
-			dBit, mBit := build(func() apsp.Store { return apsp.BitBFS(g, L) })
-			dBFS, mBFS := build(func() apsp.Store { return apsp.BoundedAPSP(g, L) })
-			dFW, mFW := build(func() apsp.Store { return apsp.LPrunedFW(g, L) })
-			dPtr, mPtr := build(func() apsp.Store { return apsp.PointerFW(g, L) })
-			agree := apsp.Equal(mBit, mBFS) && apsp.Equal(mBFS, mFW) && apsp.Equal(mFW, mPtr)
-			t.Rows = append(t.Rows, []string{
-				key, fmt.Sprintf("%d", L),
-				dBit.String(), dBFS.String(), dFW.String(), dPtr.String(),
-				fmt.Sprintf("%v", agree),
-			})
-		}
-		cfg.progress("  %s done", key)
-	}
-	t.Note = "BitBFS packs 64 sources per word; the advantage grows with n and L"
 	return t, nil
 }
 

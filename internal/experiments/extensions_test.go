@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-func TestExtBitBFSEnginesAgree(t *testing.T) {
-	tab, err := Run("ext-bitbfs", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("engines disagree on %v", row)
-		}
-	}
-}
-
 // The trade-off the experiment exists to demonstrate: on every dataset
 // row, k-isomorphism pays strictly more distortion than Edge Removal at
 // the matched confidence target, and shatters the graph into at least k

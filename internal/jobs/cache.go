@@ -20,9 +20,9 @@ import (
 )
 
 // Key is a content address: the SHA-256 digest of a canonical encoding
-// of everything that determines a result (operation, graph, parameters,
-// engine/store selection). Two requests with the same Key are, by
-// construction, the same computation.
+// of everything that determines a result (operation, graph,
+// parameters). Two requests with the same Key are, by construction, the
+// same computation.
 type Key [sha256.Size]byte
 
 // String renders the key as hex, for logs and debugging.

@@ -88,7 +88,7 @@ func TestLabelTypesWithTracker(t *testing.T) {
 	})
 	labels := []string{"a", "b", "a", "b", "a", "b"}
 	lt := NewLabelTypes(labels)
-	m := apsp.BoundedAPSP(g, 2)
+	m := apsp.Build(g, 2, apsp.BuildOptions{})
 	tr := NewTracker(lt, m)
 	ev := tr.Evaluate()
 

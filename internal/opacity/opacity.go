@@ -15,18 +15,11 @@ import (
 // after anonymizing mutations). Pass degrees == nil to use g's own
 // degrees (i.e., when g is the original graph).
 func MaxLO(g *graph.Graph, degrees []int, L int) float64 {
-	return MaxLOWith(g, degrees, L, apsp.BuildOptions{})
-}
-
-// MaxLOWith is MaxLO with an explicit distance engine/store selection
-// (the serving path exposes the choice per request).
-func MaxLOWith(g *graph.Graph, degrees []int, L int, build apsp.BuildOptions) float64 {
 	if degrees == nil {
 		degrees = g.Degrees()
 	}
-	types := NewDegreeTypes(degrees)
-	m := apsp.Build(g, L, build)
-	return NewTracker(types, m).Evaluate().MaxLO
+	m := apsp.Build(g, L, apsp.BuildOptions{})
+	return NewTracker(NewDegreeTypes(degrees), m).Evaluate().MaxLO
 }
 
 // Satisfies reports whether g is L-opaque with respect to theta under the
@@ -59,8 +52,7 @@ func NewReport(g *graph.Graph, degrees []int, L int) Report {
 	return NewReportWith(g, degrees, L, apsp.BuildOptions{})
 }
 
-// NewReportWith is NewReport with an explicit distance engine/store
-// selection.
+// NewReportWith is NewReport with explicit distance-build options.
 func NewReportWith(g *graph.Graph, degrees []int, L int, build apsp.BuildOptions) Report {
 	if degrees == nil {
 		degrees = g.Degrees()

@@ -89,7 +89,7 @@ func itoa(v int) string {
 func TestTrackerFigure1LMatrix(t *testing.T) {
 	g := fixture.Figure1()
 	types := NewDegreeTypes(fixture.Figure1Degrees())
-	tr := NewTracker(types, apsp.BoundedAPSP(g, 1))
+	tr := NewTracker(types, apsp.Build(g, 1, apsp.BuildOptions{}))
 	want := fixture.Figure5LMatrix()
 	for id := 0; id < types.NumTypes(); id++ {
 		dg, dh := types.DegreePair(id)
@@ -102,7 +102,7 @@ func TestTrackerFigure1LMatrix(t *testing.T) {
 func TestTrackerFigure1OpacityMatrix(t *testing.T) {
 	g := fixture.Figure1()
 	types := NewDegreeTypes(fixture.Figure1Degrees())
-	tr := NewTracker(types, apsp.BoundedAPSP(g, 1))
+	tr := NewTracker(types, apsp.Build(g, 1, apsp.BuildOptions{}))
 	want := fixture.Figure5Opacity()
 	for id := 0; id < types.NumTypes(); id++ {
 		dg, dh := types.DegreePair(id)
@@ -154,7 +154,7 @@ func TestSatisfies(t *testing.T) {
 func TestTrackerUpdateCrossings(t *testing.T) {
 	g := fixture.Figure1()
 	types := NewDegreeTypes(fixture.Figure1Degrees())
-	tr := NewTracker(types, apsp.BoundedAPSP(g, 1))
+	tr := NewTracker(types, apsp.Build(g, 1, apsp.BuildOptions{}))
 	id := types.TypeOf(5, 6) // degrees 3 and 1: the edge 6-7 in paper terms
 	before := tr.Count(id)
 	tr.Update(5, 6, 1, 2) // leaves the <=L set
@@ -199,7 +199,7 @@ func TestEvaluateWithMatchesCommit(t *testing.T) {
 			return true
 		}
 		types := NewDegreeTypes(g.Degrees())
-		m := apsp.BoundedAPSP(g, L)
+		m := apsp.Build(g, L, apsp.BuildOptions{})
 		tr := NewTracker(types, m)
 		edges := g.Edges()
 		e := edges[rng.Intn(len(edges))]
@@ -226,7 +226,7 @@ func TestPropertyOpacityBounds(t *testing.T) {
 		L := 1 + rng.Intn(4)
 		g := randomGraph(n, 0.3, seed)
 		types := NewDegreeTypes(g.Degrees())
-		tr := NewTracker(types, apsp.BoundedAPSP(g, L))
+		tr := NewTracker(types, apsp.Build(g, L, apsp.BuildOptions{}))
 		for id := 0; id < types.NumTypes(); id++ {
 			lo := tr.OpacityOf(id)
 			if lo < 0 || lo > 1 {
@@ -276,7 +276,7 @@ func TestFuncTypes(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
-	tr := NewTracker(types, apsp.BoundedAPSP(g, 1))
+	tr := NewTracker(types, apsp.Build(g, 1, apsp.BuildOptions{}))
 	if tr.Count(0) != 1 || tr.Count(1) != 1 {
 		t.Fatalf("counts = %d, %d, want 1, 1", tr.Count(0), tr.Count(1))
 	}
@@ -319,7 +319,7 @@ func TestTrackerAccessors(t *testing.T) {
 	g := fixture.Figure1()
 	degrees := fixture.Figure1Degrees()
 	types := NewDegreeTypes(degrees)
-	m := apsp.BoundedAPSP(g, 1)
+	m := apsp.Build(g, 1, apsp.BuildOptions{})
 	tr := NewTracker(types, m)
 	if tr.L() != 1 {
 		t.Fatalf("L() = %d", tr.L())

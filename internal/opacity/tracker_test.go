@@ -88,7 +88,7 @@ func indexFixture(rng *rand.Rand, n, l int) (*Tracker, *FuncTypes, [][2]int) {
 		return pairType[[2]int{u, v}]
 	}
 	types := NewFuncTypes(fn, totals, nil)
-	return NewTracker(types, apsp.BoundedAPSP(graph.New(n), l)), types, pairs
+	return NewTracker(types, apsp.Build(graph.New(n), l, apsp.BuildOptions{})), types, pairs
 }
 
 // TestPropertyIndexMatchesScan drives random Update sequences through
@@ -160,7 +160,7 @@ func TestEvaluateAllTied(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	tr := NewTracker(types, apsp.BoundedAPSP(g, 1))
+	tr := NewTracker(types, apsp.Build(g, 1, apsp.BuildOptions{}))
 	if got := tr.Evaluate(); got != (Evaluation{MaxLO: 1, Population: 3}) {
 		t.Fatalf("all tied: %+v", got)
 	}
@@ -180,7 +180,7 @@ func TestEvaluateNoPairTypes(t *testing.T) {
 	types := NewFuncTypes(func(u, v int) int { return 0 }, []int{0}, nil)
 	g := graph.New(3)
 	g.AddEdge(0, 1)
-	tr := NewTracker(types, apsp.BoundedAPSP(g, 1))
+	tr := NewTracker(types, apsp.Build(g, 1, apsp.BuildOptions{}))
 	if got := tr.Evaluate(); got != (Evaluation{}) {
 		t.Fatalf("Evaluate = %+v, want zero", got)
 	}
@@ -193,7 +193,7 @@ func TestEvaluateNoPairTypes(t *testing.T) {
 // nets to zero and is dropped; a type touched repeatedly appears once.
 func TestAppendTypeDeltasNetsAndDedups(t *testing.T) {
 	types := NewFuncTypes(func(u, v int) int { return u }, []int{3, 3}, nil)
-	tr := NewTracker(types, apsp.BoundedAPSP(graph.New(4), 1))
+	tr := NewTracker(types, apsp.Build(graph.New(4), 1, apsp.BuildOptions{}))
 	deltas := make([]int, 2)
 	changes := []PairChange{
 		{X: 0, Y: 1, OldD: 1, NewD: 2}, // type 0: -1

@@ -87,7 +87,7 @@ func (r *Registry) Mutate(parent *Graph, adds, removes [][2]int) (g *Graph, crea
 			Adds:    edgePairs(d.Adds),
 			Removes: edgePairs(d.Removes),
 		},
-		stores:     make(map[storeKey]*list.Element),
+		stores:     make(map[int]*list.Element),
 		storeOrder: list.New(),
 		maxStores:  r.cfg.MaxStoresPerGraph,
 	}
@@ -189,14 +189,14 @@ func mergeCanonicalEdges(parent [][2]int, d graph.Diff) ([][2]int, error) {
 	return out, nil
 }
 
-// peekStore returns the already-built store for k without counting a
+// peekStore returns the already-built store for L without counting a
 // hit or miss — the repair path's parent lookup must not distort the
 // cache-effectiveness counters the operator reads. Recency is still
 // refreshed: a parent store feeding repairs is in active use.
-func (g *Graph) peekStore(k storeKey) (apsp.Store, bool) {
+func (g *Graph) peekStore(l int) (apsp.Store, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	el, ok := g.stores[k]
+	el, ok := g.stores[l]
 	if !ok {
 		return nil, false
 	}
@@ -208,14 +208,14 @@ func (g *Graph) peekStore(k storeKey) (apsp.Store, bool) {
 	return slot.store, true
 }
 
-// tryRepair attempts to hydrate g's store for k by repairing the
+// tryRepair attempts to hydrate g's store for L by repairing the
 // parent's cached store through the lineage diff. It returns nil when
 // repair is not applicable (no lineage, disabled, parent or its store
 // gone) or when apsp.RepairStore's cost heuristics bail; the caller
 // falls back to a build. Every lineage-bearing hydration that reaches
 // here and cannot repair counts as a fallback, so the operator can see
 // mutation children going down the cold path.
-func (r *Registry) tryRepair(g *Graph, k storeKey) apsp.Store {
+func (r *Registry) tryRepair(g *Graph, l int) apsp.Store {
 	lin := g.lineage
 	if lin == nil || r.cfg.DisableRepair {
 		return nil
@@ -231,7 +231,7 @@ func (r *Registry) tryRepair(g *Graph, k storeKey) apsp.Store {
 		return nil
 	}
 	parent := el.Value.(*Graph)
-	pst, ok := parent.peekStore(k)
+	pst, ok := parent.peekStore(l)
 	if !ok {
 		r.repairFallbacks.Add(1)
 		return nil

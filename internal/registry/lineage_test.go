@@ -108,12 +108,12 @@ func TestMutateRepairHydration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent.Distances(3, apsp.EngineAuto, apsp.KindCompact) // warm: 1 build
+	parent.Store(3) // warm: 1 build
 	child, _, err := r.Mutate(parent, [][2]int{{3, 7}}, [][2]int{{2, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := child.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st, _ := child.Store(3)
 	stats := r.Stats()
 	if stats.Builds != 1 {
 		t.Fatalf("Builds = %d after repair hydration, want 1 (parent only)", stats.Builds)
@@ -127,7 +127,7 @@ func TestMutateRepairHydration(t *testing.T) {
 	}
 
 	// Second call: plain cache hit, no second repair.
-	if _, reused := child.Distances(3, apsp.EngineAuto, apsp.KindCompact); !reused {
+	if _, reused := child.Store(3); !reused {
 		t.Fatal("second Distances call did not reuse")
 	}
 	if got := r.Stats().Repairs; got != 1 {
@@ -148,7 +148,7 @@ func TestMutateRepairFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		child.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+		child.Store(3)
 		s := r.Stats()
 		if s.Builds != 1 || s.Repairs != 0 || s.RepairFallbacks != 1 {
 			t.Fatalf("builds=%d repairs=%d fallbacks=%d, want 1/0/1", s.Builds, s.Repairs, s.RepairFallbacks)
@@ -158,7 +158,7 @@ func TestMutateRepairFallbacks(t *testing.T) {
 	t.Run("deleted parent", func(t *testing.T) {
 		r := New(Config{})
 		parent, _, _ := r.Put(n, edges)
-		parent.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+		parent.Store(3)
 		child, _, err := r.Mutate(parent, [][2]int{{3, 7}}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestMutateRepairFallbacks(t *testing.T) {
 		if _, ok := r.Get(child.ID()); !ok {
 			t.Fatal("child vanished with its parent")
 		}
-		st, _ := child.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+		st, _ := child.Store(3)
 		if !apsp.Equal(st, apsp.Build(child.raw, 3, apsp.BuildOptions{})) {
 			t.Fatal("post-delete child store wrong")
 		}
@@ -186,12 +186,12 @@ func TestMutateRepairFallbacks(t *testing.T) {
 	t.Run("disabled", func(t *testing.T) {
 		r := New(Config{DisableRepair: true})
 		parent, _, _ := r.Put(n, edges)
-		parent.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+		parent.Store(3)
 		child, _, err := r.Mutate(parent, [][2]int{{3, 7}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		child.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+		child.Store(3)
 		s := r.Stats()
 		if s.Builds != 2 || s.Repairs != 0 || s.RepairFallbacks != 0 {
 			t.Fatalf("builds=%d repairs=%d fallbacks=%d, want 2/0/0", s.Builds, s.Repairs, s.RepairFallbacks)
@@ -208,12 +208,12 @@ func TestLineagePersistRoundTrip(t *testing.T) {
 
 	r1 := New(Config{Dir: dir})
 	parent, _, _ := r1.Put(n, edges)
-	parent.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	parent.Store(3)
 	child, _, err := r1.Mutate(parent, [][2]int{{3, 7}}, [][2]int{{2, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, _ := child.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st1, _ := child.Store(3)
 	if _, err := os.Stat(filepath.Join(dir, lineageFile(child.ID()))); err != nil {
 		t.Fatalf("lineage snapshot not written: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestLineagePersistRoundTrip(t *testing.T) {
 	if lin == nil || lin.Parent != parent.ID() || len(lin.Adds) != 1 || len(lin.Removes) != 1 {
 		t.Fatalf("recovered lineage %+v", lin)
 	}
-	st2, reused := got.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st2, reused := got.Store(3)
 	if !reused || !apsp.Equal(st1, st2) {
 		t.Fatalf("child store not recovered warm (reused=%v)", reused)
 	}
@@ -321,7 +321,7 @@ func TestMutateChainRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	g.Store(3)
 	diffs := []struct{ adds, removes [][2]int }{
 		{[][2]int{{3, 7}}, nil},
 		{[][2]int{{0, 4}}, [][2]int{{3, 7}}},
@@ -332,7 +332,7 @@ func TestMutateChainRepairs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		st, _ := g.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+		st, _ := g.Store(3)
 		if !apsp.Equal(st, apsp.Build(g.raw, 3, apsp.BuildOptions{})) {
 			t.Fatalf("step %d: repaired store diverges", i)
 		}

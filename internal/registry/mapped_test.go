@@ -21,14 +21,14 @@ func TestMappedWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, _ := g1.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st1, _ := g1.Store(3)
 
 	r2 := New(Config{Dir: dir, MappedStores: true})
 	g2, ok := r2.Get(g1.ID())
 	if !ok {
 		t.Fatalf("mapped restart lost graph %s", g1.ID())
 	}
-	st2, reused := g2.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st2, reused := g2.Store(3)
 	if !reused {
 		t.Fatal("mapped restart rebuilt the store")
 	}
@@ -47,7 +47,7 @@ func TestMappedWarmRestart(t *testing.T) {
 		t.Fatalf("persist stats %+v, want 1 store loaded, none quarantined", stats.Persist)
 	}
 	// The request-level "mapped" spelling folds onto the same slot.
-	if _, ok := g2.CachedDistances(3, apsp.EngineAuto, apsp.KindMapped); !ok {
+	if _, ok := g2.CachedDistances(3); !ok {
 		t.Fatal("kind=mapped request missed the hydrated compact slot")
 	}
 }
@@ -62,7 +62,7 @@ func TestMappedRestartQuarantinesCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	g1.Store(2)
 
 	var storePath string
 	files, _ := os.ReadDir(dir)
@@ -94,9 +94,9 @@ func TestBuildTimingStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
-	g.Distances(3, apsp.EngineAuto, apsp.KindCompact)
-	g.Distances(2, apsp.EngineAuto, apsp.KindCompact) // hit
+	g.Store(2)
+	g.Store(3)
+	g.Store(2) // hit
 	stats := r.Stats()
 	if stats.Builds != 2 {
 		t.Fatalf("Builds = %d, want 2", stats.Builds)

@@ -37,7 +37,7 @@ func TestBuildThroughToFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _ := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+		st, _ := g.Store(2)
 		return st
 	}()
 
@@ -52,7 +52,7 @@ func TestBuildThroughToFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, reused := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+		st, reused := g.Store(2)
 		if reused {
 			t.Fatalf("%s: cold build reported reuse", name)
 		}
@@ -69,7 +69,7 @@ func TestBuildThroughToFile(t *testing.T) {
 		if !apsp.Equal(oracle, st) {
 			t.Fatalf("%s: build-through store differs from heap oracle", name)
 		}
-		k := storeKey{l: 2, engine: apsp.EngineAuto, kind: apsp.KindCompact}
+		k := 2
 		if _, err := os.Stat(filepath.Join(cfg.Dir, storeFile(g.ID(), k))); err != nil {
 			t.Fatalf("%s: snapshot file missing after build-through: %v", name, err)
 		}
@@ -96,14 +96,14 @@ func TestPagedWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, _ := g1.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st1, _ := g1.Store(3)
 
 	r2 := New(Config{Dir: dir, PagedStores: true, StoreBudgetBytes: 1 << 20})
 	g2, ok := r2.Get(g1.ID())
 	if !ok {
 		t.Fatalf("paged restart lost graph %s", g1.ID())
 	}
-	st2, reused := g2.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st2, reused := g2.Store(3)
 	if !reused {
 		t.Fatal("paged restart rebuilt the store")
 	}
@@ -128,7 +128,7 @@ func TestPagedWarmRestart(t *testing.T) {
 			stats.PageCache.ResidentBytes, stats.PageCache.BudgetBytes)
 	}
 	// The request-level "paged" spelling folds onto the same slot.
-	if _, ok := g2.CachedDistances(3, apsp.EngineAuto, apsp.KindPaged); !ok {
+	if _, ok := g2.CachedDistances(3); !ok {
 		t.Fatal("kind=paged request missed the hydrated compact slot")
 	}
 }
@@ -145,15 +145,15 @@ func TestPagedEvictionKeepsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	first, _ := g.Store(2)
 	ps, ok := first.(*apsp.PagedStore)
 	if !ok {
 		t.Fatalf("cold paged build served %T", first)
 	}
 	ps.Get(0, 1) // fault at least one page in
-	g.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	g.Store(3)
 
-	k2 := storeKey{l: 2, engine: apsp.EngineAuto, kind: apsp.KindCompact}
+	k2 := 2
 	if _, err := os.Stat(filepath.Join(dir, storeFile(g.ID(), k2))); err != nil {
 		t.Fatalf("eviction deleted the paged store's snapshot: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestCrashMidStreamingBuildQuarantine(t *testing.T) {
 
 	// Fabricate the crash artifact: a truncated store payload under the
 	// temp name a streaming build would have used.
-	k := storeKey{l: 2, engine: apsp.EngineAuto, kind: apsp.KindCompact}
+	k := 2
 	partial := filepath.Join(dir, tmpPrefix+storeFile(g1.ID(), k))
 	if err := os.WriteFile(partial, []byte("LOPS-partial-sweep"), 0o644); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestCrashMidStreamingBuildQuarantine(t *testing.T) {
 	if !ok {
 		t.Fatal("graph lost alongside the partial store")
 	}
-	st, reused := g2.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	st, reused := g2.Store(2)
 	if reused {
 		t.Fatal("rebuild after quarantine reported reuse")
 	}
@@ -232,7 +232,7 @@ func TestStatsStoreBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gh.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	gh.Store(2)
 	hs := heap.Stats()
 	if hs.StoreBytes["compact"] != triangle {
 		t.Fatalf("heap StoreBytes[compact] = %d, want %d", hs.StoreBytes["compact"], triangle)
@@ -246,7 +246,7 @@ func TestStatsStoreBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := gp.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	st, _ := gp.Store(2)
 	st.Get(0, 1) // make at least one page resident
 	ps := paged.Stats()
 	wantFile := int64(22) + triangle // storeHeaderLen + compact payload
@@ -280,7 +280,7 @@ func TestMappedStatsFileBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	g1.Store(2)
 
 	r2 := New(Config{Dir: dir, MappedStores: true})
 	ms := r2.Stats()

@@ -6,16 +6,23 @@
 // had — the first graph_ref opacity or anonymize query after a warm
 // restart performs zero APSP builds. The layout is flat:
 //
-//	<dir>/<id>.graph                      canonical edge set
-//	<dir>/<id>.l<L>.<engine>.<kind>.store one built distance store
+//	<dir>/<id>.graph      canonical edge set
+//	<dir>/<id>.l<L>.store the built distance store for threshold L
 //
-// where <id> is the graph's content address. Writes are atomic
+// where <id> is the graph's content address; the store's backing is
+// the one apsp.KindFor(L) derives. Writes are atomic
 // (temp file in the same directory, then rename), misses and write
 // failures are counted but never fail the request — persistence is an
 // accelerator, not a dependency — and boot-time loading quarantines
 // anything it cannot trust (bad magic, truncated payload, digest
 // mismatch, orphaned store) by renaming it aside with a ".corrupt"
 // suffix rather than failing startup.
+//
+// Older data dirs named stores <id>.l<L>.<engine>.<kind>.store, one
+// file per engine and backing. Boot migrates them: the first legacy
+// copy of each (id, L) in the derived backing is renamed to the current
+// name and loaded, and every other copy is deleted — it holds the same
+// cells under another name, so it is redundant, not corrupt.
 package registry
 
 import (
@@ -24,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -80,34 +88,38 @@ type persister struct {
 // cached store.
 func graphFile(id string) string { return id + graphSuffix }
 
-func storeFile(id string, k storeKey) string {
-	return fmt.Sprintf("%s.l%d.%s.%s%s", id, k.l, k.engine, k.kind, storeSuffix)
+func storeFile(id string, l int) string {
+	return fmt.Sprintf("%s.l%d%s", id, l, storeSuffix)
 }
 
 // parseStoreFile inverts storeFile, returning ok=false for any name
-// that does not parse cleanly.
-func parseStoreFile(name string) (id string, k storeKey, ok bool) {
+// that does not parse cleanly. It also accepts the legacy
+// <id>.l<L>.<engine>.<kind>.store spelling, reporting legacy=true and
+// whether the named kind is the one L derives.
+func parseStoreFile(name string) (id string, l int, legacy, derived, ok bool) {
 	base, found := strings.CutSuffix(name, storeSuffix)
 	if !found {
-		return "", storeKey{}, false
+		return "", 0, false, false, false
 	}
 	parts := strings.Split(base, ".")
-	if len(parts) != 4 || !strings.HasPrefix(parts[1], "l") {
-		return "", storeKey{}, false
+	if (len(parts) != 2 && len(parts) != 4) || !strings.HasPrefix(parts[1], "l") {
+		return "", 0, false, false, false
 	}
 	l, err := strconv.Atoi(parts[1][1:])
 	if err != nil || l < 0 {
-		return "", storeKey{}, false
+		return "", 0, false, false, false
 	}
-	engine, err := apsp.ParseEngine(parts[2])
-	if err != nil {
-		return "", storeKey{}, false
+	if len(parts) == 2 {
+		return parts[0], l, false, true, true
+	}
+	if _, err := apsp.ParseEngine(parts[2]); err != nil {
+		return "", 0, false, false, false
 	}
 	kind, err := apsp.ParseKind(parts[3])
 	if err != nil {
-		return "", storeKey{}, false
+		return "", 0, false, false, false
 	}
-	return parts[0], storeKey{l: l, engine: engine, kind: kind}, true
+	return parts[0], l, true, kind == apsp.KindFor(l), true
 }
 
 // encodeGraphSnapshot serializes a canonical edge set:
@@ -181,13 +193,13 @@ func (p *persister) saveGraph(g *Graph) {
 }
 
 // saveStore snapshots one built distance store.
-func (p *persister) saveStore(id string, k storeKey, s apsp.Store) {
+func (p *persister) saveStore(id string, l int, s apsp.Store) {
 	data, err := apsp.MarshalStore(s)
 	if err != nil {
 		p.writeErrors.Add(1)
 		return
 	}
-	if err := p.writeFile(storeFile(id, k), data); err != nil {
+	if err := p.writeFile(storeFile(id, l), data); err != nil {
 		p.writeErrors.Add(1)
 		return
 	}
@@ -315,8 +327,13 @@ func (r *Registry) loadFromDisk() {
 	// hydration time, against whatever parent store is then warm).
 	r.loadLineages(lineageFiles, skipped)
 
+	// Current names load first, so a legacy copy of a store already
+	// seeded is recognised as redundant.
+	sort.SliceStable(storeFiles, func(a, b int) bool {
+		return strings.Count(storeFiles[a], ".") < strings.Count(storeFiles[b], ".")
+	})
 	for _, name := range storeFiles {
-		id, key, ok := parseStoreFile(name)
+		id, l, legacy, derived, ok := parseStoreFile(name)
 		if !ok {
 			p.quarantine(name)
 			continue
@@ -330,56 +347,58 @@ func (r *Registry) loadFromDisk() {
 			continue
 		}
 		ent := el.Value.(*Graph)
-		var st apsp.Store
-		switch {
-		case r.cfg.PagedStores:
-			// Budgeted hydration: the snapshot is served through the
-			// registry's shared page cache, so boot cost is one header
-			// read per store and resident bytes stay under the budget
-			// no matter how many snapshots come back.
-			ps, err := apsp.OpenPagedStore(filepath.Join(p.dir, name), r.pages)
-			if err != nil {
-				p.quarantine(name)
+		if legacy {
+			if _, seeded := ent.stores[l]; seeded || !derived {
+				p.deleteFile(name) // the same cells under another name
 				continue
 			}
-			st = ps
-		case r.cfg.MappedStores:
-			// Zero-copy hydration: the snapshot becomes a read-only
-			// mapped view, so boot cost is independent of store size and
-			// no slurp limit applies. Open-time validation covers the
-			// header, dimensions, and payload length; cell values are
-			// checked lazily by the first Clone.
-			ms, err := apsp.OpenMappedStore(filepath.Join(p.dir, name))
-			if err != nil {
-				p.quarantine(name)
+			if ent.storeOrder.Len() >= ent.maxStores {
+				continue // per-graph cache full: leave it for a later boot
+			}
+			if err := os.Rename(filepath.Join(p.dir, name), filepath.Join(p.dir, storeFile(id, l))); err != nil {
 				continue
 			}
-			st = ms
-		default:
-			data, err := p.readSnapshot(name)
-			if err != nil {
-				if errors.Is(err, errSnapshotTooLarge) {
-					continue // valid but unslurpable: a mapped boot can still use it
-				}
-				p.quarantine(name)
-				continue
-			}
-			st, err = apsp.UnmarshalStore(data)
-			if err != nil {
-				p.quarantine(name)
-				continue
-			}
+			name = storeFile(id, l)
 		}
-		if st.N() != ent.raw.N() || st.L() != key.l ||
-			apsp.KindOf(st) != key.kind || key.kind != apsp.EffectiveKind(key.kind, key.l) {
+		st, err := r.hydrateStore(name)
+		if errors.Is(err, errSnapshotTooLarge) {
+			continue // valid but unslurpable: a mapped boot can still use it
+		}
+		if err != nil || st.N() != ent.raw.N() || st.L() != l || apsp.KindOf(st) != apsp.KindFor(l) {
 			p.quarantine(name)
 			continue
 		}
-		if !ent.seedStore(key, st) {
+		if !ent.seedStore(l, st) {
 			continue // per-graph cache full: leave the snapshot on disk
 		}
 		p.storesLoaded++
 	}
+}
+
+// hydrateStore opens one store snapshot under the configured residency:
+// paged, mapped, or decoded into the heap.
+func (r *Registry) hydrateStore(name string) (apsp.Store, error) {
+	path := filepath.Join(r.persist.dir, name)
+	switch {
+	case r.cfg.PagedStores:
+		// Budgeted hydration: the snapshot is served through the
+		// registry's shared page cache, so boot cost is one header
+		// read per store and resident bytes stay under the budget
+		// no matter how many snapshots come back.
+		return apsp.OpenPagedStore(path, r.pages)
+	case r.cfg.MappedStores:
+		// Zero-copy hydration: the snapshot becomes a read-only
+		// mapped view, so boot cost is independent of store size and
+		// no slurp limit applies. Open-time validation covers the
+		// header, dimensions, and payload length; cell values are
+		// checked lazily by the first Clone.
+		return apsp.OpenMappedStore(path)
+	}
+	data, err := r.persist.readSnapshot(name)
+	if err != nil {
+		return nil, err
+	}
+	return apsp.UnmarshalStore(data)
 }
 
 // Stats converts the persister's counters to the public snapshot form.

@@ -26,7 +26,7 @@ func TestPersistWarmRestart(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("Put: created=%v err=%v", created, err)
 	}
-	st1, reused := g1.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st1, reused := g1.Store(3)
 	if reused {
 		t.Fatal("first Distances call reported reuse")
 	}
@@ -42,7 +42,7 @@ func TestPersistWarmRestart(t *testing.T) {
 	if !ok {
 		t.Fatalf("restarted registry lost graph %s", g1.ID())
 	}
-	st2, reused := g2.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	st2, reused := g2.Store(3)
 	if !reused {
 		t.Fatal("first Distances call after restart rebuilt the store")
 	}
@@ -68,7 +68,7 @@ func TestPersistDeleteRemovesFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	g.Store(2)
 	if !r.Delete(g.ID()) {
 		t.Fatal("Delete reported the graph missing")
 	}
@@ -98,12 +98,12 @@ func TestPersistStoreEvictionRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
-	evicted := storeFile(g.ID(), storeKey{l: 2, engine: apsp.EngineAuto, kind: apsp.KindCompact})
+	g.Store(2)
+	evicted := storeFile(g.ID(), 2)
 	if _, err := os.Stat(filepath.Join(dir, evicted)); err != nil {
 		t.Fatalf("first store snapshot missing: %v", err)
 	}
-	g.Distances(3, apsp.EngineAuto, apsp.KindCompact) // displaces L=2
+	g.Store(3) // displaces L=2
 	if _, err := os.Stat(filepath.Join(dir, evicted)); !os.IsNotExist(err) {
 		t.Fatalf("evicted store snapshot still on disk (err=%v)", err)
 	}
@@ -122,17 +122,26 @@ func TestPersistQuarantinesCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	g.Store(3)
 	goodGraph, err := os.ReadFile(filepath.Join(seedDir, graphFile(g.ID())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeName := storeFile(g.ID(), storeKey{l: 3, engine: apsp.EngineAuto, kind: apsp.KindCompact})
+	storeName := storeFile(g.ID(), 3)
 	goodStore, err := os.ReadFile(filepath.Join(seedDir, storeName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	otherID := strings.Repeat("ab", 32)
+	// A packed snapshot of the L=2 store: valid cells, but not the
+	// backing L=2 derives.
+	st2, _ := g.Store(2)
+	packed2 := apsp.NewStore(st2.N(), 2, apsp.KindPacked)
+	apsp.Copy(packed2, st2)
+	packedStore, err := apsp.MarshalStore(packed2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -143,10 +152,10 @@ func TestPersistQuarantinesCorruptFiles(t *testing.T) {
 		{"bad graph magic", graphFile(otherID), append([]byte("XXXX"), goodGraph[4:]...)},
 		{"digest mismatch", graphFile(otherID), goodGraph}, // valid bytes, wrong filename id
 		{"unparseable store name", "nonsense.store", goodStore},
-		{"orphan store", storeFile(otherID, storeKey{l: 3}), goodStore},
-		{"kind mismatch", storeFile(g.ID(), storeKey{l: 3, engine: apsp.EngineBFS, kind: apsp.KindPacked}), goodStore},
-		{"corrupt store payload", storeFile(g.ID(), storeKey{l: 2}), goodStore[:10]},
-		{"store dimension lie", storeFile(g.ID(), storeKey{l: 5}), goodStore}, // claims L=5, holds L=3
+		{"orphan store", storeFile(otherID, 3), goodStore},
+		{"kind mismatch", storeFile(g.ID(), 2), packedStore},
+		{"corrupt store payload", storeFile(g.ID(), 2), goodStore[:10]},
+		{"store dimension lie", storeFile(g.ID(), 5), goodStore}, // claims L=5, holds L=3
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,8 +204,8 @@ func TestPersistCapacitySkipLeavesStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1.Distances(2, apsp.EngineAuto, apsp.KindCompact)
-	g2.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	g1.Store(2)
+	g2.Store(2)
 
 	small := New(Config{Dir: dir, MaxGraphs: 1})
 	ps := small.Stats().Persist
@@ -225,14 +234,14 @@ func TestCachedDistancesNeverBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.CachedDistances(2, apsp.EngineAuto, apsp.KindCompact); ok {
+	if _, ok := g.CachedDistances(2); ok {
 		t.Fatal("cold cache reported a store")
 	}
 	if s := r.Stats(); s.StoreMisses != 0 || s.StoreHits != 0 || s.Stores != 0 {
 		t.Fatalf("peek perturbed counters: %+v", s)
 	}
-	want, _ := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
-	got, ok := g.CachedDistances(2, apsp.EngineAuto, apsp.KindCompact)
+	want, _ := g.Store(2)
+	got, ok := g.CachedDistances(2)
 	if !ok || !apsp.Equal(want, got) {
 		t.Fatal("warm cache peek did not return the built store")
 	}
@@ -274,23 +283,122 @@ func TestPersistQuarantinesTempFiles(t *testing.T) {
 	}
 }
 
-// TestParseStoreFileRoundTrip: the filename codec inverts itself for
-// every key shape the cache can produce.
+// TestParseStoreFileRoundTrip: the filename codec inverts itself, and
+// the legacy engine/kind spelling still parses, reporting whether its
+// kind is the one L derives.
 func TestParseStoreFileRoundTrip(t *testing.T) {
 	id := strings.Repeat("cd", 32)
-	for _, k := range []storeKey{
-		{l: 1, engine: apsp.EngineAuto, kind: apsp.KindCompact},
-		{l: 300, engine: apsp.EngineFW, kind: apsp.KindPacked},
-		{l: 7, engine: apsp.EngineBit, kind: apsp.KindCompact},
-	} {
-		gotID, gotKey, ok := parseStoreFile(storeFile(id, k))
-		if !ok || gotID != id || gotKey != k {
-			t.Errorf("round-trip of %v: got (%q, %v, %v)", k, gotID, gotKey, ok)
+	for _, l := range []int{0, 1, 7, 300} {
+		gotID, gotL, legacy, derived, ok := parseStoreFile(storeFile(id, l))
+		if !ok || gotID != id || gotL != l || legacy || !derived {
+			t.Errorf("round-trip of L=%d: got (%q, %d, %v, %v, %v)", l, gotID, gotL, legacy, derived, ok)
 		}
 	}
-	for _, bad := range []string{"x.graph", "a.l2.auto.compact", "a.lx.auto.compact.store", "a.l2.dijkstra.compact.store", "a.l2.auto.sparse.store", "a.l2.auto.store"} {
-		if _, _, ok := parseStoreFile(bad); ok {
+	for name, wantDerived := range map[string]bool{
+		id + ".l2.auto.compact.store":  true,
+		id + ".l2.bitbfs.packed.store": false,
+		id + ".l300.fw.packed.store":   true,
+		id + ".l300.bfs.compact.store": false,
+	} {
+		gotID, _, legacy, derived, ok := parseStoreFile(name)
+		if !ok || gotID != id || !legacy || derived != wantDerived {
+			t.Errorf("legacy %q: got (%q, legacy=%v, derived=%v, %v)", name, gotID, legacy, derived, ok)
+		}
+	}
+	for _, bad := range []string{"x.graph", "a.l2.auto.compact", "a.lx.auto.compact.store", "a.l2.dijkstra.compact.store", "a.l2.auto.sparse.store", "a.l2.auto.store", "a.l-1.store", "a.store"} {
+		if _, _, _, _, ok := parseStoreFile(bad); ok {
 			t.Errorf("parseStoreFile accepted %q", bad)
 		}
+	}
+}
+
+// TestLegacyStoreFilesMigrate boots a data dir written in the format
+// that keyed stores by engine and backing: two engines' copies of L=2
+// and a packed copy of L=2, plus an L=3 store under the current name
+// next to a damaged legacy copy of it. Every residency boots warm,
+// seeds one store per (id, L) — the current name wins — deletes the
+// redundant copies instead of quarantining them, and leaves only
+// <id>.l<L>.store names behind.
+func TestLegacyStoreFilesMigrate(t *testing.T) {
+	n, edges := persistGraphEdges()
+	canonical, err := Canonicalize(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Digest(n, canonical)
+	raw := New(Config{})
+	g, _, err := raw.Put(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshal := func(L int, kind apsp.Kind) []byte {
+		st, _ := g.Store(L)
+		m := apsp.NewStore(n, L, kind)
+		apsp.Copy(m, st)
+		b, err := apsp.MarshalStore(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	legacy := map[string][]byte{
+		graphFile(id):                   encodeGraphSnapshot(n, canonical),
+		id + ".l2.auto.compact.store":   marshal(2, apsp.KindCompact),
+		id + ".l2.bitbfs.compact.store": marshal(2, apsp.KindCompact),
+		id + ".l2.pointer.packed.store": marshal(2, apsp.KindPacked),
+		storeFile(id, 3):                marshal(3, apsp.KindCompact),
+		id + ".l3.bfs.compact.store":    marshal(3, apsp.KindCompact)[:30],
+	}
+	for name, cfg := range map[string]Config{
+		"heap":   {},
+		"mapped": {MappedStores: true},
+		"paged":  {PagedStores: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, data := range legacy {
+				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.Dir = dir
+			r := New(cfg)
+			ps := r.Stats().Persist
+			if ps.StoresLoaded != 2 || ps.Quarantined != 0 || ps.Deletes != 3 {
+				t.Fatalf("boot: %+v, want 2 stores loaded, 0 quarantined, 3 deleted", ps)
+			}
+			got, ok := r.Get(id)
+			if !ok {
+				t.Fatal("graph not recovered")
+			}
+			for _, L := range []int{2, 3} {
+				st, reused := got.Store(L)
+				if !reused {
+					t.Fatalf("L=%d: store rebuilt after migration", L)
+				}
+				want, _ := g.Store(L)
+				if !apsp.Equal(st, want) {
+					t.Fatalf("L=%d: migrated store differs from a fresh build", L)
+				}
+			}
+			if st := r.Stats(); st.StoreMisses != 0 || st.Stores != 2 {
+				t.Fatalf("store_misses=%d stores=%d, want 0 and 2", st.StoreMisses, st.Stores)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			want := []string{graphFile(id), storeFile(id, 2), storeFile(id, 3)}
+			if strings.Join(names, " ") != strings.Join(want, " ") {
+				t.Fatalf("data dir holds %v, want %v", names, want)
+			}
+		})
+	}
+	if _, _, _, _, err := New(Config{}).InstallSnapshot(id, legacySnapshot(t, g), 0); err == nil {
+		t.Fatal("a version-1 snapshot envelope installed without error")
 	}
 }

@@ -2,9 +2,11 @@
 // registry: graphs are parsed and validated once, stored under the
 // SHA-256 digest of their canonical edge set, and reused across
 // requests. Beneath each graph the registry caches built distance
-// stores keyed by (L, engine, backing), so the dominant cost of the
-// serving workload — APSP construction — is paid once per
-// (graph, threshold) instead of once per request.
+// stores keyed by L alone — a store's identity is (graph digest, L),
+// because every engine and backing yields identical cells and the
+// backing follows from L — so the dominant cost of the serving
+// workload, APSP construction, is paid once per (graph, threshold)
+// instead of once per request.
 //
 // Content addressing gives the registry its semantics for free: two
 // registrations of the same effective graph (any edge order, either
@@ -234,17 +236,9 @@ func Digest(n int, canonical [][2]int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// storeKey identifies one cached distance store: the threshold and the
-// canonical engine/backing that built it.
-type storeKey struct {
-	l      int
-	engine apsp.Engine
-	kind   apsp.Kind
-}
-
 // storeSlot is the build-once cell for a cached store. The sync.Once
-// makes concurrent first requests for the same (L, engine, kind) share
-// a single APSP build instead of racing duplicate ones; ready flips
+// makes concurrent first requests for the same L share a single APSP
+// build instead of racing duplicate ones; ready flips
 // (after store is assigned) for lock-free peeking by CachedDistances.
 type storeSlot struct {
 	once  sync.Once
@@ -253,7 +247,7 @@ type storeSlot struct {
 }
 
 type storeEntry struct {
-	key  storeKey
+	l    int
 	slot *storeSlot
 }
 
@@ -273,8 +267,8 @@ type Graph struct {
 	lineage *Lineage // non-nil iff registered via Mutate (or recovered)
 
 	mu         sync.Mutex
-	stores     map[storeKey]*list.Element
-	storeOrder *list.List // front = most recently used
+	stores     map[int]*list.Element // by L
+	storeOrder *list.List            // front = most recently used
 	maxStores  int
 	detached   bool // no longer in the registry; stop aggregate accounting
 }
@@ -311,31 +305,30 @@ func (g *Graph) StoreCount() int {
 // seedStore installs a store recovered from a snapshot into the
 // graph's cache with its build already "spent", so the first request
 // for it counts as a hit with zero APSP builds. It reports false when
-// the per-graph cache is full or the key is already present. Called
-// only during boot-time load, before the registry is shared.
-func (g *Graph) seedStore(k storeKey, st apsp.Store) bool {
-	if _, ok := g.stores[k]; ok || g.storeOrder.Len() >= g.maxStores {
+// the per-graph cache is full or a store for L is already present.
+// Called only during boot-time load, before the registry is shared.
+func (g *Graph) seedStore(l int, st apsp.Store) bool {
+	if _, ok := g.stores[l]; ok || g.storeOrder.Len() >= g.maxStores {
 		return false
 	}
 	slot := &storeSlot{store: st}
 	slot.once.Do(func() {}) // consume the build
 	slot.ready.Store(true)
-	g.stores[k] = g.storeOrder.PushFront(&storeEntry{key: k, slot: slot})
+	g.stores[l] = g.storeOrder.PushFront(&storeEntry{l: l, slot: slot})
 	g.reg.stores.Add(1)
 	return true
 }
 
-// CachedDistances returns the store for (L, engine, kind) only when it
-// is already built, refreshing its recency and counting a hit — it
+// CachedDistances returns the store for L only when it is already
+// built, refreshing its recency and counting a hit — it
 // never triggers (or waits for) an APSP build. Callers with a cheaper
 // fallback than a full build (the audit path's lazy per-source BFS)
-// use this instead of Distances so a cold registry never forces the
+// use this instead of Store so a cold registry never forces the
 // O(n·m) build into their request. A slot whose build is still in
 // flight reports absent.
-func (g *Graph) CachedDistances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store, bool) {
-	k := storeKey{l: L, engine: engine, kind: apsp.EffectiveKind(kind, L)}
+func (g *Graph) CachedDistances(L int) (apsp.Store, bool) {
 	g.mu.Lock()
-	el, ok := g.stores[k]
+	el, ok := g.stores[L]
 	var slot *storeSlot
 	if ok {
 		g.storeOrder.MoveToFront(el)
@@ -349,20 +342,23 @@ func (g *Graph) CachedDistances(L int, engine apsp.Engine, kind apsp.Kind) (apsp
 	return slot.store, true
 }
 
-// Distances returns the graph's L-capped distance store for the given
-// engine and backing, building it on first use and serving the cached
-// store afterwards. The bool reports reuse: true means no APSP build
-// happened on this call (either the store was cached, or a concurrent
-// caller's in-flight build was joined). Returned stores are shared and
-// must be treated as read-only.
-func (g *Graph) Distances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store, bool) {
-	// Key on the backing actually built: compact degrades to packed for
-	// L > MaxCompactL inside apsp.Build, so the two spellings must share
-	// one slot rather than caching byte-equivalent twins.
-	k := storeKey{l: L, engine: engine, kind: apsp.EffectiveKind(kind, L)}
+// Distances returns Store(L). The engine and kind are ignored hints,
+// kept as parameters for callers that pass them: every engine and
+// backing yields the one store for L.
+func (g *Graph) Distances(L int, _ apsp.Engine, _ apsp.Kind) (apsp.Store, bool) {
+	return g.Store(L)
+}
+
+// Store returns the graph's L-capped distance store, building it on
+// first use and serving the cached store afterwards. The bool reports
+// reuse: true means no APSP build happened on this call (either the
+// store was cached, or a concurrent caller's in-flight build was
+// joined). Returned stores are shared and must be treated as
+// read-only.
+func (g *Graph) Store(L int) (apsp.Store, bool) {
 	g.mu.Lock()
 	var slot *storeSlot
-	if el, ok := g.stores[k]; ok {
+	if el, ok := g.stores[L]; ok {
 		g.storeOrder.MoveToFront(el)
 		slot = el.Value.(*storeEntry).slot
 	} else {
@@ -370,7 +366,7 @@ func (g *Graph) Distances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store
 			oldest := g.storeOrder.Back()
 			g.storeOrder.Remove(oldest)
 			evicted := oldest.Value.(*storeEntry)
-			delete(g.stores, evicted.key)
+			delete(g.stores, evicted.l)
 			g.reg.storeEvictions.Add(1)
 			if !g.detached {
 				g.reg.stores.Add(-1)
@@ -382,12 +378,12 @@ func (g *Graph) Distances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store
 					// bytes stay on disk.
 					ps.DropPages()
 				} else if p := g.reg.persist; p != nil {
-					p.deleteFile(storeFile(g.id, evicted.key))
+					p.deleteFile(storeFile(g.id, evicted.l))
 				}
 			}
 		}
 		slot = &storeSlot{}
-		g.stores[k] = g.storeOrder.PushFront(&storeEntry{key: k, slot: slot})
+		g.stores[L] = g.storeOrder.PushFront(&storeEntry{l: L, slot: slot})
 		if !g.detached {
 			g.reg.stores.Add(1)
 		}
@@ -404,7 +400,7 @@ func (g *Graph) Distances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store
 		// Repair serves from an overlay over the parent's store; the
 		// write-through below snapshots it, so the next boot hydrates
 		// this store directly with no parent needed.
-		if st := g.reg.tryRepair(g, k); st != nil {
+		if st := g.reg.tryRepair(g, L); st != nil {
 			slot.store = st
 			slot.ready.Store(true)
 			built = true
@@ -418,11 +414,11 @@ func (g *Graph) Distances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store
 		// served view opens over the final file. Any failure falls back
 		// to the classic heap build + write-through.
 		if g.reg.persist != nil && (g.reg.cfg.MappedStores || g.reg.cfg.PagedStores) {
-			slot.store = g.reg.buildThroughFile(g.raw, g.id, k, L, engine)
+			slot.store = g.reg.buildThroughFile(g.raw, g.id, L)
 			fileBacked = slot.store != nil
 		}
 		if slot.store == nil {
-			slot.store = apsp.Build(g.raw, L, apsp.BuildOptions{Engine: engine, Kind: kind})
+			slot.store = apsp.Build(g.raw, L, apsp.BuildOptions{})
 		}
 		g.reg.recordBuild(time.Since(start))
 		slot.ready.Store(true)
@@ -444,9 +440,9 @@ func (g *Graph) Distances(L int, engine apsp.Engine, kind apsp.Kind) (apsp.Store
 			g.mu.Unlock()
 			switch {
 			case detached && fileBacked:
-				p.deleteFile(storeFile(g.id, k))
+				p.deleteFile(storeFile(g.id, L))
 			case !detached && !fileBacked:
-				p.saveStore(g.id, k, slot.store)
+				p.saveStore(g.id, L, slot.store)
 			}
 		}
 	} else {
@@ -471,11 +467,11 @@ func pagedStoreOf(slot *storeSlot) *apsp.PagedStore {
 // the result as the configured file-backed view (mapped or paged). It
 // returns nil when any step fails; the caller falls back to a heap
 // build and the registry keeps serving.
-func (r *Registry) buildThroughFile(raw *graph.Graph, id string, k storeKey, L int, engine apsp.Engine) apsp.Store {
+func (r *Registry) buildThroughFile(raw *graph.Graph, id string, L int) apsp.Store {
 	p := r.persist
-	name := storeFile(id, k)
+	name := storeFile(id, L)
 	tmp := filepath.Join(p.dir, tmpPrefix+name)
-	if err := apsp.BuildToFile(tmp, raw, L, apsp.BuildOptions{Engine: engine, Kind: k.kind}); err != nil {
+	if err := apsp.BuildToFile(tmp, raw, L, apsp.BuildOptions{}); err != nil {
 		os.Remove(tmp)
 		p.writeErrors.Add(1)
 		return nil
@@ -624,7 +620,7 @@ func (r *Registry) insertLoadedGraph(id string, n int, canonical [][2]int) *Grap
 		raw:        raw,
 		pub:        lopacity.WrapGraph(raw),
 		reg:        r,
-		stores:     make(map[storeKey]*list.Element),
+		stores:     make(map[int]*list.Element),
 		storeOrder: list.New(),
 		maxStores:  r.cfg.MaxStoresPerGraph,
 	}
@@ -662,7 +658,7 @@ func (r *Registry) Put(n int, edges [][2]int) (g *Graph, created bool, err error
 		raw:        raw,
 		pub:        lopacity.WrapGraph(raw),
 		reg:        r,
-		stores:     make(map[storeKey]*list.Element),
+		stores:     make(map[int]*list.Element),
 		storeOrder: list.New(),
 		maxStores:  r.cfg.MaxStoresPerGraph,
 	}
@@ -751,7 +747,7 @@ func (r *Registry) dropLocked(el *list.Element, evicted bool) {
 			ps.DropPages()
 		}
 		if r.persist != nil {
-			r.persist.deleteFile(storeFile(ent.id, e.key))
+			r.persist.deleteFile(storeFile(ent.id, e.l))
 		}
 	}
 	if r.persist != nil {

@@ -161,11 +161,11 @@ func TestDistancesBuildsOnceAndReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, reused := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	s1, reused := g.Store(2)
 	if reused {
 		t.Fatal("first Distances call reported reuse")
 	}
-	s2, reused := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+	s2, reused := g.Store(2)
 	if !reused {
 		t.Fatal("second Distances call rebuilt")
 	}
@@ -176,7 +176,7 @@ func TestDistancesBuildsOnceAndReuses(t *testing.T) {
 		t.Fatalf("store contents wrong: d(0,2)=%d d(0,4)=%d", s1.Get(0, 2), s1.Get(0, 4))
 	}
 	// A different key is a different store.
-	s3, reused := g.Distances(3, apsp.EngineAuto, apsp.KindCompact)
+	s3, reused := g.Store(3)
 	if reused || s3 == s1 {
 		t.Fatal("distinct L shared a store")
 	}
@@ -186,24 +186,31 @@ func TestDistancesBuildsOnceAndReuses(t *testing.T) {
 	}
 }
 
-// Beyond the compact cells' ceiling (L > MaxCompactL) apsp.Build
-// silently degrades compact to packed, so the two spellings must share
-// one cached store instead of holding byte-equivalent twins in two LRU
-// slots.
+// TestDistancesSharesSlotAcrossDegradedKinds: Distances ignores its
+// engine and backing hints — every spelling, below and above
+// MaxCompactL, shares the one store for L instead of caching
+// byte-equivalent twins in separate LRU slots.
 func TestDistancesSharesSlotAcrossDegradedKinds(t *testing.T) {
 	r := New(Config{})
 	g, _, err := r.Put(3, [][2]int{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	L := apsp.MaxCompactL + 1
-	s1, _ := g.Distances(L, apsp.EngineBFS, apsp.KindCompact)
-	s2, reused := g.Distances(L, apsp.EngineBFS, apsp.KindPacked)
-	if !reused || s1 != s2 {
-		t.Fatal("compact and packed spellings cached separate stores at L > MaxCompactL")
+	for _, L := range []int{2, apsp.MaxCompactL + 1} {
+		s1, _ := g.Store(L)
+		for _, e := range []apsp.Engine{apsp.EngineAuto, apsp.EngineBFS, apsp.EngineBit} {
+			for _, k := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked, apsp.KindMapped} {
+				if s2, reused := g.Distances(L, e, k); !reused || s1 != s2 {
+					t.Fatalf("L=%d %v/%v: hints cached a separate store", L, e, k)
+				}
+			}
+		}
+		if apsp.KindOf(s1) != apsp.KindFor(L) {
+			t.Fatalf("L=%d: backing %v, want %v", L, apsp.KindOf(s1), apsp.KindFor(L))
+		}
 	}
-	if g.StoreCount() != 1 {
-		t.Fatalf("stores=%d, want 1", g.StoreCount())
+	if g.StoreCount() != 2 {
+		t.Fatalf("stores=%d, want 2", g.StoreCount())
 	}
 }
 
@@ -213,16 +220,16 @@ func TestStoreLRUPerGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Distances(1, apsp.EngineAuto, apsp.KindCompact)
-	g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
-	g.Distances(3, apsp.EngineAuto, apsp.KindCompact) // evicts L=1
+	g.Store(1)
+	g.Store(2)
+	g.Store(3) // evicts L=1
 	if got := g.StoreCount(); got != 2 {
 		t.Fatalf("stores=%d, want 2", got)
 	}
-	if _, reused := g.Distances(2, apsp.EngineAuto, apsp.KindCompact); !reused {
+	if _, reused := g.Store(2); !reused {
 		t.Fatal("L=2 store evicted though more recent than L=1")
 	}
-	if _, reused := g.Distances(1, apsp.EngineAuto, apsp.KindCompact); reused {
+	if _, reused := g.Store(1); reused {
 		t.Fatal("evicted L=1 store served as a hit")
 	}
 	st := r.Stats()
@@ -249,7 +256,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// Everyone asks for the same store...
-			st, _ := g.Distances(2, apsp.EngineAuto, apsp.KindCompact)
+			st, _ := g.Store(2)
 			storesSeen[w] = st
 			// ...while also churning registrations, lookups, and other
 			// store keys.
@@ -258,7 +265,7 @@ func TestConcurrentAccess(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			gg.Distances(1+w%3, apsp.EngineBFS, apsp.KindPacked)
+			gg.Store(1 + w%3)
 			r.Get(gg.ID())
 			r.Get(fmt.Sprintf("missing-%d", w))
 			if w%5 == 0 {

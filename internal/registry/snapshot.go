@@ -3,14 +3,18 @@
 // edge set plus every cached distance store — instead of re-parsing
 // and rebuilding APSP.
 //
-// The envelope (magic "LOPH", version 1) wraps the exact encodings the
+// The envelope (magic "LOPH", version 2) wraps the exact encodings the
 // persistence layer already trusts: the LOPG graph snapshot and one
-// LOPS store snapshot per cached store, each length-prefixed with its
-// cache key (L, engine, kind). Install verifies the graph the same way
-// boot recovery does — re-canonicalize, re-digest, compare against the
-// id the caller asked for — and validates every store section against
-// the installed graph's dimensions; a mismatched envelope installs
-// nothing, and a mismatched store section is skipped, never adopted.
+// length-prefixed LOPS store snapshot per cached store. A store's
+// identity is (graph, L) and the LOPS header already carries n, L and
+// the backing, so a section needs no key of its own. Version 1, whose
+// sections also named an engine and a backing, is rejected. Install
+// verifies the graph the same way boot recovery does — re-canonicalize,
+// re-digest, compare against the id the caller asked for — and
+// validates every store section against the installed graph's
+// dimensions and the backing its L derives; a mismatched envelope
+// installs nothing, and a mismatched store section is skipped, never
+// adopted.
 // Installed graphs and stores are write-through persisted like any
 // other registration, so hydration survives a restart.
 package registry
@@ -25,7 +29,7 @@ import (
 
 const (
 	snapshotMagic   = "LOPH"
-	snapshotVersion = 1
+	snapshotVersion = 2
 	// snapshotHeaderLen is magic + version.
 	snapshotHeaderLen = 4 + 1
 	// MaxSnapshotBytes bounds one snapshot envelope on both ends of the
@@ -38,13 +42,6 @@ const (
 // graph the request names, so nothing was installed.
 var ErrSnapshotMismatch = errors.New("registry: snapshot digest mismatch")
 
-// snapshotSection is one store section of an envelope: the cache key
-// and the raw LOPS bytes, not yet validated.
-type snapshotSection struct {
-	key  storeKey
-	data []byte
-}
-
 // Snapshot serializes the graph for peer transfer: the canonical edge
 // set plus every distance store currently cached and built. The result
 // is self-contained — InstallSnapshot on any registry reproduces the
@@ -53,15 +50,10 @@ func (g *Graph) Snapshot() ([]byte, error) {
 	// Collect the ready slots under the lock, marshal outside it: store
 	// serialization is O(n^2) work that must not block the cache.
 	g.mu.Lock()
-	type readyStore struct {
-		key   storeKey
-		store apsp.Store
-	}
-	ready := make([]readyStore, 0, g.storeOrder.Len())
+	ready := make([]apsp.Store, 0, g.storeOrder.Len())
 	for el := g.storeOrder.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*storeEntry)
-		if e.slot.ready.Load() {
-			ready = append(ready, readyStore{key: e.key, store: e.slot.store})
+		if slot := el.Value.(*storeEntry).slot; slot.ready.Load() {
+			ready = append(ready, slot.store)
 		}
 	}
 	g.mu.Unlock()
@@ -73,23 +65,15 @@ func (g *Graph) Snapshot() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(gb)))
 	buf = append(buf, gb...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ready)))
-	for _, rs := range ready {
-		sb, err := apsp.MarshalStore(rs.store)
+	for _, st := range ready {
+		sb, err := apsp.MarshalStore(st)
 		if err != nil {
-			return nil, fmt.Errorf("registry: snapshot store l=%d: %w", rs.key.l, err)
+			return nil, fmt.Errorf("registry: snapshot store l=%d: %w", st.L(), err)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(rs.key.l))
-		buf = appendSnapshotString(buf, rs.key.engine.String())
-		buf = appendSnapshotString(buf, rs.key.kind.String())
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sb)))
 		buf = append(buf, sb...)
 	}
 	return buf, nil
-}
-
-func appendSnapshotString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
 }
 
 // snapshotReader walks an envelope with strict bounds checking: every
@@ -117,98 +101,79 @@ func (r *snapshotReader) uint64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (r *snapshotReader) string16() (string, error) {
-	lb, err := r.take(2)
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(binary.LittleEndian.Uint16(lb)))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// decodeSnapshotEnvelope splits an envelope into the graph snapshot
-// bytes and the raw store sections. Section cache keys are parsed (an
-// unparseable key is a whole-envelope error — the framing itself is
-// broken); the LOPS payloads are not yet validated.
-func decodeSnapshotEnvelope(data []byte) (graphData []byte, sections []snapshotSection, err error) {
+// decodeSnapshot decodes and validates a whole envelope: the framing,
+// the graph (canonical, within maxN when positive), and every store
+// section. It returns the graph, its digest, and the stores that
+// match the graph's n and the backing their L derives; skipped counts
+// the sections that did not. A malformed envelope or
+// graph is an error. The bytes may come from the network, so no input
+// makes it panic.
+func decodeSnapshot(data []byte, maxN int) (n int, canonical [][2]int, id string, stores []apsp.Store, skipped int, err error) {
 	r := &snapshotReader{data: data}
 	hdr, err := r.take(snapshotHeaderLen)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, "", nil, 0, err
 	}
 	if string(hdr[:4]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("registry: snapshot envelope has bad magic %q", hdr[:4])
+		return 0, nil, "", nil, 0, fmt.Errorf("registry: snapshot envelope has bad magic %q", hdr[:4])
 	}
 	if hdr[4] != snapshotVersion {
-		return nil, nil, fmt.Errorf("registry: unsupported snapshot envelope version %d (want %d)", hdr[4], snapshotVersion)
+		return 0, nil, "", nil, 0, fmt.Errorf("registry: unsupported snapshot envelope version %d (want %d)", hdr[4], snapshotVersion)
 	}
-	glen, err := r.uint64()
+	graphData, err := r.section()
 	if err != nil {
-		return nil, nil, err
-	}
-	if glen > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("registry: snapshot graph section claims %d bytes, envelope is %d", glen, len(data))
-	}
-	graphData, err = r.take(int(glen))
-	if err != nil {
-		return nil, nil, err
+		return 0, nil, "", nil, 0, err
 	}
 	count, err := r.uint64()
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, "", nil, 0, err
 	}
 	if count > uint64(len(data)) { // each section is at least one byte of framing
-		return nil, nil, fmt.Errorf("registry: snapshot claims %d store sections in %d bytes", count, len(data))
+		return 0, nil, "", nil, 0, fmt.Errorf("registry: snapshot claims %d store sections in %d bytes", count, len(data))
 	}
-	sections = make([]snapshotSection, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, err := r.uint64()
-		if err != nil {
-			return nil, nil, err
+	sections := make([][]byte, count)
+	for i := range sections {
+		if sections[i], err = r.section(); err != nil {
+			return 0, nil, "", nil, 0, err
 		}
-		engineName, err := r.string16()
-		if err != nil {
-			return nil, nil, err
-		}
-		kindName, err := r.string16()
-		if err != nil {
-			return nil, nil, err
-		}
-		slen, err := r.uint64()
-		if err != nil {
-			return nil, nil, err
-		}
-		if slen > uint64(len(data)) {
-			return nil, nil, fmt.Errorf("registry: snapshot store section %d claims %d bytes, envelope is %d", i, slen, len(data))
-		}
-		sb, err := r.take(int(slen))
-		if err != nil {
-			return nil, nil, err
-		}
-		engine, err := apsp.ParseEngine(engineName)
-		if err != nil {
-			return nil, nil, fmt.Errorf("registry: snapshot store section %d: %w", i, err)
-		}
-		kind, err := apsp.ParseKind(kindName)
-		if err != nil {
-			return nil, nil, fmt.Errorf("registry: snapshot store section %d: %w", i, err)
-		}
-		const maxL = 1 << 31
-		if l > maxL {
-			return nil, nil, fmt.Errorf("registry: snapshot store section %d has l=%d out of range", i, l)
-		}
-		sections = append(sections, snapshotSection{
-			key:  storeKey{l: int(l), engine: engine, kind: kind},
-			data: sb,
-		})
 	}
 	if r.off != len(data) {
-		return nil, nil, fmt.Errorf("registry: snapshot has %d trailing bytes after the last section", len(data)-r.off)
+		return 0, nil, "", nil, 0, fmt.Errorf("registry: snapshot has %d trailing bytes after the last section", len(data)-r.off)
 	}
-	return graphData, sections, nil
+
+	n, edges, err := decodeGraphSnapshot(graphData)
+	if err != nil {
+		return 0, nil, "", nil, 0, err
+	}
+	if maxN > 0 && n > maxN {
+		return 0, nil, "", nil, 0, fmt.Errorf("registry: snapshot graph n=%d exceeds serving limit %d", n, maxN)
+	}
+	if canonical, err = Canonicalize(n, edges); err != nil {
+		return 0, nil, "", nil, 0, err
+	}
+	for _, sec := range sections {
+		// The same trust rules boot recovery applies: the store must
+		// cover the graph, in the backing its L derives.
+		st, err := apsp.UnmarshalStore(sec)
+		if err != nil || st.N() != n || apsp.KindOf(st) != apsp.KindFor(st.L()) {
+			skipped++
+			continue
+		}
+		stores = append(stores, st)
+	}
+	return n, canonical, Digest(n, canonical), stores, skipped, nil
+}
+
+// section reads one uint64-length-prefixed section.
+func (r *snapshotReader) section() ([]byte, error) {
+	size, err := r.uint64()
+	if err != nil {
+		return nil, err
+	}
+	if size > uint64(len(r.data)) {
+		return nil, fmt.Errorf("registry: snapshot section at byte %d claims %d bytes, envelope is %d", r.off, size, len(r.data))
+	}
+	return r.take(int(size))
 }
 
 // InstallSnapshot hydrates a graph from a peer's snapshot envelope:
@@ -223,48 +188,25 @@ func decodeSnapshotEnvelope(data []byte) (graphData []byte, sections []snapshotS
 // when positive, rejects graphs larger than the serving bound — the
 // installer enforces the same ceiling its own registration path does.
 func (r *Registry) InstallSnapshot(wantID string, data []byte, maxN int) (g *Graph, created bool, installed, skipped int, err error) {
-	graphData, sections, err := decodeSnapshotEnvelope(data)
+	n, canonical, id, stores, skipped, err := decodeSnapshot(data, maxN)
 	if err != nil {
 		return nil, false, 0, 0, err
 	}
-	n, edges, err := decodeGraphSnapshot(graphData)
-	if err != nil {
-		return nil, false, 0, 0, err
-	}
-	if maxN > 0 && n > maxN {
-		return nil, false, 0, 0, fmt.Errorf("registry: snapshot graph n=%d exceeds serving limit %d", n, maxN)
-	}
-	canonical, err := Canonicalize(n, edges)
-	if err != nil {
-		return nil, false, 0, 0, err
-	}
-	if id := Digest(n, canonical); id != wantID {
+	if id != wantID {
 		return nil, false, 0, 0, fmt.Errorf("%w: body hashes to %s, want %s", ErrSnapshotMismatch, id, wantID)
 	}
 	ent, created, err := r.Put(n, canonical)
 	if err != nil {
 		return nil, false, 0, 0, err
 	}
-	for _, sec := range sections {
-		st, err := apsp.UnmarshalStore(sec.data)
-		if err != nil {
-			skipped++
-			continue
-		}
-		// The same trust rules boot recovery applies: dimensions must
-		// match the graph, and the key must describe the store it frames.
-		if st.N() != n || st.L() != sec.key.l ||
-			apsp.KindOf(st) != sec.key.kind || sec.key.kind != apsp.EffectiveKind(sec.key.kind, sec.key.l) {
-			skipped++
-			continue
-		}
-		if !ent.adoptStore(sec.key, st) {
+	for _, st := range stores {
+		if !ent.adoptStore(st.L(), st) {
 			skipped++
 			continue
 		}
 		installed++
 		if p := r.persist; p != nil {
-			p.saveStore(ent.id, sec.key, st)
+			p.saveStore(ent.id, st.L(), st)
 		}
 	}
 	r.hydrations.Add(1)
@@ -274,20 +216,20 @@ func (r *Registry) InstallSnapshot(wantID string, data []byte, maxN int) (g *Gra
 
 // adoptStore installs an already-built store into the graph's cache at
 // runtime with its build marked spent — the concurrency-safe
-// counterpart of the boot-only seedStore. It reports false when the
-// key is already present (an existing store, built or in flight, is
-// never replaced), the per-graph cache is full, or the graph has been
-// deleted.
-func (g *Graph) adoptStore(k storeKey, st apsp.Store) bool {
+// counterpart of the boot-only seedStore. It reports false when a
+// store for L is already present (an existing store, built or in
+// flight, is never replaced), the per-graph cache is full, or the
+// graph has been deleted.
+func (g *Graph) adoptStore(l int, st apsp.Store) bool {
 	g.mu.Lock()
-	if _, ok := g.stores[k]; ok || g.storeOrder.Len() >= g.maxStores || g.detached {
+	if _, ok := g.stores[l]; ok || g.storeOrder.Len() >= g.maxStores || g.detached {
 		g.mu.Unlock()
 		return false
 	}
 	slot := &storeSlot{store: st}
 	slot.once.Do(func() {}) // consume the build
 	slot.ready.Store(true)
-	g.stores[k] = g.storeOrder.PushFront(&storeEntry{key: k, slot: slot})
+	g.stores[l] = g.storeOrder.PushFront(&storeEntry{l: l, slot: slot})
 	g.mu.Unlock()
 	g.reg.stores.Add(1)
 	return true

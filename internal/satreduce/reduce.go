@@ -122,7 +122,7 @@ func (inst *Instance) MaxLO(removals []graph.Edge) float64 {
 			panic(fmt.Sprintf("satreduce: removal of absent edge %v", e))
 		}
 	}
-	tr := opacity.NewTracker(inst.types, apsp.BoundedAPSP(h, ReductionL))
+	tr := opacity.NewTracker(inst.types, apsp.Build(h, ReductionL, apsp.BuildOptions{}))
 	return tr.Evaluate().MaxLO
 }
 

@@ -32,8 +32,9 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 // prepareAnonymize validates an anonymize request and packages it as a
 // cacheable operation. The cache key covers every input that steers
 // the run — graph, L, theta, method, look-ahead, seed, the effective
-// (clamped) budget, and the canonical engine/store names — so two
-// requests collide only when the computation is genuinely identical.
+// (clamped) budget — so two requests collide only when the computation
+// is genuinely identical. The engine and store hints are validated but
+// not keyed: every one yields the same distance store.
 // Runs that time out are not stored: a rerun with more headroom may
 // legitimately do better, and a byte-identical replay of a partial
 // result would pin that accident of scheduling. On the graph_ref path
@@ -66,8 +67,7 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 			return prepared{}, err
 		}
 	}
-	engine, kind, err := s.resolveEngineStore(req.Engine, req.Store)
-	if err != nil {
+	if err := validateHints(req.Engine, req.Store); err != nil {
 		return prepared{}, err
 	}
 	cacheOff, err := parseCacheMode(req.Cache)
@@ -90,18 +90,17 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 	var key jobs.Key
 	if !cacheOff { // hashing the edge set is O(m); skip it when bypassing
 		key, err = jobs.HashJSON(struct {
-			Op            string   `json:"op"`
-			N             int      `json:"n"`
-			Edges         [][2]int `json:"edges"`
-			L             int      `json:"l"`
-			Theta         float64  `json:"theta"`
-			Method        string   `json:"method"`
-			LookAhead     int      `json:"lookahead"`
-			Seed          int64    `json:"seed"`
-			BudgetMS      int64    `json:"budget_ms"`
-			Engine, Store string
+			Op        string   `json:"op"`
+			N         int      `json:"n"`
+			Edges     [][2]int `json:"edges"`
+			L         int      `json:"l"`
+			Theta     float64  `json:"theta"`
+			Method    string   `json:"method"`
+			LookAhead int      `json:"lookahead"`
+			Seed      int64    `json:"seed"`
+			BudgetMS  int64    `json:"budget_ms"`
 		}{"anonymize", g.N(), opEdges(g, ent), l, req.Theta, method.String(),
-			lookAhead, req.Seed, budget.Milliseconds(), engine.String(), kind.String()})
+			lookAhead, req.Seed, budget.Milliseconds()})
 		if err != nil {
 			return prepared{}, err
 		}
@@ -110,7 +109,6 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 		opts := lopacity.Options{
 			L: l, Theta: req.Theta, Method: method,
 			LookAhead: lookAhead, Seed: req.Seed, Budget: budget,
-			Engine: engine.String(), Store: kind.String(),
 		}
 		if report := jobs.Reporter(ctx); report != nil {
 			// Async path: stream committed steps onto the job's event
@@ -119,10 +117,10 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 		}
 		if ent != nil {
 			// Registry path: seed the run from the cached distance
-			// store (built at most once per (graph, L, engine, kind)
-			// and shared read-only); the run clones it, so this request
-			// performs zero APSP builds once the store is warm.
-			st, _ := ent.Distances(l, engine, kind)
+			// store (built at most once per (graph, L) and shared
+			// read-only); the run clones it, so this request performs
+			// zero APSP builds once the store is warm.
+			st, _ := ent.Store(l)
 			opts.Distances = lopacity.WrapDistances(st)
 		}
 		res, err := lopacity.AnonymizeContext(ctx, g, opts)

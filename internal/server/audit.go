@@ -51,13 +51,9 @@ func (s *Server) prepareAudit(req *api.AuditRequest) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	engine, kind, err := s.resolveEngineStore("", "")
-	if err != nil {
-		return prepared{}, err
-	}
 	run := func(ctx context.Context) (any, bool, error) {
 		if pubEnt != nil {
-			if st, ok := pubEnt.CachedDistances(req.L, engine, kind); ok {
+			if st, ok := pubEnt.CachedDistances(req.L); ok {
 				if err := adv.UseDistances(lopacity.WrapDistances(st)); err != nil {
 					return nil, false, err
 				}

@@ -70,7 +70,7 @@ func TestBatchHeterogeneousSharedRef(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	id := registerGraph(t, ts.URL, figure1())
 
-	inline := GraphJSON{N: 3, Edges: [][2]int{{0, 1}, {1, 2}}}
+	inline := api.Graph{N: 3, Edges: [][2]int{{0, 1}, {1, 2}}}
 	req := api.BatchRequest{
 		GraphRef: id,
 		Items: []api.BatchItem{

@@ -58,8 +58,7 @@ func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepar
 	if err != nil {
 		return prepared{}, err
 	}
-	engine, kind, err := s.resolveEngineStore(req.Engine, req.Store)
-	if err != nil {
+	if err := validateHints(req.Engine, req.Store); err != nil {
 		return prepared{}, err
 	}
 	// Validate every step's diff shape up front (range, self-loops,
@@ -89,11 +88,11 @@ func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepar
 		var st apsp.Store
 		if ent != nil {
 			// Registry path: the base store is built at most once per
-			// (graph, L, engine, kind) and shared read-only; with a warm
-			// parent the whole replay can finish with zero builds.
-			st, _ = ent.Distances(req.L, engine, kind)
+			// (graph, L) and shared read-only; with a warm parent the
+			// whole replay can finish with zero builds.
+			st, _ = ent.Store(req.L)
 		} else {
-			st = apsp.Build(wg, req.L, apsp.BuildOptions{Engine: engine, Kind: kind})
+			st = apsp.Build(wg, req.L, apsp.BuildOptions{})
 		}
 
 		resp := api.ContinuousAuditResponse{
@@ -115,7 +114,7 @@ func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepar
 				}
 			}
 			if !repaired {
-				st = apsp.Build(wg, req.L, apsp.BuildOptions{Engine: engine, Kind: kind})
+				st = apsp.Build(wg, req.L, apsp.BuildOptions{})
 				resp.Rebuilds++
 			} else {
 				resp.Repairs++

@@ -48,7 +48,7 @@ func readEvents(t *testing.T, url string) []api.JobEvent {
 // the job finished.
 func TestJobEventsLifecycle(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	_, jr := submitJob(t, ts.URL, "properties", PropertiesRequest{Graph: figure1()})
+	_, jr := submitJob(t, ts.URL, "properties", api.PropertiesRequest{Graph: figure1()})
 	awaitJob(t, ts.URL, jr.ID, "done")
 
 	events := readEvents(t, ts.URL+"/v1/jobs/"+jr.ID+"/events")
@@ -78,7 +78,7 @@ func TestJobEventsLifecycle(t *testing.T) {
 // the terminal state line, carrying the committed step count.
 func TestJobEventsStreamProgress(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	_, jr := submitJob(t, ts.URL, "anonymize", AnonymizeRequest{
+	_, jr := submitJob(t, ts.URL, "anonymize", api.AnonymizeRequest{
 		Graph: figure1(), L: 1, Theta: 0.5, Method: "rem", Seed: 1,
 	})
 
@@ -125,7 +125,7 @@ func TestJobEventsCancelMidStream(t *testing.T) {
 	release := blockWorkers(t, api2, 1)
 	defer release()
 
-	_, jr := submitJob(t, ts.URL, "properties", PropertiesRequest{Graph: figure1()})
+	_, jr := submitJob(t, ts.URL, "properties", api.PropertiesRequest{Graph: figure1()})
 
 	done := make(chan []api.JobEvent, 1)
 	go func() {
@@ -167,7 +167,7 @@ func TestJobEventsUnknownID(t *testing.T) {
 // its stream is exactly one done state event.
 func TestJobEventsCacheHitJob(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	req := OpacityRequest{Graph: figure1(), L: 2}
+	req := api.OpacityRequest{Graph: figure1(), L: 2}
 	postJSON(t, ts.URL+"/v1/opacity", req) // populate the cache
 	_, jr := submitJob(t, ts.URL, "opacity", req)
 	if !jr.CacheHit {
@@ -207,7 +207,7 @@ func TestJobEventsOutliveWriteDeadline(t *testing.T) {
 	release := blockWorkers(t, srv, 1)
 	defer release()
 
-	_, jr := submitJob(t, base, "properties", PropertiesRequest{Graph: figure1()})
+	_, jr := submitJob(t, base, "properties", api.PropertiesRequest{Graph: figure1()})
 
 	done := make(chan []api.JobEvent, 1)
 	go func() { done <- readEvents(t, base+"/v1/jobs/"+jr.ID+"/events") }()
@@ -235,7 +235,7 @@ func TestBatchOutlivesWriteDeadline(t *testing.T) {
 	base := newDeadlineServer(t, srv, 300*time.Millisecond)
 
 	// A hard instance that reliably burns its 700ms budget.
-	g := GraphJSON{N: 60}
+	g := api.Graph{N: 60}
 	for i := 0; i < 60; i++ {
 		for j := i + 1; j < i+5 && j < 60; j++ {
 			g.Edges = append(g.Edges, [2]int{i, j})

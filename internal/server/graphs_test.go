@@ -12,45 +12,47 @@ import (
 	"time"
 
 	lopacity "repro"
+
+	"repro/api"
 )
 
 // registerGraph POSTs a graph to /v1/graphs and returns its id.
-func registerGraph(t *testing.T, baseURL string, gj GraphJSON) string {
+func registerGraph(t *testing.T, baseURL string, gj api.Graph) string {
 	t.Helper()
-	resp := postJSON(t, baseURL+"/v1/graphs", GraphRegisterRequest{Graph: &gj})
+	resp := postJSON(t, baseURL+"/v1/graphs", api.GraphRegisterRequest{Graph: &gj})
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	return decodeBody[GraphRegisterResponse](t, resp).ID
+	return decodeBody[api.GraphRegisterResponse](t, resp).ID
 }
 
 func TestGraphRegisterRoundTrip(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 	fig := figure1()
 
-	resp := postJSON(t, ts.URL+"/v1/graphs", GraphRegisterRequest{Graph: &fig})
+	resp := postJSON(t, ts.URL+"/v1/graphs", api.GraphRegisterRequest{Graph: &fig})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first register: status %d", resp.StatusCode)
 	}
 	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/graphs/") {
 		t.Fatalf("Location=%q", loc)
 	}
-	first := decodeBody[GraphRegisterResponse](t, resp)
+	first := decodeBody[api.GraphRegisterResponse](t, resp)
 	if !first.Created || first.N != 7 || first.M != 10 {
 		t.Fatalf("register response: %+v", first)
 	}
 
 	// Same effective graph, edges permuted and endpoints reversed: the
 	// content address must dedupe to the existing entry.
-	permuted := GraphJSON{N: 7, Edges: make([][2]int, len(fig.Edges))}
+	permuted := api.Graph{N: 7, Edges: make([][2]int, len(fig.Edges))}
 	for i, e := range fig.Edges {
 		permuted.Edges[len(fig.Edges)-1-i] = [2]int{e[1], e[0]}
 	}
-	resp = postJSON(t, ts.URL+"/v1/graphs", GraphRegisterRequest{Graph: &permuted})
+	resp = postJSON(t, ts.URL+"/v1/graphs", api.GraphRegisterRequest{Graph: &permuted})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-register: status %d", resp.StatusCode)
 	}
-	second := decodeBody[GraphRegisterResponse](t, resp)
+	second := decodeBody[api.GraphRegisterResponse](t, resp)
 	if second.Created || second.ID != first.ID {
 		t.Fatalf("re-register response: %+v (want existing id %s)", second, first.ID)
 	}
@@ -61,7 +63,7 @@ func TestGraphRegisterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer listResp.Body.Close()
-	list := decodeBody[GraphListResponse](t, listResp)
+	list := decodeBody[api.GraphListResponse](t, listResp)
 	if len(list.Graphs) != 1 || list.Graphs[0].ID != first.ID {
 		t.Fatalf("list: %+v", list)
 	}
@@ -70,7 +72,7 @@ func TestGraphRegisterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer infoResp.Body.Close()
-	info := decodeBody[GraphInfo](t, infoResp)
+	info := decodeBody[api.GraphInfo](t, infoResp)
 	if info.N != 7 || info.M != 10 {
 		t.Fatalf("info: %+v", info)
 	}
@@ -92,11 +94,11 @@ func TestGraphRegisterRoundTrip(t *testing.T) {
 
 func TestGraphRegisterDataset(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/graphs", GraphRegisterRequest{Dataset: "gnutella100", Seed: 1})
+	resp := postJSON(t, ts.URL+"/v1/graphs", api.GraphRegisterRequest{Dataset: "gnutella100", Seed: 1})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("dataset register: status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	reg := decodeBody[GraphRegisterResponse](t, resp)
+	reg := decodeBody[api.GraphRegisterResponse](t, resp)
 	if reg.N != 100 {
 		t.Fatalf("n=%d, want 100", reg.N)
 	}
@@ -107,13 +109,13 @@ func TestGraphRegisterDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := registerGraph(t, ts.URL, GraphJSON{N: g.N(), Edges: g.Edges()}); got != reg.ID {
+	if got := registerGraph(t, ts.URL, api.Graph{N: g.N(), Edges: g.Edges()}); got != reg.ID {
 		t.Fatalf("inline spelling of the dataset got id %s, dataset got %s", got, reg.ID)
 	}
 
-	for name, body := range map[string]GraphRegisterRequest{
+	for name, body := range map[string]api.GraphRegisterRequest{
 		"unknown dataset": {Dataset: "no-such-dataset"},
-		"both forms":      {Graph: &GraphJSON{N: 2, Edges: [][2]int{{0, 1}}}, Dataset: "gnutella100"},
+		"both forms":      {Graph: &api.Graph{N: 2, Edges: [][2]int{{0, 1}}}, Dataset: "gnutella100"},
 		"neither form":    {},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/graphs", body)
@@ -129,7 +131,7 @@ func TestGraphRegisterDataset(t *testing.T) {
 
 func TestGraphRegisterValidation(t *testing.T) {
 	_, ts := newTestAPI(t, Config{MaxVertices: 10})
-	for name, gj := range map[string]GraphJSON{
+	for name, gj := range map[string]api.Graph{
 		"duplicate edge":  {N: 3, Edges: [][2]int{{0, 1}, {0, 1}}},
 		"reversed dup":    {N: 3, Edges: [][2]int{{0, 1}, {1, 0}}},
 		"self-loop":       {N: 3, Edges: [][2]int{{1, 1}}},
@@ -137,7 +139,7 @@ func TestGraphRegisterValidation(t *testing.T) {
 		"zero vertices":   {N: 0},
 		"edge out of rng": {N: 3, Edges: [][2]int{{0, 7}}},
 	} {
-		resp := postJSON(t, ts.URL+"/v1/graphs", GraphRegisterRequest{Graph: &gj})
+		resp := postJSON(t, ts.URL+"/v1/graphs", api.GraphRegisterRequest{Graph: &gj})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
@@ -156,16 +158,16 @@ func TestOpacityRefMatchesInline(t *testing.T) {
 
 	// Cache off on both sides so each response is computed on its own
 	// path, not replayed.
-	inline := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: fig, L: 2, Cache: "off"}))
-	ref := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: id, L: 2, Cache: "off"}))
+	inline := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: fig, L: 2, Cache: "off"}))
+	ref := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: id, L: 2, Cache: "off"}))
 	if !bytes.Equal(inline, ref) {
 		t.Fatalf("inline and ref responses differ:\n%s\n%s", inline, ref)
 	}
 
 	// Cache on: the inline miss populates one entry, the ref request
 	// hits it — shared key, shared entry, byte-identical replay.
-	first := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: fig, L: 2}))
-	second := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: id, L: 2}))
+	first := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: fig, L: 2}))
+	second := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: id, L: 2}))
 	if !bytes.Equal(first, second) {
 		t.Fatalf("cached cross-form responses differ:\n%s\n%s", first, second)
 	}
@@ -179,8 +181,8 @@ func TestAnonymizeRefMatchesInline(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 	fig := figure1()
 	id := registerGraph(t, ts.URL, fig)
-	req := func(ref bool) AnonymizeRequest {
-		r := AnonymizeRequest{L: 1, Theta: 0.5, Method: "rem", Seed: 3, Cache: "off"}
+	req := func(ref bool) api.AnonymizeRequest {
+		r := api.AnonymizeRequest{L: 1, Theta: 0.5, Method: "rem", Seed: 3, Cache: "off"}
 		if ref {
 			r.GraphRef = id
 		} else {
@@ -203,7 +205,7 @@ func TestOpacityRefReusesStore(t *testing.T) {
 	id := registerGraph(t, ts.URL, figure1())
 
 	post := func() {
-		resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: id, L: 2, Cache: "off"})
+		resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: id, L: 2, Cache: "off"})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, readBody(t, resp))
 		}
@@ -219,7 +221,7 @@ func TestOpacityRefReusesStore(t *testing.T) {
 		t.Fatalf("registry stats after second ref request (want a pure store hit): %+v", s.Registry)
 	}
 	// A different L is a different store: miss, then reuse again.
-	resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: id, L: 3, Cache: "off"})
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: id, L: 3, Cache: "off"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("L=3 status %d", resp.StatusCode)
 	}
@@ -232,19 +234,19 @@ func TestOpacityRefReusesStore(t *testing.T) {
 func TestGraphRefErrors(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 	// Unknown ref is a 404, on the sync path...
-	resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: "deadbeef", L: 1})
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: "deadbeef", L: 1})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown ref: status %d, want 404", resp.StatusCode)
 	}
 	// ...and on the async submit path (validated synchronously).
-	raw, _ := json.Marshal(OpacityRequest{GraphRef: "deadbeef", L: 1})
-	resp = postJSON(t, ts.URL+"/v1/jobs", JobSubmitRequest{Op: "opacity", Request: raw})
+	raw, _ := json.Marshal(api.OpacityRequest{GraphRef: "deadbeef", L: 1})
+	resp = postJSON(t, ts.URL+"/v1/jobs", api.JobSubmitRequest{Op: "opacity", Request: raw})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown ref via jobs: status %d, want 404", resp.StatusCode)
 	}
 	// Both forms at once is a 400.
 	id := registerGraph(t, ts.URL, figure1())
-	resp = postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: figure1(), GraphRef: id, L: 1})
+	resp = postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: figure1(), GraphRef: id, L: 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("both forms: status %d, want 400", resp.StatusCode)
 	}
@@ -258,10 +260,10 @@ func TestJobsWithGraphRef(t *testing.T) {
 	fig := figure1()
 	id := registerGraph(t, ts.URL, fig)
 
-	_, jr := submitJob(t, ts.URL, "opacity", OpacityRequest{GraphRef: id, L: 2})
+	_, jr := submitJob(t, ts.URL, "opacity", api.OpacityRequest{GraphRef: id, L: 2})
 	done := awaitJob(t, ts.URL, jr.ID, "done")
 
-	inline := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: fig, L: 2}))
+	inline := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: fig, L: 2}))
 	if !bytes.Equal(bytes.TrimSpace(done.Result), bytes.TrimSpace(inline)) {
 		t.Fatalf("async ref result differs from sync inline:\n%s\n%s", done.Result, inline)
 	}
@@ -276,10 +278,10 @@ func TestAuditAndReplayAcceptRefs(t *testing.T) {
 	fig := figure1()
 	id := registerGraph(t, ts.URL, fig)
 
-	inline := readBody(t, postJSON(t, ts.URL+"/v1/audit", AuditRequest{
+	inline := readBody(t, postJSON(t, ts.URL+"/v1/audit", api.AuditRequest{
 		Published: fig, Original: fig, L: 1, Theta: 0.5,
 	}))
-	viaRef := readBody(t, postJSON(t, ts.URL+"/v1/audit", AuditRequest{
+	viaRef := readBody(t, postJSON(t, ts.URL+"/v1/audit", api.AuditRequest{
 		PublishedRef: id, OriginalRef: id, L: 1, Theta: 0.5,
 	}))
 	if !bytes.Equal(inline, viaRef) {
@@ -288,10 +290,10 @@ func TestAuditAndReplayAcceptRefs(t *testing.T) {
 
 	steps, published := anonymizeWithTrace(t, fig, 0.5)
 	pubID := registerGraph(t, ts.URL, published)
-	repInline := readBody(t, postJSON(t, ts.URL+"/v1/replay", ReplayRequest{
+	repInline := readBody(t, postJSON(t, ts.URL+"/v1/replay", api.ReplayRequest{
 		Original: fig, Trace: steps, L: 1, Theta: 0.5, Published: &published,
 	}))
-	repRef := readBody(t, postJSON(t, ts.URL+"/v1/replay", ReplayRequest{
+	repRef := readBody(t, postJSON(t, ts.URL+"/v1/replay", api.ReplayRequest{
 		OriginalRef: id, Trace: steps, L: 1, Theta: 0.5, PublishedRef: pubID,
 	}))
 	if !bytes.Equal(repInline, repRef) {
@@ -303,13 +305,13 @@ func TestPropertiesAndKIsoAcceptRefs(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 	fig := figure1()
 	id := registerGraph(t, ts.URL, fig)
-	inline := readBody(t, postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{Graph: fig}))
-	viaRef := readBody(t, postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{GraphRef: id}))
+	inline := readBody(t, postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{Graph: fig}))
+	viaRef := readBody(t, postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{GraphRef: id}))
 	if !bytes.Equal(inline, viaRef) {
 		t.Fatalf("properties inline vs ref differ:\n%s\n%s", inline, viaRef)
 	}
-	ki := readBody(t, postJSON(t, ts.URL+"/v1/kiso", KIsoRequest{Graph: fig, K: 2, Seed: 1}))
-	kr := readBody(t, postJSON(t, ts.URL+"/v1/kiso", KIsoRequest{GraphRef: id, K: 2, Seed: 1}))
+	ki := readBody(t, postJSON(t, ts.URL+"/v1/kiso", api.KIsoRequest{Graph: fig, K: 2, Seed: 1}))
+	kr := readBody(t, postJSON(t, ts.URL+"/v1/kiso", api.KIsoRequest{GraphRef: id, K: 2, Seed: 1}))
 	if !bytes.Equal(ki, kr) {
 		t.Fatalf("kiso inline vs ref differ:\n%s\n%s", ki, kr)
 	}
@@ -317,8 +319,8 @@ func TestPropertiesAndKIsoAcceptRefs(t *testing.T) {
 
 func TestRegistryEvictionOverHTTP(t *testing.T) {
 	_, ts := newTestAPI(t, Config{GraphCapacity: 1})
-	first := registerGraph(t, ts.URL, GraphJSON{N: 3, Edges: [][2]int{{0, 1}}})
-	second := registerGraph(t, ts.URL, GraphJSON{N: 3, Edges: [][2]int{{1, 2}}})
+	first := registerGraph(t, ts.URL, api.Graph{N: 3, Edges: [][2]int{{0, 1}}})
+	second := registerGraph(t, ts.URL, api.Graph{N: 3, Edges: [][2]int{{1, 2}}})
 
 	resp, err := http.Get(ts.URL + "/v1/graphs/" + first)
 	if err != nil {
@@ -343,8 +345,8 @@ func TestRegistryEvictionOverHTTP(t *testing.T) {
 }
 
 func TestRegisterDatasetPreloadPath(t *testing.T) {
-	api, ts := newTestAPI(t, Config{})
-	id, err := api.RegisterDataset("gnutella100", 1)
+	srv, ts := newTestAPI(t, Config{})
+	id, err := srv.RegisterDataset("gnutella100", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +358,7 @@ func TestRegisterDatasetPreloadPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("preloaded graph not served: status %d", resp.StatusCode)
 	}
-	if _, err := api.RegisterDataset("no-such-dataset", 1); err == nil {
+	if _, err := srv.RegisterDataset("no-such-dataset", 1); err == nil {
 		t.Fatal("unknown dataset key not rejected")
 	}
 
@@ -369,31 +371,31 @@ func TestRegisterDatasetPreloadPath(t *testing.T) {
 
 // benchServer builds a server with a registered calibrated dataset for
 // the inline-vs-ref benchmark pair.
-func benchServer(b *testing.B) (*Server, GraphJSON, string) {
+func benchServer(b *testing.B) (*Server, api.Graph, string) {
 	b.Helper()
-	api := New(Config{})
+	srv := New(Config{})
 	b.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		api.Close(ctx)
+		srv.Close(ctx)
 	})
 	g, err := lopacity.Dataset("gnutella500", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gj := GraphJSON{N: g.N(), Edges: g.Edges()}
-	id, err := api.RegisterDataset("gnutella500", 1)
+	gj := api.Graph{N: g.N(), Edges: g.Edges()}
+	id, err := srv.RegisterDataset("gnutella500", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return api, gj, id
+	return srv, gj, id
 }
 
-func benchPost(b *testing.B, api *Server, path string, body []byte) {
+func benchPost(b *testing.B, srv *Server, path string, body []byte) {
 	b.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	rec := httptest.NewRecorder()
-	api.ServeHTTP(rec, req)
+	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
 	}
@@ -405,26 +407,26 @@ func benchPost(b *testing.B, api *Server, path string, body []byte) {
 // first request. The result cache is off in both, as it would be on
 // any workload without exact request repeats.
 func BenchmarkOpacityInline(b *testing.B) {
-	api, gj, _ := benchServer(b)
-	body, err := json.Marshal(OpacityRequest{Graph: gj, L: 3, Cache: "off"})
+	srv, gj, _ := benchServer(b)
+	body, err := json.Marshal(api.OpacityRequest{Graph: gj, L: 3, Cache: "off"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, api, "/v1/opacity", body)
+		benchPost(b, srv, "/v1/opacity", body)
 	}
 }
 
 // BenchmarkOpacityRef measures the registry path: requests name the
 // graph by content address and reuse its cached distance store.
 func BenchmarkOpacityRef(b *testing.B) {
-	api, _, id := benchServer(b)
+	srv, _, id := benchServer(b)
 	body := []byte(fmt.Sprintf(`{"graph_ref":%q,"l":3,"cache":"off"}`, id))
-	benchPost(b, api, "/v1/opacity", body) // warm the store cache
+	benchPost(b, srv, "/v1/opacity", body) // warm the store cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, api, "/v1/opacity", body)
+		benchPost(b, srv, "/v1/opacity", body)
 	}
 }
 
@@ -436,25 +438,25 @@ func BenchmarkOpacityRef(b *testing.B) {
 // iterations cost the same on both paths, so including them would only
 // dilute the comparison.)
 func BenchmarkAnonymizeInline(b *testing.B) {
-	api, gj, _ := benchServer(b)
-	body, err := json.Marshal(AnonymizeRequest{Graph: gj, L: 3, Theta: 1, Cache: "off"})
+	srv, gj, _ := benchServer(b)
+	body, err := json.Marshal(api.AnonymizeRequest{Graph: gj, L: 3, Theta: 1, Cache: "off"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, api, "/v1/anonymize", body)
+		benchPost(b, srv, "/v1/anonymize", body)
 	}
 }
 
 // BenchmarkAnonymizeRef measures the registry path: the run clones the
 // cached distance store instead of rebuilding it.
 func BenchmarkAnonymizeRef(b *testing.B) {
-	api, _, id := benchServer(b)
+	srv, _, id := benchServer(b)
 	body := []byte(fmt.Sprintf(`{"graph_ref":%q,"l":3,"theta":1,"cache":"off"}`, id))
-	benchPost(b, api, "/v1/anonymize", body) // warm the store cache
+	benchPost(b, srv, "/v1/anonymize", body) // warm the store cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, api, "/v1/anonymize", body)
+		benchPost(b, srv, "/v1/anonymize", body)
 	}
 }

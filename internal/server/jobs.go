@@ -48,30 +48,16 @@ type prepared struct {
 	run func(ctx context.Context) (any, bool, error)
 }
 
-// resolveEngineStore canonicalizes the request/server engine and store
-// selection to their parsed values. Cache keys and run options use the
-// canonical String() names, so keys are stable across spelling aliases
-// ("bit" and "bitbfs" hash identically) while distinct engines and
-// stores never collide; the registry's store cache keys on the parsed
-// values directly. store=mapped and store=paged are residency aliases,
-// not buildable backings: they normalize to compact here, so such
-// requests read the slot a mapped or paged boot seeds (and build a
-// compact store on a cold one — which a file-backed registry then
-// serves as the configured view) instead of ever asking apsp.Build for
-// an un-buildable kind.
-func (s *Server) resolveEngineStore(engine, store string) (apsp.Engine, apsp.Kind, error) {
-	e, err := apsp.ParseEngine(pick(engine, s.cfg.Engine))
-	if err != nil {
-		return 0, 0, err
+// validateHints rejects unknown engine and store names with a 400. A
+// valid name is only a hint: every engine and backing yields the same
+// store, whose identity is (graph, L), so neither the result-cache key
+// nor the registry's store slot depends on it.
+func validateHints(engine, store string) error {
+	if _, err := apsp.ParseEngine(engine); err != nil {
+		return err
 	}
-	k, err := apsp.ParseKind(pick(store, s.cfg.Store))
-	if err != nil {
-		return 0, 0, err
-	}
-	if k == apsp.KindMapped || k == apsp.KindPaged {
-		k = apsp.KindCompact
-	}
-	return e, k, nil
+	_, err := apsp.ParseKind(store)
+	return err
 }
 
 // parseCacheMode interprets the per-request cache field: "" and "on"

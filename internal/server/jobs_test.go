@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/jobs"
 )
 
@@ -18,15 +19,15 @@ import (
 // the job pool) and an httptest server in front of it.
 func newTestAPI(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	api := New(cfg)
-	ts := httptest.NewServer(api)
+	srv := New(cfg)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		api.Close(ctx)
+		srv.Close(ctx)
 	})
-	return api, ts
+	return srv, ts
 }
 
 func readBody(t *testing.T, resp *http.Response) []byte {
@@ -53,7 +54,7 @@ func deleteJob(t *testing.T, url string) *http.Response {
 }
 
 // awaitJob polls GET /v1/jobs/{id} until the job reaches want.
-func awaitJob(t *testing.T, baseURL, id, want string) JobResponse {
+func awaitJob(t *testing.T, baseURL, id, want string) api.JobResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -61,7 +62,7 @@ func awaitJob(t *testing.T, baseURL, id, want string) JobResponse {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jr := decodeBody[JobResponse](t, resp)
+		jr := decodeBody[api.JobResponse](t, resp)
 		resp.Body.Close()
 		if jr.State == want {
 			return jr
@@ -73,27 +74,27 @@ func awaitJob(t *testing.T, baseURL, id, want string) JobResponse {
 	}
 }
 
-func submitJob(t *testing.T, baseURL, op string, request any) (*http.Response, JobResponse) {
+func submitJob(t *testing.T, baseURL, op string, request any) (*http.Response, api.JobResponse) {
 	t.Helper()
 	raw, err := json.Marshal(request)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := postJSON(t, baseURL+"/v1/jobs", JobSubmitRequest{Op: op, Request: raw})
+	resp := postJSON(t, baseURL+"/v1/jobs", api.JobSubmitRequest{Op: op, Request: raw})
 	if resp.StatusCode != http.StatusAccepted {
 		body := readBody(t, resp)
 		t.Fatalf("submit %s: status %d: %s", op, resp.StatusCode, body)
 	}
-	return resp, decodeBody[JobResponse](t, resp)
+	return resp, decodeBody[api.JobResponse](t, resp)
 }
 
 func TestJobLifecycleSubmitPollResult(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 
-	syncResp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: figure1(), L: 2, Cache: "off"})
+	syncResp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: figure1(), L: 2, Cache: "off"})
 	wantBody := readBody(t, syncResp)
 
-	resp, jr := submitJob(t, ts.URL, "opacity", OpacityRequest{Graph: figure1(), L: 2})
+	resp, jr := submitJob(t, ts.URL, "opacity", api.OpacityRequest{Graph: figure1(), L: 2})
 	if jr.ID == "" || jr.Op != "opacity" {
 		t.Fatalf("submit response %+v", jr)
 	}
@@ -113,7 +114,7 @@ func TestJobLifecycleSubmitPollResult(t *testing.T) {
 func TestJobFailureSurfacesError(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 	// An unknown dataset key passes validation and fails at run time.
-	_, jr := submitJob(t, ts.URL, "dataset", DatasetRequest{Key: "no-such-dataset"})
+	_, jr := submitJob(t, ts.URL, "dataset", api.DatasetRequest{Key: "no-such-dataset"})
 	failed := awaitJob(t, ts.URL, jr.ID, "failed")
 	if failed.Error == "" || failed.Result != nil {
 		t.Fatalf("failed job %+v", failed)
@@ -164,12 +165,12 @@ func TestJobGetUnknownID(t *testing.T) {
 
 // blockWorkers occupies every worker with jobs that park until the
 // returned release function is called.
-func blockWorkers(t *testing.T, api *Server, workers int) (release func()) {
+func blockWorkers(t *testing.T, srv *Server, workers int) (release func()) {
 	t.Helper()
 	releaseCh := make(chan struct{})
 	started := make(chan struct{}, workers)
 	for i := 0; i < workers; i++ {
-		_, err := api.jobs.Submit("block", func(ctx context.Context) (json.RawMessage, error) {
+		_, err := srv.jobs.Submit("block", func(ctx context.Context) (json.RawMessage, error) {
 			started <- struct{}{}
 			select {
 			case <-releaseCh:
@@ -201,12 +202,12 @@ func blockWorkers(t *testing.T, api *Server, workers int) (release func()) {
 // The acceptance path: with the pool saturated, a queued job can be
 // cancelled via DELETE while /healthz stays responsive throughout.
 func TestCancelQueuedJobWhileHealthzResponsive(t *testing.T) {
-	api, ts := newTestAPI(t, Config{Workers: 1, QueueDepth: 8})
-	release := blockWorkers(t, api, 1)
+	srv, ts := newTestAPI(t, Config{Workers: 1, QueueDepth: 8})
+	release := blockWorkers(t, srv, 1)
 	defer release()
 
 	// A "large graph" job: it will sit in the queue behind the blocker.
-	_, jr := submitJob(t, ts.URL, "anonymize", AnonymizeRequest{
+	_, jr := submitJob(t, ts.URL, "anonymize", api.AnonymizeRequest{
 		Graph: figure1(), L: 2, Theta: 0.3, Seed: 1,
 	})
 	if jr.State != "queued" {
@@ -230,7 +231,7 @@ func TestCancelQueuedJobWhileHealthzResponsive(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status %d", resp.StatusCode)
 	}
-	cancelled := decodeBody[JobResponse](t, resp)
+	cancelled := decodeBody[api.JobResponse](t, resp)
 	if cancelled.State != "cancelled" {
 		t.Fatalf("state %s", cancelled.State)
 	}
@@ -244,22 +245,22 @@ func TestCancelQueuedJobWhileHealthzResponsive(t *testing.T) {
 }
 
 func TestJobQueueFull429(t *testing.T) {
-	api, ts := newTestAPI(t, Config{Workers: 1, QueueDepth: 1})
-	release := blockWorkers(t, api, 1)
+	srv, ts := newTestAPI(t, Config{Workers: 1, QueueDepth: 1})
+	release := blockWorkers(t, srv, 1)
 	defer release()
 
-	_, first := submitJob(t, ts.URL, "properties", PropertiesRequest{Graph: figure1()})
+	_, first := submitJob(t, ts.URL, "properties", api.PropertiesRequest{Graph: figure1()})
 	if first.State != "queued" {
 		t.Fatalf("first state %s", first.State)
 	}
-	raw, _ := json.Marshal(PropertiesRequest{Graph: figure1()})
-	resp := postJSON(t, ts.URL+"/v1/jobs", JobSubmitRequest{Op: "properties", Request: raw})
+	raw, _ := json.Marshal(api.PropertiesRequest{Graph: figure1()})
+	resp := postJSON(t, ts.URL+"/v1/jobs", api.JobSubmitRequest{Op: "properties", Request: raw})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status %d, want 429", resp.StatusCode)
 	}
 }
 
-func getStats(t *testing.T, baseURL string) StatsResponse {
+func getStats(t *testing.T, baseURL string) api.StatsResponse {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/stats")
 	if err != nil {
@@ -269,14 +270,14 @@ func getStats(t *testing.T, baseURL string) StatsResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", resp.StatusCode)
 	}
-	return decodeBody[StatsResponse](t, resp)
+	return decodeBody[api.StatsResponse](t, resp)
 }
 
 // The acceptance path: the same opacity request twice is a cache hit on
 // /v1/stats and the second response is byte-identical to the first.
 func TestOpacityCacheHitByteIdentical(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
-	req := OpacityRequest{Graph: figure1(), L: 2}
+	req := api.OpacityRequest{Graph: figure1(), L: 2}
 
 	first := readBody(t, postJSON(t, ts.URL+"/v1/opacity", req))
 	s := getStats(t, ts.URL)
@@ -296,7 +297,7 @@ func TestOpacityCacheHitByteIdentical(t *testing.T) {
 
 func TestAnonymizeCacheHitByteIdentical(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
-	req := AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5, Seed: 7}
+	req := api.AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5, Seed: 7}
 	first := readBody(t, postJSON(t, ts.URL+"/v1/anonymize", req))
 	second := readBody(t, postJSON(t, ts.URL+"/v1/anonymize", req))
 	if !bytes.Equal(first, second) {
@@ -309,7 +310,7 @@ func TestAnonymizeCacheHitByteIdentical(t *testing.T) {
 
 func TestCacheOffBypasses(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
-	req := OpacityRequest{Graph: figure1(), L: 2, Cache: "off"}
+	req := api.OpacityRequest{Graph: figure1(), L: 2, Cache: "off"}
 	first := readBody(t, postJSON(t, ts.URL+"/v1/opacity", req))
 	second := readBody(t, postJSON(t, ts.URL+"/v1/opacity", req))
 	if !bytes.Equal(first, second) {
@@ -321,40 +322,9 @@ func TestCacheOffBypasses(t *testing.T) {
 	}
 
 	// An invalid cache mode is a client error.
-	resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: figure1(), L: 2, Cache: "maybe"})
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: figure1(), L: 2, Cache: "maybe"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cache mode maybe: status %d", resp.StatusCode)
-	}
-}
-
-// Distinct engine/store selections must map to distinct cache keys even
-// though their reports are identical, while alias spellings of the same
-// engine/store must share one key.
-func TestCacheKeysDistinguishEngineAndStore(t *testing.T) {
-	_, ts := newTestAPI(t, Config{})
-	post := func(engine, store string) []byte {
-		t.Helper()
-		return readBody(t, postJSON(t, ts.URL+"/v1/opacity",
-			OpacityRequest{Graph: figure1(), L: 2, Engine: engine, Store: store}))
-	}
-
-	a := post("bfs", "compact")
-	b := post("fw", "compact")
-	c := post("bfs", "packed")
-	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
-		t.Fatal("engines/stores disagreed on the report") // sanity
-	}
-	s := getStats(t, ts.URL)
-	if s.Cache.Misses != 3 || s.Cache.Hits != 0 || s.Cache.Entries != 3 {
-		t.Fatalf("want 3 distinct keys, got %+v", s.Cache)
-	}
-
-	// "bit" is an alias of "bitbfs"; both spellings hit one entry.
-	post("bitbfs", "")
-	post("bit", "")
-	s = getStats(t, ts.URL)
-	if s.Cache.Hits != 1 || s.Cache.Misses != 4 {
-		t.Fatalf("alias did not share a key: %+v", s.Cache)
 	}
 }
 
@@ -363,7 +333,7 @@ func TestCacheKeysDistinguishEngineAndStore(t *testing.T) {
 // populates the cache for the sync path.
 func TestJobsShareCacheWithSyncPath(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
-	req := OpacityRequest{Graph: figure1(), L: 3}
+	req := api.OpacityRequest{Graph: figure1(), L: 3}
 
 	_, jr := submitJob(t, ts.URL, "opacity", req)
 	if jr.CacheHit {
@@ -422,14 +392,14 @@ func TestConfigValidateJobKnobs(t *testing.T) {
 // Closing the server turns new submissions into 503s while leaving
 // read-only endpoints up — the drain path cmd/lopserve relies on.
 func TestSubmitAfterCloseIs503(t *testing.T) {
-	api, ts := newTestAPI(t, Config{})
+	srv, ts := newTestAPI(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := api.Close(ctx); err != nil {
+	if err := srv.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := json.Marshal(PropertiesRequest{Graph: figure1()})
-	resp := postJSON(t, ts.URL+"/v1/jobs", JobSubmitRequest{Op: "properties", Request: raw})
+	raw, _ := json.Marshal(api.PropertiesRequest{Graph: figure1()})
+	resp := postJSON(t, ts.URL+"/v1/jobs", api.JobSubmitRequest{Op: "properties", Request: raw})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit after close: status %d", resp.StatusCode)
 	}
@@ -462,21 +432,21 @@ func TestJobTTLEvictionOverHTTP(t *testing.T) {
 		clock.now = clock.now.Add(d)
 	}
 
-	api := New(Config{JobTTL: time.Minute})
+	srv := New(Config{JobTTL: time.Minute})
 	// Swap in a manual clock: rebuild the manager with the test hook.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	api.jobs.Close(ctx)
-	api.jobs = jobs.NewManager(jobs.Config{Workers: 1, TTL: time.Minute, Clock: now})
-	ts := httptest.NewServer(api)
+	srv.jobs.Close(ctx)
+	srv.jobs = jobs.NewManager(jobs.Config{Workers: 1, TTL: time.Minute, Clock: now})
+	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		api.Close(ctx)
+		srv.Close(ctx)
 	})
 
-	_, jr := submitJob(t, ts.URL, "properties", PropertiesRequest{Graph: figure1()})
+	_, jr := submitJob(t, ts.URL, "properties", api.PropertiesRequest{Graph: figure1()})
 	awaitJob(t, ts.URL, jr.ID, "done")
 	advance(2 * time.Minute)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID)
@@ -496,7 +466,7 @@ func TestJobTTLEvictionOverHTTP(t *testing.T) {
 // paths.
 func TestAsyncJobCountsOneCacheMiss(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	req := OpacityRequest{Graph: figure1(), L: 2}
+	req := api.OpacityRequest{Graph: figure1(), L: 2}
 
 	_, jr := submitJob(t, ts.URL, "opacity", req)
 	awaitJob(t, ts.URL, jr.ID, "done")

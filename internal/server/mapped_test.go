@@ -46,17 +46,17 @@ func TestMappedWarmRestartZeroBuilds(t *testing.T) {
 // TestStoreMappedOnColdServer: store=mapped with nothing on disk must
 // degrade gracefully — it builds the compact store it aliases.
 func TestStoreMappedOnColdServer(t *testing.T) {
-	api, _ := newTestAPI(t, Config{})
-	id, err := api.RegisterDataset("gnutella100", 1)
+	srv, _ := newTestAPI(t, Config{})
+	id, err := srv.RegisterDataset("gnutella100", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped := postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"mapped","cache":"off"}`, id)))
-	compact := postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"compact","cache":"off"}`, id)))
+	mapped := postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"mapped","cache":"off"}`, id)))
+	compact := postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"compact","cache":"off"}`, id)))
 	if mapped != compact {
 		t.Fatal("store=mapped and store=compact answers differ")
 	}
-	if s := getStatsAPI(t, api).Registry; s.StoreMisses != 1 {
+	if s := getStatsAPI(t, srv).Registry; s.StoreMisses != 1 {
 		t.Fatalf("the two spellings did not share one cache slot: %+v", s)
 	}
 }

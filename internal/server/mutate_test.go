@@ -71,7 +71,7 @@ func TestGraphPatchRoundTrip(t *testing.T) {
 			childEdges = append(childEdges, e)
 		}
 	}
-	if got := registerGraph(t, ts.URL, GraphJSON{N: 7, Edges: childEdges}); got != pr.ID {
+	if got := registerGraph(t, ts.URL, api.Graph{N: 7, Edges: childEdges}); got != pr.ID {
 		t.Fatalf("full-upload child id %s, patch minted %s", got, pr.ID)
 	}
 
@@ -160,7 +160,7 @@ func TestGraphPatchZeroBuilds(t *testing.T) {
 	parent := registerGraph(t, ts.URL, figure1())
 
 	// Warm the parent store.
-	postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
+	postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
 	s := getStats(t, ts.URL)
 	if s.Registry.Builds != 1 {
 		t.Fatalf("builds after warming parent: %+v", s.Registry)
@@ -171,7 +171,7 @@ func TestGraphPatchZeroBuilds(t *testing.T) {
 	})
 	child := decodeBody[api.GraphPatchResponse](t, resp).ID
 
-	childBody := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: child, L: 2, Cache: "off"}))
+	childBody := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: child, L: 2, Cache: "off"}))
 	s = getStats(t, ts.URL)
 	if s.Registry.Builds != 1 || s.Registry.Repairs != 1 || s.Registry.RepairFallbacks != 0 {
 		t.Fatalf("child hydration was not a pure repair: %+v", s.Registry)
@@ -190,8 +190,8 @@ func TestGraphPatchZeroBuilds(t *testing.T) {
 		}
 	}
 	childEdges = append(childEdges, [2]int{0, 6})
-	inline := readBody(t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{
-		Graph: GraphJSON{N: 7, Edges: childEdges}, L: 2, Cache: "off",
+	inline := readBody(t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{
+		Graph: api.Graph{N: 7, Edges: childEdges}, L: 2, Cache: "off",
 	}))
 	if !bytes.Equal(childBody, inline) {
 		t.Fatalf("repaired-store opacity differs from inline:\n%s\n%s", childBody, inline)
@@ -215,10 +215,10 @@ func TestGraphPatchZeroBuilds(t *testing.T) {
 func TestGraphPatchDisableRepair(t *testing.T) {
 	_, ts := newTestAPI(t, Config{DisableStoreRepair: true})
 	parent := registerGraph(t, ts.URL, figure1())
-	postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
+	postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
 	resp := patchGraph(t, ts.URL, parent, api.GraphPatchRequest{Add: [][2]int{{0, 6}}})
 	child := decodeBody[api.GraphPatchResponse](t, resp).ID
-	postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: child, L: 2, Cache: "off"})
+	postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: child, L: 2, Cache: "off"})
 	s := getStats(t, ts.URL)
 	if s.Registry.Builds != 2 || s.Registry.Repairs != 0 || s.Registry.RepairFallbacks != 0 {
 		t.Fatalf("disabled repair stats: %+v", s.Registry)
@@ -301,9 +301,9 @@ func runPatchZeroBuildsRMAT(t *testing.T, n, m int) {
 	t.Helper()
 	_, ts := newTestAPI(t, Config{MaxVertices: n})
 	edges := rmatEdges(n, m, 42)
-	parent := registerGraph(t, ts.URL, GraphJSON{N: n, Edges: edges})
+	parent := registerGraph(t, ts.URL, api.Graph{N: n, Edges: edges})
 
-	postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
+	postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
 	s := getStats(t, ts.URL)
 	if s.Registry.Builds != 1 {
 		t.Fatalf("builds after warming parent: %+v", s.Registry)
@@ -325,7 +325,7 @@ func runPatchZeroBuildsRMAT(t *testing.T, n, m int) {
 	}
 	child := decodeBody[api.GraphPatchResponse](t, resp).ID
 
-	if r := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: child, L: 2, Cache: "off"}); r.StatusCode != http.StatusOK {
+	if r := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: child, L: 2, Cache: "off"}); r.StatusCode != http.StatusOK {
 		t.Fatalf("child opacity: status %d: %s", r.StatusCode, readBody(t, r))
 	}
 	s = getStats(t, ts.URL)
@@ -351,7 +351,7 @@ func TestContinuousAuditSync(t *testing.T) {
 	fig := figure1()
 	parent := registerGraph(t, ts.URL, fig)
 	// Warm the parent store so the replay starts with zero builds.
-	postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
+	postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{GraphRef: parent, L: 2, Cache: "off"})
 
 	steps := []api.MutationStep{
 		{Add: [][2]int{{0, 6}}},
@@ -391,8 +391,8 @@ func TestContinuousAuditSync(t *testing.T) {
 			}
 		}
 		cur = append(next, step.Add...)
-		op := decodeBody[api.OpacityResponse](t, postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{
-			Graph: GraphJSON{N: 7, Edges: cur}, L: 2, Cache: "off",
+		op := decodeBody[api.OpacityResponse](t, postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{
+			Graph: api.Graph{N: 7, Edges: cur}, L: 2, Cache: "off",
 		}))
 		got := ca.Steps[i]
 		if got.Step != i || got.M != len(cur) {

@@ -28,7 +28,8 @@ func (s *Server) handleOpacity(w http.ResponseWriter, r *http.Request) {
 // prepareOpacity validates an opacity request and packages it as a
 // cacheable operation. On the graph_ref path the run reuses the
 // registered graph's cached distance store — the second request for
-// the same (graph, L, engine, store) performs zero APSP builds — and
+// the same (graph, L), whatever its engine and store hints, performs
+// zero APSP builds — and
 // the cache key hashes the same canonical edge set an inline spelling
 // of the graph would, so both forms share one result-cache entry.
 func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
@@ -39,8 +40,7 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	engine, kind, err := s.resolveEngineStore(req.Engine, req.Store)
-	if err != nil {
+	if err := validateHints(req.Engine, req.Store); err != nil {
 		return prepared{}, err
 	}
 	cacheOff, err := parseCacheMode(req.Cache)
@@ -50,12 +50,11 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 	var key jobs.Key
 	if !cacheOff { // hashing the edge set is O(m); skip it when bypassing
 		key, err = jobs.HashJSON(struct {
-			Op            string   `json:"op"`
-			N             int      `json:"n"`
-			Edges         [][2]int `json:"edges"`
-			L             int      `json:"l"`
-			Engine, Store string
-		}{"opacity", g.N(), opEdges(g, ent), req.L, engine.String(), kind.String()})
+			Op    string   `json:"op"`
+			N     int      `json:"n"`
+			Edges [][2]int `json:"edges"`
+			L     int      `json:"l"`
+		}{"opacity", g.N(), opEdges(g, ent), req.L})
 		if err != nil {
 			return prepared{}, err
 		}
@@ -64,8 +63,8 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 		var rep lopacity.OpacityReport
 		if ent != nil {
 			// Registry path: the store is built at most once per
-			// (graph, L, engine, kind) and shared read-only thereafter.
-			st, _ := ent.Distances(req.L, engine, kind)
+			// (graph, L) and shared read-only thereafter.
+			st, _ := ent.Store(req.L)
 			irep := opacity.NewReportFromStore(ent.Degrees(), st)
 			rep = lopacity.OpacityReport{L: req.L, MaxOpacity: irep.MaxLO}
 			for _, t := range irep.ByType {
@@ -74,10 +73,7 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 				})
 			}
 		} else {
-			rep, err = g.OpacityWith(req.L, nil, lopacity.ReportOptions{Engine: engine.String(), Store: kind.String()})
-			if err != nil {
-				return nil, false, err
-			}
+			rep = g.OpacityWith(req.L, nil, lopacity.ReportOptions{})
 		}
 		resp := api.OpacityResponse{L: req.L, MaxOpacity: rep.MaxOpacity}
 		for _, t := range rep.Types {

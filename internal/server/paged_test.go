@@ -58,17 +58,17 @@ func TestPagedWarmRestartZeroBuilds(t *testing.T) {
 // TestStorePagedOnColdServer: store=paged with no paged config must
 // degrade gracefully — it aliases to compact and shares its slot.
 func TestStorePagedOnColdServer(t *testing.T) {
-	api, _ := newTestAPI(t, Config{})
-	id, err := api.RegisterDataset("gnutella100", 1)
+	srv, _ := newTestAPI(t, Config{})
+	id, err := srv.RegisterDataset("gnutella100", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged := postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"paged","cache":"off"}`, id)))
-	compact := postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"compact","cache":"off"}`, id)))
+	paged := postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"paged","cache":"off"}`, id)))
+	compact := postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"store":"compact","cache":"off"}`, id)))
 	if paged != compact {
 		t.Fatal("store=paged and store=compact answers differ")
 	}
-	if s := getStatsAPI(t, api).Registry; s.StoreMisses != 1 {
+	if s := getStatsAPI(t, srv).Registry; s.StoreMisses != 1 {
 		t.Fatalf("the two spellings did not share one cache slot: %+v", s)
 	}
 }
@@ -78,13 +78,13 @@ func TestStorePagedOnColdServer(t *testing.T) {
 // paged view immediately — store_bytes shows the budget-bounded "paged"
 // residency, not a heap triangle.
 func TestPagedBuildThroughServesFromFile(t *testing.T) {
-	api, _ := newTestAPI(t, Config{DataDir: t.TempDir(), PagedStores: true, StoreBudgetBytes: 1 << 20})
-	id, err := api.RegisterDataset("gnutella100", 1)
+	srv, _ := newTestAPI(t, Config{DataDir: t.TempDir(), PagedStores: true, StoreBudgetBytes: 1 << 20})
+	id, err := srv.RegisterDataset("gnutella100", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"cache":"off"}`, id)))
-	s := getStatsAPI(t, api)
+	postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"cache":"off"}`, id)))
+	s := getStatsAPI(t, srv)
 	if s.Registry.Builds != 1 {
 		t.Fatalf("builds = %d, want 1", s.Registry.Builds)
 	}
@@ -102,19 +102,19 @@ func TestPagedBuildThroughServesFromFile(t *testing.T) {
 // TestMetricsExposesStoreGauges: the /metrics exposition carries the
 // per-backing footprint gauges and the page-cache series.
 func TestMetricsExposesStoreGauges(t *testing.T) {
-	api, _ := newTestAPI(t, Config{DataDir: t.TempDir(), PagedStores: true, StoreBudgetBytes: 1 << 20})
-	id, err := api.RegisterDataset("gnutella100", 1)
+	srv, _ := newTestAPI(t, Config{DataDir: t.TempDir(), PagedStores: true, StoreBudgetBytes: 1 << 20})
+	id, err := srv.RegisterDataset("gnutella100", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"cache":"off"}`, id)))
+	postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2,"cache":"off"}`, id)))
 
 	req, err := http.NewRequest(http.MethodGet, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	api.ServeHTTP(rec, req)
+	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", rec.Code)
 	}

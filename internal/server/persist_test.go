@@ -13,6 +13,8 @@ import (
 	"time"
 
 	lopacity "repro"
+
+	"repro/api"
 )
 
 // TestLBoundaryValidation pins the validation domain of the two
@@ -27,12 +29,12 @@ func TestLBoundaryValidation(t *testing.T) {
 		wantStatus int
 		wantErr    string
 	}{
-		{"opacity", OpacityRequest{Graph: figure1(), L: -1}, http.StatusBadRequest, "l must be >= 1"},
-		{"opacity", OpacityRequest{Graph: figure1(), L: 0}, http.StatusBadRequest, "l must be >= 1"},
-		{"opacity", OpacityRequest{Graph: figure1(), L: 1}, http.StatusOK, ""},
-		{"anonymize", AnonymizeRequest{Graph: figure1(), L: -1, Theta: 0.5}, http.StatusBadRequest, "l must be >= 0 (l:0 selects the default 1)"},
-		{"anonymize", AnonymizeRequest{Graph: figure1(), L: 0, Theta: 0.5}, http.StatusOK, ""},
-		{"anonymize", AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5}, http.StatusOK, ""},
+		{"opacity", api.OpacityRequest{Graph: figure1(), L: -1}, http.StatusBadRequest, "l must be >= 1"},
+		{"opacity", api.OpacityRequest{Graph: figure1(), L: 0}, http.StatusBadRequest, "l must be >= 1"},
+		{"opacity", api.OpacityRequest{Graph: figure1(), L: 1}, http.StatusOK, ""},
+		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: -1, Theta: 0.5}, http.StatusBadRequest, "l must be >= 0 (l:0 selects the default 1)"},
+		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: 0, Theta: 0.5}, http.StatusOK, ""},
+		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5}, http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/"+tc.op, tc.body)
@@ -54,8 +56,8 @@ func TestLBoundaryValidation(t *testing.T) {
 // byte-identical cache hit of the first.
 func TestAnonymizeLZeroNormalized(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	respDefault := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{Graph: figure1(), L: 0, Theta: 0.5, Seed: 3})
-	respOne := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5, Seed: 3})
+	respDefault := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{Graph: figure1(), L: 0, Theta: 0.5, Seed: 3})
+	respOne := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5, Seed: 3})
 	if respDefault.StatusCode != http.StatusOK || respOne.StatusCode != http.StatusOK {
 		t.Fatalf("status %d / %d", respDefault.StatusCode, respOne.StatusCode)
 	}
@@ -119,24 +121,24 @@ func TestWarmRestartZeroBuilds(t *testing.T) {
 // the full APSP build into the request would be a regression, since
 // an audit only traverses from its candidate sets.
 func TestAuditColdRegistryDoesNotBuild(t *testing.T) {
-	api, _ := newTestAPI(t, Config{})
-	id, err := api.RegisterDataset("gnutella100", 1)
+	srv, _ := newTestAPI(t, Config{})
+	id, err := srv.RegisterDataset("gnutella100", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := []byte(fmt.Sprintf(`{"published_ref":%q,"original_ref":%q,"l":2,"theta":0.9}`, id, id))
-	cold := postRaw(t, api, "/v1/audit", body)
-	if s := getStatsAPI(t, api).Registry; s.StoreMisses != 0 || s.Stores != 0 {
+	cold := postRaw(t, srv, "/v1/audit", body)
+	if s := getStatsAPI(t, srv).Registry; s.StoreMisses != 0 || s.Stores != 0 {
 		t.Fatalf("cold audit built a store: %+v", s)
 	}
 	// Warm the store via opacity, then the same audit must answer
 	// identically from the store path.
-	postRaw(t, api, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2}`, id)))
-	warm := postRaw(t, api, "/v1/audit", body)
+	postRaw(t, srv, "/v1/opacity", []byte(fmt.Sprintf(`{"graph_ref":%q,"l":2}`, id)))
+	warm := postRaw(t, srv, "/v1/audit", body)
 	if cold != warm {
 		t.Fatalf("store-backed audit differs from BFS audit:\n%s\n%s", cold, warm)
 	}
-	if s := getStatsAPI(t, api).Registry; s.StoreMisses != 1 || s.StoreHits < 1 {
+	if s := getStatsAPI(t, srv).Registry; s.StoreMisses != 1 || s.StoreHits < 1 {
 		t.Fatalf("warm audit did not hit the cached store: %+v", s)
 	}
 }
@@ -144,8 +146,8 @@ func TestAuditColdRegistryDoesNotBuild(t *testing.T) {
 // TestPersistenceDisabledByDefault: without -data-dir the stats
 // section reports disabled and nothing touches disk.
 func TestPersistenceDisabledByDefault(t *testing.T) {
-	api, _ := newTestAPI(t, Config{})
-	if p := getStatsAPI(t, api).Persistence; p.Enabled || p.Dir != "" {
+	srv, _ := newTestAPI(t, Config{})
+	if p := getStatsAPI(t, srv).Persistence; p.Enabled || p.Dir != "" {
 		t.Errorf("persistence reported enabled without DataDir: %+v", p)
 	}
 }
@@ -156,21 +158,21 @@ func TestPersistenceDisabledByDefault(t *testing.T) {
 // drains to zero within the cancellation-poll interval), not merely
 // free the worker slot while the greedy loop burns its whole budget.
 func TestJobCancelStopsComputation(t *testing.T) {
-	api, ts := newTestAPI(t, Config{Workers: 1})
+	srv, ts := newTestAPI(t, Config{Workers: 1})
 	g, err := lopacity.Dataset("gnutella500", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unreachably low theta and a budget far beyond the test deadline:
 	// only cancellation can stop this run early.
-	req, err := json.Marshal(AnonymizeRequest{
-		Graph: GraphJSON{N: g.N(), Edges: g.Edges()},
+	req, err := json.Marshal(api.AnonymizeRequest{
+		Graph: api.Graph{N: g.N(), Edges: g.Edges()},
 		L:     3, Theta: 0.001, BudgetMS: 25000, Cache: "off",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(JobSubmitRequest{Op: "anonymize", Request: req})
+	body, err := json.Marshal(api.JobSubmitRequest{Op: "anonymize", Request: req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestJobCancelStopsComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := decodeBody[JobResponse](t, resp)
+	job := decodeBody[api.JobResponse](t, resp)
 	awaitJob(t, ts.URL, job.ID, "running")
 
 	if del := deleteJob(t, ts.URL+"/v1/jobs/"+job.ID); del.StatusCode != http.StatusOK {
@@ -188,7 +190,7 @@ func TestJobCancelStopsComputation(t *testing.T) {
 	// iteration), far sooner than its 25 s budget.
 	deadline := time.Now().Add(8 * time.Second)
 	for {
-		js := api.jobs.Stats()
+		js := srv.jobs.Stats()
 		if js.Running == 0 && js.Detached == 0 {
 			break
 		}
@@ -202,14 +204,14 @@ func TestJobCancelStopsComputation(t *testing.T) {
 
 // postRaw executes a POST against the in-process server and returns
 // the body, failing the test on any non-200.
-func postRaw(t *testing.T, api *Server, path string, body []byte) string {
+func postRaw(t *testing.T, srv *Server, path string, body []byte) string {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, path, strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	api.ServeHTTP(rec, req)
+	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body.String())
 	}
@@ -218,29 +220,29 @@ func postRaw(t *testing.T, api *Server, path string, body []byte) string {
 
 // getStats fetches and decodes GET /v1/stats from the in-process
 // server.
-func getStatsAPI(t *testing.T, api *Server) StatsResponse {
+func getStatsAPI(t *testing.T, srv *Server) api.StatsResponse {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, "/v1/stats", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	api.ServeHTTP(rec, req)
+	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /v1/stats: status %d", rec.Code)
 	}
-	var out StatsResponse
+	var out api.StatsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-func closeServer(t *testing.T, api *Server) {
+func closeServer(t *testing.T, srv *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := api.Close(ctx); err != nil {
+	if err := srv.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

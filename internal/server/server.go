@@ -51,8 +51,8 @@
 //
 // Opacity and anonymize results are additionally memoized in a
 // content-addressed cache (see internal/jobs): requests that hash to
-// the same canonical key — same graph, threshold, parameters, and
-// engine/store selection — are served byte-identically from the cache
+// the same canonical key — same graph, threshold, and parameters — are
+// served byte-identically from the cache
 // unless the request opts out with "cache": "off". Long-running work
 // can be submitted to the bounded worker pool via /v1/jobs instead of
 // holding an HTTP connection open, and watched live via the events
@@ -70,7 +70,6 @@ import (
 
 	lopacity "repro"
 	"repro/api"
-	"repro/internal/apsp"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -86,15 +85,6 @@ type Config struct {
 	// MaxBudget caps (and defaults) the per-request anonymization
 	// wall-clock budget; zero selects 30 s.
 	MaxBudget time.Duration
-	// Engine is the default APSP engine for opacity and anonymize
-	// requests that do not select one: "auto" (default), "bfs", "fw",
-	// "pointer", or "bitbfs". Every engine computes identical results.
-	Engine string
-	// Store is the default distance-store backing: "compact" (default;
-	// uint8 cells, 4x smaller — this is what keeps the 20k-vertex
-	// ceiling at ~200 MB of distance data instead of ~800 MB) or
-	// "packed" (int32).
-	Store string
 	// Workers is the async job pool size; zero selects 4.
 	Workers int
 	// QueueDepth bounds waiting async jobs; submissions beyond it get
@@ -183,12 +173,6 @@ func (c *Config) setDefaults() {
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = 30 * time.Second
 	}
-	if c.Engine == "" {
-		c.Engine = "auto"
-	}
-	if c.Store == "" {
-		c.Store = "compact"
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
@@ -199,18 +183,10 @@ func (c *Config) setDefaults() {
 	// the jobs package stays usable on its own.
 }
 
-// Validate rejects unusable server-wide defaults. A bad Engine or
-// Store would otherwise boot a healthy-looking server that fails every
-// opacity/anonymize request with a client-blaming 400, and a negative
-// pool size would panic mid-construction.
+// Validate rejects unusable server-wide settings: a negative pool size
+// would otherwise panic mid-construction.
 func (c Config) Validate() error {
 	c.setDefaults()
-	if _, err := apsp.ParseEngine(c.Engine); err != nil {
-		return fmt.Errorf("server config: %w", err)
-	}
-	if _, err := apsp.ParseKind(c.Store); err != nil {
-		return fmt.Errorf("server config: %w", err)
-	}
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("server config: cache entries must be >= 0, got %d", c.CacheEntries)
 	}
@@ -254,15 +230,6 @@ func (c Config) registryConfig() registry.Config {
 // jobsConfig maps the server knobs onto the jobs package's own Config.
 func (c Config) jobsConfig() jobs.Config {
 	return jobs.Config{Workers: c.Workers, QueueDepth: c.QueueDepth, TTL: c.JobTTL}
-}
-
-// pick returns the request-level override when present, else the
-// server-wide default.
-func pick(req, def string) string {
-	if req != "" {
-		return req
-	}
-	return def
 }
 
 // New returns the REST server, which serves HTTP directly (it is an

@@ -20,8 +20,8 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 }
 
 // figure1 is the paper's running-example graph (vertices renumbered 0-6).
-func figure1() GraphJSON {
-	return GraphJSON{N: 7, Edges: [][2]int{
+func figure1() api.Graph {
+	return api.Graph{N: 7, Edges: [][2]int{
 		{0, 1}, {0, 2}, {1, 2}, {1, 3}, {1, 4}, {2, 4}, {2, 5}, {3, 4}, {4, 5}, {5, 6},
 	}}
 }
@@ -106,11 +106,11 @@ func TestPostOnlyEndpointsRejectGet(t *testing.T) {
 
 func TestProperties(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{Graph: figure1()})
+	resp := postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{Graph: figure1()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	p := decodeBody[PropertiesResponse](t, resp)
+	p := decodeBody[api.PropertiesResponse](t, resp)
 	if p.Nodes != 7 || p.Links != 10 {
 		t.Fatalf("nodes=%d links=%d, want 7/10", p.Nodes, p.Links)
 	}
@@ -121,11 +121,11 @@ func TestProperties(t *testing.T) {
 
 func TestOpacityMatchesLibrary(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: figure1(), L: 1})
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: figure1(), L: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	rep := decodeBody[OpacityResponse](t, resp)
+	rep := decodeBody[api.OpacityResponse](t, resp)
 	// The paper's Figure 5c: the running example has maximum opacity 1
 	// at L=1 (type {1,2}).
 	if rep.MaxOpacity != 1 {
@@ -140,7 +140,7 @@ func TestOpacityMatchesLibrary(t *testing.T) {
 
 func TestOpacityRejectsBadL(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: figure1(), L: 0})
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: figure1(), L: 0})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
@@ -149,13 +149,13 @@ func TestOpacityRejectsBadL(t *testing.T) {
 func TestAnonymizeRemThenAuditPasses(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	fig := figure1()
-	resp := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{
+	resp := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{
 		Graph: fig, L: 1, Theta: 0.5, Method: "rem", Seed: 1,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	anon := decodeBody[AnonymizeResponse](t, resp)
+	anon := decodeBody[api.AnonymizeResponse](t, resp)
 	if !anon.Satisfied {
 		t.Fatalf("anonymization unsatisfied: %+v", anon)
 	}
@@ -168,13 +168,13 @@ func TestAnonymizeRemThenAuditPasses(t *testing.T) {
 
 	// The service's own audit endpoint must agree that the published
 	// graph passes at theta=0.5.
-	auditResp := postJSON(t, ts.URL+"/v1/audit", AuditRequest{
+	auditResp := postJSON(t, ts.URL+"/v1/audit", api.AuditRequest{
 		Published: anon.Graph, Original: fig, L: 1, Theta: 0.5,
 	})
 	if auditResp.StatusCode != http.StatusOK {
 		t.Fatalf("audit status %d", auditResp.StatusCode)
 	}
-	audit := decodeBody[AuditResponse](t, auditResp)
+	audit := decodeBody[api.AuditResponse](t, auditResp)
 	if !audit.Passed {
 		t.Fatalf("audit failed: %+v", audit)
 	}
@@ -186,10 +186,10 @@ func TestAnonymizeRemThenAuditPasses(t *testing.T) {
 func TestAuditFlagsRawGraph(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	fig := figure1()
-	resp := postJSON(t, ts.URL+"/v1/audit", AuditRequest{
+	resp := postJSON(t, ts.URL+"/v1/audit", api.AuditRequest{
 		Published: fig, Original: fig, L: 1, Theta: 0.5,
 	})
-	audit := decodeBody[AuditResponse](t, resp)
+	audit := decodeBody[api.AuditResponse](t, resp)
 	if audit.Passed {
 		t.Fatal("raw Figure 1 graph passed an L=1 theta=0.5 audit; it must fail")
 	}
@@ -204,14 +204,14 @@ func TestAuditFlagsRawGraph(t *testing.T) {
 func TestAnonymizeMethods(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for _, method := range []string{"rem", "rem-ins", "gaded-max", "anneal"} {
-		resp := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{
+		resp := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{
 			Graph: figure1(), L: 1, Theta: 0.6, Method: method, Seed: 2,
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("method %q: status %d", method, resp.StatusCode)
 			continue
 		}
-		anon := decodeBody[AnonymizeResponse](t, resp)
+		anon := decodeBody[api.AnonymizeResponse](t, resp)
 		if anon.Graph.N == 0 {
 			t.Errorf("method %q: empty graph returned", method)
 		}
@@ -220,13 +220,13 @@ func TestAnonymizeMethods(t *testing.T) {
 
 func TestAnonymizeRejectsUnknownMethodAndBadTheta(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{
+	resp := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{
 		Graph: figure1(), L: 1, Theta: 0.5, Method: "quantum",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown method: status %d, want 400", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{
+	resp = postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{
 		Graph: figure1(), L: 1, Theta: 1.5,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -236,11 +236,11 @@ func TestAnonymizeRejectsUnknownMethodAndBadTheta(t *testing.T) {
 
 func TestKIsoEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/kiso", KIsoRequest{Graph: figure1(), K: 2, Seed: 1})
+	resp := postJSON(t, ts.URL+"/v1/kiso", api.KIsoRequest{Graph: figure1(), K: 2, Seed: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	res := decodeBody[KIsoResponse](t, resp)
+	res := decodeBody[api.KIsoResponse](t, resp)
 	if len(res.Blocks) != 2 {
 		t.Fatalf("blocks=%d, want 2", len(res.Blocks))
 	}
@@ -256,16 +256,16 @@ func TestGraphValidation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	cases := []struct {
 		name  string
-		graph GraphJSON
+		graph api.Graph
 	}{
-		{"zero n", GraphJSON{N: 0}},
-		{"negative n", GraphJSON{N: -3}},
-		{"edge out of range", GraphJSON{N: 3, Edges: [][2]int{{0, 5}}}},
-		{"negative endpoint", GraphJSON{N: 3, Edges: [][2]int{{-1, 1}}}},
-		{"self-loop", GraphJSON{N: 3, Edges: [][2]int{{1, 1}}}},
+		{"zero n", api.Graph{N: 0}},
+		{"negative n", api.Graph{N: -3}},
+		{"edge out of range", api.Graph{N: 3, Edges: [][2]int{{0, 5}}}},
+		{"negative endpoint", api.Graph{N: 3, Edges: [][2]int{{-1, 1}}}},
+		{"self-loop", api.Graph{N: 3, Edges: [][2]int{{1, 1}}}},
 	}
 	for _, c := range cases {
-		resp := postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{Graph: c.graph})
+		resp := postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{Graph: c.graph})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
 		}
@@ -280,13 +280,13 @@ func TestDuplicateEdgesRejected(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	cases := []struct {
 		name  string
-		graph GraphJSON
+		graph api.Graph
 	}{
-		{"exact duplicate", GraphJSON{N: 3, Edges: [][2]int{{0, 1}, {0, 1}}}},
-		{"reversed duplicate", GraphJSON{N: 3, Edges: [][2]int{{0, 1}, {1, 0}}}},
+		{"exact duplicate", api.Graph{N: 3, Edges: [][2]int{{0, 1}, {0, 1}}}},
+		{"reversed duplicate", api.Graph{N: 3, Edges: [][2]int{{0, 1}, {1, 0}}}},
 	}
 	for _, c := range cases {
-		resp := postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{Graph: c.graph})
+		resp := postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{Graph: c.graph})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
 			continue
@@ -333,7 +333,7 @@ func TestTrailingDataRejected(t *testing.T) {
 
 func TestVertexLimitEnforced(t *testing.T) {
 	ts := newTestServer(t, Config{MaxVertices: 10})
-	resp := postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{Graph: GraphJSON{N: 11}})
+	resp := postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{Graph: api.Graph{N: 11}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
@@ -341,11 +341,11 @@ func TestVertexLimitEnforced(t *testing.T) {
 
 func TestBodySizeLimitEnforced(t *testing.T) {
 	ts := newTestServer(t, Config{MaxBodyBytes: 128})
-	big := GraphJSON{N: 100}
+	big := api.Graph{N: 100}
 	for i := 1; i < 100; i++ {
 		big.Edges = append(big.Edges, [2]int{0, i})
 	}
-	resp := postJSON(t, ts.URL+"/v1/properties", PropertiesRequest{Graph: big})
+	resp := postJSON(t, ts.URL+"/v1/properties", api.PropertiesRequest{Graph: big})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
@@ -384,20 +384,20 @@ func TestBudgetClampedToServerMax(t *testing.T) {
 	// A 50ms server cap with an absurd client budget must still return
 	// promptly (timed_out on a hard instance).
 	ts := newTestServer(t, Config{MaxBudget: 50_000_000}) // 50ms in ns
-	g := GraphJSON{N: 60}
+	g := api.Graph{N: 60}
 	// Dense-ish graph that cannot be opacified to theta=0.01 instantly.
 	for i := 0; i < 60; i++ {
 		for j := i + 1; j < i+5 && j < 60; j++ {
 			g.Edges = append(g.Edges, [2]int{i, j})
 		}
 	}
-	resp := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{
+	resp := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{
 		Graph: g, L: 2, Theta: 0.01, Method: "rem", BudgetMS: 1 << 40,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	anon := decodeBody[AnonymizeResponse](t, resp)
+	anon := decodeBody[api.AnonymizeResponse](t, resp)
 	if !anon.TimedOut && !anon.Satisfied {
 		t.Fatal("run neither timed out nor satisfied")
 	}
@@ -418,11 +418,11 @@ func TestDatasetsListAndFetch(t *testing.T) {
 		t.Fatal("no datasets listed")
 	}
 
-	fetch := postJSON(t, ts.URL+"/v1/dataset", DatasetRequest{Key: "gnutella100", Seed: 1})
+	fetch := postJSON(t, ts.URL+"/v1/dataset", api.DatasetRequest{Key: "gnutella100", Seed: 1})
 	if fetch.StatusCode != http.StatusOK {
 		t.Fatalf("fetch status %d", fetch.StatusCode)
 	}
-	ds := decodeBody[DatasetResponse](t, fetch)
+	ds := decodeBody[api.DatasetResponse](t, fetch)
 	if ds.Properties.Nodes != 100 {
 		t.Fatalf("nodes=%d, want 100", ds.Properties.Nodes)
 	}
@@ -433,8 +433,8 @@ func TestDatasetsListAndFetch(t *testing.T) {
 
 func TestDatasetDeterministicAcrossRequests(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	a := decodeBody[DatasetResponse](t, postJSON(t, ts.URL+"/v1/dataset", DatasetRequest{Key: "enron100", Seed: 7}))
-	b := decodeBody[DatasetResponse](t, postJSON(t, ts.URL+"/v1/dataset", DatasetRequest{Key: "enron100", Seed: 7}))
+	a := decodeBody[api.DatasetResponse](t, postJSON(t, ts.URL+"/v1/dataset", api.DatasetRequest{Key: "enron100", Seed: 7}))
+	b := decodeBody[api.DatasetResponse](t, postJSON(t, ts.URL+"/v1/dataset", api.DatasetRequest{Key: "enron100", Seed: 7}))
 	if len(a.Graph.Edges) != len(b.Graph.Edges) {
 		t.Fatal("same seed returned different graphs")
 	}
@@ -447,7 +447,7 @@ func TestDatasetDeterministicAcrossRequests(t *testing.T) {
 
 func TestDatasetUnknownKey(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/dataset", DatasetRequest{Key: "no-such-dataset"})
+	resp := postJSON(t, ts.URL+"/v1/dataset", api.DatasetRequest{Key: "no-such-dataset"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
@@ -490,7 +490,7 @@ func TestWireTraceStepMatchesLibrary(t *testing.T) {
 // invalid_request, never invalid_edge.
 func TestRegisterBadNMatchesInlineClassification(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/graphs", GraphRegisterRequest{Graph: &GraphJSON{N: 0}})
+	resp := postJSON(t, ts.URL+"/v1/graphs", api.GraphRegisterRequest{Graph: &api.Graph{N: 0}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
@@ -502,7 +502,7 @@ func TestRegisterBadNMatchesInlineClassification(t *testing.T) {
 
 // anonymizeWithTrace produces a (trace, published) pair via the library
 // for the replay endpoint tests.
-func anonymizeWithTrace(t *testing.T, fig GraphJSON, theta float64) ([]api.TraceStep, GraphJSON) {
+func anonymizeWithTrace(t *testing.T, fig api.Graph, theta float64) ([]api.TraceStep, api.Graph) {
 	t.Helper()
 	g := lopacity.FromEdges(fig.N, fig.Edges)
 	var buf bytes.Buffer
@@ -524,20 +524,20 @@ func anonymizeWithTrace(t *testing.T, fig GraphJSON, theta float64) ([]api.Trace
 		}
 		steps = append(steps, s)
 	}
-	return steps, GraphJSON{N: res.Graph.N(), Edges: res.Graph.Edges()}
+	return steps, api.Graph{N: res.Graph.N(), Edges: res.Graph.Edges()}
 }
 
 func TestReplayEndpointVerifiesHonestTrace(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	fig := figure1()
 	steps, published := anonymizeWithTrace(t, fig, 0.5)
-	resp := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{
+	resp := postJSON(t, ts.URL+"/v1/replay", api.ReplayRequest{
 		Original: fig, Trace: steps, L: 1, Theta: 0.5, Published: &published,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	rep := decodeBody[ReplayResponse](t, resp)
+	rep := decodeBody[api.ReplayResponse](t, resp)
 	if !rep.Verified {
 		t.Fatalf("honest trace rejected: %+v", rep)
 	}
@@ -551,10 +551,10 @@ func TestReplayEndpointRejectsTamperedTrace(t *testing.T) {
 	fig := figure1()
 	steps, published := anonymizeWithTrace(t, fig, 0.5)
 	steps[0].MaxOpacity = 0.123456 // forge the recorded opacity
-	resp := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{
+	resp := postJSON(t, ts.URL+"/v1/replay", api.ReplayRequest{
 		Original: fig, Trace: steps, L: 1, Theta: 0.5, Published: &published,
 	})
-	rep := decodeBody[ReplayResponse](t, resp)
+	rep := decodeBody[api.ReplayResponse](t, resp)
 	if rep.Verified {
 		t.Fatal("tampered trace verified")
 	}
@@ -568,10 +568,10 @@ func TestReplayEndpointRejectsWrongPublished(t *testing.T) {
 	fig := figure1()
 	steps, _ := anonymizeWithTrace(t, fig, 0.5)
 	wrong := figure1() // claim the ORIGINAL is the published graph
-	resp := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{
+	resp := postJSON(t, ts.URL+"/v1/replay", api.ReplayRequest{
 		Original: fig, Trace: steps, L: 1, Theta: 0.5, Published: &wrong, Fast: true,
 	})
-	rep := decodeBody[ReplayResponse](t, resp)
+	rep := decodeBody[api.ReplayResponse](t, resp)
 	if rep.Verified {
 		t.Fatal("wrong published graph verified")
 	}

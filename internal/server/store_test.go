@@ -1,20 +1,29 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"reflect"
 	"testing"
+
+	"repro/api"
 )
 
-// TestOpacityEngineStoreKnobs: every engine/store combination a client
-// can request returns the identical opacity report, and the knobs are
-// accepted both as server-wide defaults and per request.
-func TestOpacityEngineStoreKnobs(t *testing.T) {
-	ts := newTestServer(t, Config{Engine: "bfs", Store: "packed"})
+// engineHints and storeHints are every name the wire accepts for the
+// two build hints.
+var (
+	engineHints = []string{"", "auto", "bfs", "fw", "pointer", "bitbfs"}
+	storeHints  = []string{"", "compact", "packed", "mapped", "paged"}
+)
 
-	var ref OpacityResponse
-	resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{Graph: figure1(), L: 2})
+// TestOpacityEngineStoreKnobs: every engine/store hint a client can
+// send is accepted and returns the identical opacity report.
+func TestOpacityEngineStoreKnobs(t *testing.T) {
+	ts := newTestServer(t, Config{})
+
+	var ref api.OpacityResponse
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: figure1(), L: 2})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("default knobs: status %d", resp.StatusCode)
 	}
@@ -22,15 +31,15 @@ func TestOpacityEngineStoreKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, engine := range []string{"auto", "bfs", "fw", "pointer", "bitbfs"} {
-		for _, store := range []string{"compact", "packed"} {
-			resp := postJSON(t, ts.URL+"/v1/opacity", OpacityRequest{
-				Graph: figure1(), L: 2, Engine: engine, Store: store,
+	for _, engine := range engineHints {
+		for _, store := range storeHints {
+			resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{
+				Graph: figure1(), L: 2, Engine: engine, Store: store, Cache: "off",
 			})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("engine=%s store=%s: status %d", engine, store, resp.StatusCode)
 			}
-			var got OpacityResponse
+			var got api.OpacityResponse
 			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +52,7 @@ func TestOpacityEngineStoreKnobs(t *testing.T) {
 
 func TestOpacityRejectsUnknownEngineAndStore(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	for _, req := range []OpacityRequest{
+	for _, req := range []api.OpacityRequest{
 		{Graph: figure1(), L: 1, Engine: "dijkstra"},
 		{Graph: figure1(), L: 1, Store: "sparse"},
 	} {
@@ -55,18 +64,18 @@ func TestOpacityRejectsUnknownEngineAndStore(t *testing.T) {
 }
 
 // TestAnonymizeStoreInvariant: the same anonymize request produces the
-// same published graph on either store backing.
+// same published graph whatever store hint it carries.
 func TestAnonymizeStoreInvariant(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	var runs []AnonymizeResponse
+	var runs []api.AnonymizeResponse
 	for _, store := range []string{"compact", "packed"} {
-		resp := postJSON(t, ts.URL+"/v1/anonymize", AnonymizeRequest{
-			Graph: figure1(), L: 2, Theta: 0.5, Method: "rem-ins", Seed: 11, Store: store,
+		resp := postJSON(t, ts.URL+"/v1/anonymize", api.AnonymizeRequest{
+			Graph: figure1(), L: 2, Theta: 0.5, Method: "rem-ins", Seed: 11, Store: store, Cache: "off",
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("store=%s: status %d", store, resp.StatusCode)
 		}
-		var out AnonymizeResponse
+		var out api.AnonymizeResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
@@ -77,16 +86,58 @@ func TestAnonymizeStoreInvariant(t *testing.T) {
 	}
 }
 
-// TestConfigValidateRejectsBadDefaults: a misconfigured server-wide
-// engine/store must fail at startup, not per request.
+// TestOneStoreIdentityAcrossHints: a store is identified by (graph, L).
+// Opacity and anonymize requests for one registered graph and one L,
+// carrying every engine hint crossed with every store hint, get
+// byte-identical bodies from one store build and one result-cache
+// entry per op.
+func TestOneStoreIdentityAcrossHints(t *testing.T) {
+	srv, ts := newTestAPI(t, Config{})
+	id := registerGraph(t, ts.URL, figure1())
+	for _, op := range []string{"opacity", "anonymize"} {
+		var first []byte
+		for _, engine := range engineHints[1:] {
+			for _, store := range storeHints[1:] {
+				var req any = api.OpacityRequest{GraphRef: id, L: 2, Engine: engine, Store: store}
+				if op == "anonymize" {
+					req = api.AnonymizeRequest{GraphRef: id, L: 2, Theta: 0.5, Seed: 3, Engine: engine, Store: store}
+				}
+				resp := postJSON(t, ts.URL+"/v1/"+op, req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s engine=%s store=%s: status %d", op, engine, store, resp.StatusCode)
+				}
+				body := readBody(t, resp)
+				if first == nil {
+					first = body
+				} else if !bytes.Equal(body, first) {
+					t.Fatalf("%s engine=%s store=%s: body differs from the first hint's", op, engine, store)
+				}
+			}
+		}
+	}
+	s := getStats(t, ts.URL)
+	if s.Registry.StoreMisses != 1 {
+		t.Fatalf("store_misses=%d, want 1", s.Registry.StoreMisses)
+	}
+	ent, ok := srv.reg.Get(id)
+	if !ok {
+		t.Fatal("registered graph missing")
+	}
+	if n := ent.StoreCount(); n != 1 {
+		t.Fatalf("graph holds %d cached stores, want 1", n)
+	}
+	if s.Cache.Entries != 2 || s.Cache.Misses != 2 {
+		t.Fatalf("result cache %+v, want one entry and one miss per op", s.Cache)
+	}
+}
+
+// TestConfigValidateRejectsBadDefaults: a misconfigured server must
+// fail at startup, not per request.
 func TestConfigValidateRejectsBadDefaults(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
-	if err := (Config{Engine: "bfs", Store: "packed"}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	for _, cfg := range []Config{{Engine: "dikstra"}, {Store: "sparse"}} {
+	for _, cfg := range []Config{{CacheEntries: -1}, {MaxBatchItems: -1}} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v passed validation", cfg)
 		}

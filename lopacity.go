@@ -22,16 +22,12 @@
 //	util := lopacity.Compare(g, res.Graph)
 //	fmt.Println(util.Distortion)
 //
-// All distance computation runs over a pluggable L-capped store
-// (internal/apsp). Because the model caps distances at L+1, the default
-// backing packs one uint8 per vertex pair — four times smaller than the
-// int32 layout it replaces, which is the dominant memory cost on large
-// graphs. Options.Engine and Options.Store (and the same knobs on
-// ReportOptions, the lopserve server config/requests, and the lopstats
-// CLI) select the APSP algorithm ("auto", "bfs", "fw", "pointer",
-// "bitbfs") and the backing ("compact", "packed"); every combination
-// produces bit-for-bit identical results, so the choice trades only
-// time and memory.
+// All distance computation runs over an L-capped store (internal/apsp)
+// built by one bit-parallel BFS sweep. Because the model caps distances
+// at L+1, the store packs one uint8 per vertex pair whenever L fits —
+// four times smaller than an int32 layout, which is the dominant memory
+// cost on large graphs. Only the sweep's parallelism is configurable
+// (Options.Workers, ReportOptions.Workers).
 //
 // The heavy lifting lives in the internal packages (graph, apsp,
 // opacity, anonymize, baseline, metrics, gen, dataset, satreduce,
@@ -229,16 +225,6 @@ type Options struct {
 	// Result.TimedOut set. Supported by EdgeRemoval,
 	// EdgeRemovalInsertion, and SimulatedAnnealing.
 	Budget time.Duration
-	// Engine selects the APSP algorithm for the initial distance build:
-	// "auto" (default; bounded BFS, parallelized over Workers), "bfs",
-	// "fw" (the paper's Algorithm 2), "pointer" (Algorithm 3), or
-	// "bitbfs". Every engine computes the identical store, so the
-	// choice never changes the anonymization outcome.
-	Engine string
-	// Store selects the distance-store backing: "compact" (default;
-	// one uint8 per vertex pair, 4x smaller) or "packed" (int32).
-	// Results are bit-for-bit identical on either backing.
-	Store string
 	// Progress, when non-nil, receives a lightweight report after every
 	// committed greedy step or accepted annealing move: steps so far,
 	// the current maximum opacity, and the wall-clock consumed. It is
@@ -323,21 +309,6 @@ func (d *DistanceStore) store() apsp.Store {
 	return d.s
 }
 
-// parseEngineStore resolves the string engine/store selection shared
-// by Options and ReportOptions. Worker parallelism travels separately
-// (anonymize.Options.Workers, ReportOptions.Workers).
-func parseEngineStore(engine, store string) (apsp.Engine, apsp.Kind, error) {
-	e, err := apsp.ParseEngine(engine)
-	if err != nil {
-		return 0, 0, fmt.Errorf("lopacity: %w", err)
-	}
-	k, err := apsp.ParseKind(store)
-	if err != nil {
-		return 0, 0, fmt.Errorf("lopacity: %w", err)
-	}
-	return e, k, nil
-}
-
 // Result reports an anonymization run.
 type Result struct {
 	// Graph is the anonymized graph; the input graph is not modified.
@@ -389,10 +360,6 @@ func AnonymizeContext(ctx context.Context, g *Graph, opts Options) (*Result, err
 	if opts.LookAhead == 0 {
 		opts.LookAhead = 1
 	}
-	engine, kind, err := parseEngineStore(opts.Engine, opts.Store)
-	if err != nil {
-		return nil, err
-	}
 	switch opts.Method {
 	case EdgeRemoval, EdgeRemovalInsertion:
 		h := anonymize.Removal
@@ -411,8 +378,6 @@ func AnonymizeContext(ctx context.Context, g *Graph, opts Options) (*Result, err
 			Budget:    opts.Budget,
 			Trace:     trace,
 			Progress:  progressFunc(opts.Progress),
-			Engine:    engine,
-			Store:     kind,
 			Distances: opts.Distances.store(),
 		})
 		if err != nil {
@@ -442,8 +407,6 @@ func AnonymizeContext(ctx context.Context, g *Graph, opts Options) (*Result, err
 			Budget:    opts.Budget,
 			Trace:     trace,
 			Progress:  progressFunc(opts.Progress),
-			Engine:    engine,
-			Store:     kind,
 			Distances: opts.Distances.store(),
 		})
 		if err != nil {
@@ -546,34 +509,25 @@ func (g *Graph) Opacity(L int) OpacityReport {
 // types are frozen from the original graph even as degrees drift under
 // anonymization. The two graphs must have the same vertex count.
 func (g *Graph) OpacityAgainst(L int, original *Graph) OpacityReport {
-	rep, _ := g.OpacityWith(L, original, ReportOptions{})
-	return rep
+	return g.OpacityWith(L, original, ReportOptions{})
 }
 
-// ReportOptions selects the distance engine and store backing for
-// opacity reports; the zero value (auto engine, compact store,
-// sequential) is right for most calls. The engine/store names are the
-// same as Options.Engine and Options.Store.
+// ReportOptions sets the parallelism of the distance build behind an
+// opacity report; the zero value (sequential below the auto-parallel
+// size) is right for most calls.
 type ReportOptions struct {
-	Engine  string
-	Store   string
+	// Workers is the goroutine count of the build, as in
+	// Options.Workers. Every count yields the identical report.
 	Workers int
 }
 
 // OpacityWith computes the report of g with types frozen from
-// original's degrees (nil selects g itself) using the given distance
-// engine and store backing. Every engine/store combination yields the
-// identical report.
-func (g *Graph) OpacityWith(L int, original *Graph, opts ReportOptions) (OpacityReport, error) {
-	engine, kind, err := parseEngineStore(opts.Engine, opts.Store)
-	if err != nil {
-		return OpacityReport{}, err
-	}
+// original's degrees (nil selects g itself).
+func (g *Graph) OpacityWith(L int, original *Graph, opts ReportOptions) OpacityReport {
 	if original == nil {
 		original = g
 	}
-	rep := opacity.NewReportWith(g.g, original.g.Degrees(), L,
-		apsp.BuildOptions{Engine: engine, Kind: kind, Workers: opts.Workers})
+	rep := opacity.NewReportWith(g.g, original.g.Degrees(), L, apsp.BuildOptions{Workers: opts.Workers})
 	out := OpacityReport{L: L, MaxOpacity: rep.MaxLO}
 	for _, tr := range rep.ByType {
 		out.Types = append(out.Types, TypeOpacity{
@@ -583,7 +537,7 @@ func (g *Graph) OpacityWith(L int, original *Graph, opts ReportOptions) (Opacity
 			Opacity: tr.Opacity,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // Satisfies reports whether g is L-opaque with respect to theta under

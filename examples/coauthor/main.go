@@ -19,7 +19,8 @@ import (
 func main() {
 	// A 200-author coauthorship stand-in (the paper crawled 10k
 	// authors from the ACM Digital Library; the generator matches its
-	// sparsity and clustering regime — see DESIGN.md).
+	// sparsity and clustering regime — see "Scale substitution" in
+	// docs/ARCHITECTURE.md).
 	g, err := lopacity.Dataset("acm200", 7)
 	if err != nil {
 		log.Fatal(err)

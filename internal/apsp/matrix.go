@@ -20,7 +20,8 @@
 // backing from L, and nothing else about a build is configurable but
 // its parallelism. All code above this package programs against the
 // Store interface, and the package-level Equal/Clone/Copy/CountWithin/
-// Histogram helpers work on any Store regardless of backing.
+// CountWithinByClass/Histogram helpers work on any Store regardless of
+// backing.
 //
 // One sweep builds every store: Build (heap stores) and StreamBuild /
 // BuildToFile (snapshot files) run a bit-parallel BFS over 64-source

@@ -99,6 +99,44 @@ func (o *Overlay) index(i, j int) int64 {
 	return int64(i)*(2*int64(o.n)-int64(i)-1)/2 + int64(j-i-1)
 }
 
+// pair inverts index: the pair i < j stored at triangle offset idx.
+// Row i starts at offset i*(2n-i-1)/2, so i is found by binary search.
+func (o *Overlay) pair(idx int64) (i, j int) {
+	n := int64(o.n)
+	start := func(r int64) int64 { return r * (2*n - r - 1) / 2 }
+	lo, hi := int64(0), n-1 // the row lies in [lo, hi)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if start(mid) <= idx {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return int(lo), int(idx - start(lo) + lo + 1)
+}
+
+// countWithinByClass is CountWithinByClass for an overlay: the base's
+// count, then one correction per dirty cell whose override moves the
+// pair across L. A stacked overlay's base counts itself the same way.
+func (o *Overlay) countWithinByClass(class []int32, k int, cnt []int64) {
+	CountWithinByClass(o.base, class, k, cnt)
+	l := o.L()
+	for idx, v := range o.dirty {
+		i, j := o.pair(idx)
+		was, is := o.base.Get(i, j) <= l, int(v) <= l
+		if was == is {
+			continue
+		}
+		c := &cnt[int(class[i])*k+int(class[j])]
+		if is {
+			*c++
+		} else {
+			*c--
+		}
+	}
+}
+
 // Get returns the capped distance for the unordered pair {i, j}: the
 // overridden value when the cell is dirty, the base's otherwise.
 func (o *Overlay) Get(i, j int) int {

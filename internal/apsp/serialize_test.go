@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"sync"
@@ -72,9 +73,9 @@ func TestSerializeRoundTripEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRejectsCorruptInput: every corruption is an error (with
-// a stable prefix), never a panic and never a silently wrong store.
-func TestUnmarshalRejectsCorruptInput(t *testing.T) {
+// corruptStoreSnapshots returns valid compact and packed snapshots of
+// a 20-vertex L=3 store and a table of corruptions of them.
+func corruptStoreSnapshots(t testing.TB) (valid [][]byte, cases []corruptCase) {
 	g := serializeTestGraph(20, 3)
 	compact, err := MarshalStore(Build(g, 3, BuildOptions{}))
 	if err != nil {
@@ -89,10 +90,7 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 		f(b)
 		return b
 	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
+	return [][]byte{compact, packed}, []corruptCase{
 		{"empty", nil},
 		{"truncated header", compact[:storeHeaderLen-1]},
 		{"truncated payload", compact[:len(compact)-1]},
@@ -108,11 +106,55 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 		})},
 		{"packed truncated", packed[:len(packed)-2]},
 	}
+}
+
+// corruptCase is one named corruption of a snapshot.
+type corruptCase struct {
+	name string
+	data []byte
+}
+
+// TestUnmarshalRejectsCorruptInput: every corruption is an error (with
+// a stable prefix), never a panic and never a silently wrong store.
+func TestUnmarshalRejectsCorruptInput(t *testing.T) {
+	_, cases := corruptStoreSnapshots(t)
 	for _, tc := range cases {
 		if _, err := UnmarshalStore(tc.data); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", tc.name)
 		}
 	}
+}
+
+// FuzzUnmarshalStore drives the LOPS decoder the registry feeds with
+// snapshot files and network bytes. It must never panic, and decoding
+// is strict, so every snapshot it accepts re-encodes to the same bytes
+// and holds only cells in [1, L+1].
+func FuzzUnmarshalStore(f *testing.F) {
+	valid, cases := corruptStoreSnapshots(f)
+	for _, data := range valid {
+		f.Add(data)
+	}
+	for _, tc := range cases {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := UnmarshalStore(data)
+		if err != nil {
+			return
+		}
+		out, err := MarshalStore(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("accepted snapshot re-encodes differently (n=%d L=%d kind=%v)", s.N(), s.L(), KindOf(s))
+		}
+		s.EachPair(func(i, j, d int) {
+			if d < 1 || d > s.Far() {
+				t.Fatalf("accepted cell (%d, %d) = %d outside [1, %d]", i, j, d, s.Far())
+			}
+		})
+	})
 }
 
 // TestUnmarshalKindMismatch: the typed UnmarshalBinary methods refuse

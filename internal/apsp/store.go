@@ -273,6 +273,58 @@ func CountWithin(s Store) int {
 	return count
 }
 
+// CountWithinByClass is CountWithin split by vertex class: for every
+// pair i < j at distance <= L it adds 1 to cnt[class[i]*k+class[j]].
+// class holds one value in [0, k) per vertex and cnt needs k*k cells;
+// counts are added to what cnt already holds. The count is ordered by
+// row, so a caller folding it into unordered class pairs sums the
+// cells (a, b) and (b, a).
+//
+// One-byte triangles, heap or mapped, are counted straight off their
+// rows; an overlay counts its base and then corrects once per dirty
+// cell; every other backing is walked through EachPair.
+func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
+	if len(class) != s.N() || len(cnt) < k*k {
+		panic(fmt.Sprintf("apsp: CountWithinByClass got %d classes for n=%d and %d counters for k=%d", len(class), s.N(), len(cnt), k))
+	}
+	switch t := s.(type) {
+	case *CompactMatrix:
+		countCompactRows(t.data, t.n, t.l, class, k, cnt)
+		return
+	case *MappedStore:
+		if t.kind == KindCompact {
+			countCompactRows(t.data, t.n, t.l, class, k, cnt)
+			return
+		}
+	case *Overlay:
+		t.countWithinByClass(class, k, cnt)
+		return
+	}
+	l := s.L()
+	s.EachPair(func(i, j, d int) {
+		if d <= l {
+			cnt[int(class[i])*k+int(class[j])]++
+		}
+	})
+}
+
+// countCompactRows is CountWithinByClass over a one-byte triangle. The
+// inner loop is branch-free: (L-d)>>63 is -1 exactly when d > L.
+func countCompactRows(data []uint8, n, L int, class []int32, k int, cnt []int64) {
+	idx := 0
+	for i := 0; i < n-1; i++ {
+		row := data[idx : idx+n-i-1]
+		cls := class[i+1 : n]
+		cls = cls[:len(row)]
+		base := int(class[i]) * k
+		c := cnt[base : base+k]
+		for j, d := range row {
+			c[cls[j]] += 1 + int64(L-int(d))>>63
+		}
+		idx += len(row)
+	}
+}
+
 // Histogram returns counts of stored distances: hist[d] for d in
 // [1, L] and hist[L+1] aggregating Far pairs. Index 0 is unused.
 func Histogram(s Store) []int {

@@ -2,8 +2,9 @@
 // (Tables 1-3) and generates calibrated synthetic stand-ins for them.
 //
 // The paper samples SNAP network files and an ACM Digital Library crawl;
-// neither is available offline, so — per DESIGN.md's substitution rule —
-// each sampled graph is emulated by a seeded generator that matches the
+// neither is available offline, so — per the "Scale substitution" rule
+// in docs/ARCHITECTURE.md — each sampled graph is emulated by a seeded
+// generator that matches the
 // published statistics of Table 3: vertex count, edge count, mean degree,
 // degree standard deviation, and average clustering coefficient. The
 // anonymization algorithms consume only graph structure, so matching

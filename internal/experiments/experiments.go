@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). Each experiment is a named runner producing a
-// Table of rows matching the paper's plotted series; DESIGN.md maps the
-// experiment IDs to the paper artifacts and EXPERIMENTS.md records the
-// paper-versus-measured comparison.
+// Table of rows matching the paper's plotted series; each runner's title
+// names the paper artifact it reproduces, and "Scale substitution" in
+// docs/ARCHITECTURE.md records how the stand-ins and sweep sizes
+// differ from the paper's.
 //
 // Experiments run on the calibrated synthetic dataset stand-ins of
 // internal/dataset. By default they run in a scaled "quick" regime

@@ -143,7 +143,8 @@ func fig10(cfg Config) (Table, error) {
 }
 
 // acmSizes returns the ACM coauthorship scale sweep: the paper runs
-// 1000..10000 vertices; the quick regime scales down per DESIGN.md.
+// 1000..10000 vertices; the quick regime scales down (see "Scale
+// substitution" in docs/ARCHITECTURE.md).
 func (c Config) acmSizes() []int {
 	if c.Full {
 		return []int{1000, 2000, 3000, 4000}
@@ -205,6 +206,6 @@ func acmSweep(cfg Config, render func(runOutcome, float64) string) (Table, error
 		t.Rows = append(t.Rows, row)
 		cfg.progress("  n=%d done", n)
 	}
-	t.Note = "ACM stand-in generated at each size (paper crawls 10k authors; see DESIGN.md scale substitution)"
+	t.Note = "ACM stand-in generated at each size (paper crawls 10k authors; see docs/ARCHITECTURE.md, Scale substitution)"
 	return t, nil
 }

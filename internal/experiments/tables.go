@@ -31,7 +31,7 @@ func table1(cfg Config) (Table, error) {
 			d.LinkKind,
 		})
 	}
-	t.Note = "published catalog values; originals are not regenerated (see DESIGN.md substitutions)"
+	t.Note = "published catalog values; originals are not regenerated (see docs/ARCHITECTURE.md, Scale substitution)"
 	return t, nil
 }
 

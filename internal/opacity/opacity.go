@@ -2,7 +2,6 @@ package opacity
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/apsp"
@@ -70,9 +69,12 @@ func NewReportFromStore(degrees []int, m apsp.Store) Report {
 	tr := NewTracker(types, m)
 	ev := tr.Evaluate()
 	rep := Report{L: m.L(), MaxLO: ev.MaxLO, N: ev.Population}
-	for id := 0; id < types.NumTypes(); id++ {
+	for _, id := range types.order { // ascending label order, no sort
 		if types.Total(id) == 0 {
 			continue
+		}
+		if rep.ByType == nil {
+			rep.ByType = make([]TypeReport, 0, len(types.order))
 		}
 		rep.ByType = append(rep.ByType, TypeReport{
 			Label:   types.Label(id),
@@ -81,7 +83,6 @@ func NewReportFromStore(degrees []int, m apsp.Store) Report {
 			Opacity: tr.OpacityOf(id),
 		})
 	}
-	sort.Slice(rep.ByType, func(i, j int) bool { return rep.ByType[i].Label < rep.ByType[j].Label })
 	return rep
 }
 

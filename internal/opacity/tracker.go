@@ -40,7 +40,9 @@ type loGroup struct {
 // every typed pair within L (the loop of Algorithm 1, lines 3-6). Any
 // Store backing works; the tracker keeps no reference to the store
 // afterward, so trackers built from a compact and a packed store of the
-// same graph are identical.
+// same graph are identical. Degree types are counted per degree-class
+// pair straight off the store's rows (apsp.CountWithinByClass); any
+// other assigner is asked for the type of each pair within L.
 func NewTracker(types TypeAssigner, m apsp.Store) *Tracker {
 	k := types.NumTypes()
 	t := &Tracker{
@@ -50,14 +52,18 @@ func NewTracker(types TypeAssigner, m apsp.Store) *Tracker {
 		totals: make([]int, k),
 		lo:     make([]float64, k),
 	}
-	l := m.L()
-	m.EachPair(func(i, j, d int) {
-		if d <= l {
-			if id := types.TypeOf(i, j); id >= 0 {
-				t.counts[id]++
+	if dt, ok := types.(*DegreeTypes); ok {
+		dt.countWithin(m, t.counts)
+	} else {
+		l := m.L()
+		m.EachPair(func(i, j, d int) {
+			if d <= l {
+				if id := types.TypeOf(i, j); id >= 0 {
+					t.counts[id]++
+				}
 			}
-		}
-	})
+		})
+	}
 	for id := range t.counts {
 		t.totals[id] = types.Total(id)
 		if t.totals[id] == 0 {

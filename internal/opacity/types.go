@@ -7,7 +7,11 @@ package opacity
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
+
+	"repro/internal/apsp"
 )
 
 // TypeAssigner classifies unordered vertex pairs into types of interest
@@ -39,7 +43,9 @@ type DegreeTypes struct {
 	nv       []int   // vertex count per distinct degree
 	numTypes int
 	totals   []int
-	labels   []string
+	labels   string // every type's label, concatenated in ID order
+	labelAt  []int  // type id's label is labels[labelAt[id]:labelAt[id+1]]
+	order    []int  // type IDs in ascending label order
 }
 
 // NewDegreeTypes builds the degree-based type system from the original
@@ -47,30 +53,29 @@ type DegreeTypes struct {
 // certain pair of degrees"). The degree vector is copied and frozen.
 func NewDegreeTypes(degrees []int) *DegreeTypes {
 	d := &DegreeTypes{degrees: append([]int(nil), degrees...)}
-	seen := map[int]int{}
-	for _, deg := range degrees {
-		seen[deg]++
-	}
-	d.distinct = make([]int, 0, len(seen))
-	for deg := range seen {
-		d.distinct = append(d.distinct, deg)
-	}
-	sort.Ints(d.distinct)
-	degIndex := make(map[int]int32, len(d.distinct))
-	d.nv = make([]int, len(d.distinct))
-	for i, deg := range d.distinct {
-		degIndex[deg] = int32(i)
-		d.nv[i] = seen[deg]
-	}
+	sorted := slices.Clone(degrees)
+	slices.Sort(sorted)
+	d.distinct = slices.Clone(slices.Compact(sorted))
+	k := len(d.distinct)
+	d.nv = make([]int, k)
 	d.class = make([]int32, len(degrees))
 	for v, deg := range degrees {
-		d.class[v] = degIndex[deg]
+		i, _ := slices.BinarySearch(d.distinct, deg)
+		d.class[v] = int32(i)
+		d.nv[i]++
 	}
-	k := len(d.distinct)
 	d.numTypes = k * (k + 1) / 2
 	d.totals = make([]int, d.numTypes)
-	d.labels = make([]string, d.numTypes)
-	for gi := 0; gi < k; gi++ {
+	dec := make([]string, k)
+	size := 4 * d.numTypes
+	for i, deg := range d.distinct {
+		dec[i] = strconv.Itoa(deg)
+		size += (k + 1) * len(dec[i]) // each degree appears in k+1 labels
+	}
+	var b strings.Builder
+	b.Grow(size)
+	d.labelAt = make([]int, 1, d.numTypes+1)
+	for gi := 0; gi < k; gi++ { // IDs run consecutively in this order
 		for hi := gi; hi < k; hi++ {
 			id := d.pairID(gi, hi)
 			if gi == hi {
@@ -78,10 +83,44 @@ func NewDegreeTypes(degrees []int) *DegreeTypes {
 			} else {
 				d.totals[id] = d.nv[gi] * d.nv[hi]
 			}
-			d.labels[id] = fmt.Sprintf("P{%d,%d}", d.distinct[gi], d.distinct[hi])
+			b.WriteString("P{")
+			b.WriteString(dec[gi])
+			b.WriteByte(',')
+			b.WriteString(dec[hi])
+			b.WriteByte('}')
+			d.labelAt = append(d.labelAt, b.Len())
 		}
 	}
+	d.labels = b.String()
+	d.order = d.labelOrder(dec)
 	return d
+}
+
+// labelOrder returns the type IDs in ascending label order without
+// comparing labels, given each distinct degree's decimal form. Those
+// hold no ',' or '}', so "P{a,b}" < "P{c,d}" exactly when a+"," <
+// c+"," or, for a = c, when b+"}" < d+"}": the order is the distinct
+// degrees sorted on the first key, each followed by its partners
+// sorted on the second.
+func (d *DegreeTypes) labelOrder(dec []string) []int {
+	byKey := func(term string) []int {
+		idx, keys := make([]int, len(dec)), make([]string, len(dec))
+		for i := range idx {
+			idx[i], keys[i] = i, dec[i]+term
+		}
+		slices.SortFunc(idx, func(x, y int) int { return strings.Compare(keys[x], keys[y]) })
+		return idx
+	}
+	partners := byKey("}")
+	order := make([]int, 0, d.numTypes)
+	for _, gi := range byKey(",") {
+		for _, hi := range partners {
+			if hi >= gi {
+				order = append(order, d.pairID(gi, hi))
+			}
+		}
+	}
+	return order
 }
 
 // pairID packs an ordered index pair gi <= hi over k distinct degrees
@@ -89,6 +128,24 @@ func NewDegreeTypes(degrees []int) *DegreeTypes {
 func (d *DegreeTypes) pairID(gi, hi int) int {
 	k := len(d.distinct)
 	return gi*k - gi*(gi-1)/2 + (hi - gi)
+}
+
+// countWithin adds to counts, indexed by type ID, the pairs of s within
+// L: a census per ordered degree-class pair, folded into the unordered
+// pairs the type IDs stand for.
+func (d *DegreeTypes) countWithin(s apsp.Store, counts []int) {
+	k := len(d.distinct)
+	cnt := make([]int64, k*k)
+	apsp.CountWithinByClass(s, d.class, k, cnt)
+	for gi := 0; gi < k; gi++ {
+		for hi := gi; hi < k; hi++ {
+			c := cnt[gi*k+hi]
+			if hi != gi {
+				c += cnt[hi*k+gi]
+			}
+			counts[d.pairID(gi, hi)] += int(c)
+		}
+	}
 }
 
 // TypeOf implements TypeAssigner using original degrees: two slice
@@ -108,7 +165,7 @@ func (d *DegreeTypes) NumTypes() int { return d.numTypes }
 func (d *DegreeTypes) Total(id int) int { return d.totals[id] }
 
 // Label implements TypeAssigner.
-func (d *DegreeTypes) Label(id int) string { return d.labels[id] }
+func (d *DegreeTypes) Label(id int) string { return d.labels[d.labelAt[id]:d.labelAt[id+1]] }
 
 // Degrees returns the frozen original degree vector.
 func (d *DegreeTypes) Degrees() []int {

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -308,6 +309,68 @@ func TestLineageQuarantine(t *testing.T) {
 		r2 := New(Config{Dir: dir})
 		if p := r2.Stats().Persist; p.Quarantined != 1 {
 			t.Fatalf("persist stats %+v, want truncated record quarantined", p)
+		}
+	})
+}
+
+// corruptLineages returns a valid lineage record (two adds, one
+// remove) and a table of corruptions of it.
+func corruptLineages() (valid []byte, cases map[string][]byte) {
+	valid = encodeLineageSnapshot(&Lineage{
+		Parent:  strings.Repeat("cd", 32),
+		Adds:    [][2]int{{0, 3}, {2, 7}},
+		Removes: [][2]int{{1, 2}},
+	})
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), valid...)
+		f(b)
+		return b
+	}
+	return valid, map[string][]byte{
+		"empty":             nil,
+		"truncated header":  valid[:lineageHeaderLen-1],
+		"truncated payload": valid[:len(valid)-5],
+		"trailing data":     append(append([]byte(nil), valid...), 0),
+		"bad magic":         mutate(func(b []byte) { b[0] = 'X' }),
+		"bad version":       mutate(func(b []byte) { b[4] = 9 }),
+		"parent not hex":    mutate(func(b []byte) { b[5] = 'z' }),
+		"add count too big": mutate(func(b []byte) { b[69] = 0xff }),
+		"huge remove count": mutate(func(b []byte) { b[84] = 0xff }),
+		"endpoint overflow": mutate(func(b []byte) { b[lineageHeaderLen+7] = 0x80 }),
+	}
+}
+
+// TestDecodeLineageRejectsCorruptInput: every corruption is an error,
+// never a panic, and the valid record round-trips.
+func TestDecodeLineageRejectsCorruptInput(t *testing.T) {
+	valid, cases := corruptLineages()
+	if _, err := decodeLineageSnapshot(valid); err != nil {
+		t.Fatalf("valid lineage rejected: %v", err)
+	}
+	for name, data := range cases {
+		if _, err := decodeLineageSnapshot(data); err == nil {
+			t.Errorf("%s: corrupt lineage accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeLineageSnapshot drives the LOPL decoder the registry runs
+// over lineage files at boot. It must never panic, and decoding is a
+// strict inverse, so every record it accepts re-encodes to the same
+// bytes.
+func FuzzDecodeLineageSnapshot(f *testing.F) {
+	valid, cases := corruptLineages()
+	f.Add(valid)
+	for _, data := range cases {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lin, err := decodeLineageSnapshot(data)
+		if err != nil {
+			return
+		}
+		if out := encodeLineageSnapshot(lin); !bytes.Equal(out, data) {
+			t.Fatalf("accepted lineage re-encodes differently: %+v", lin)
 		}
 	})
 }

@@ -60,22 +60,23 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 		}
 	}
 	run := func(ctx context.Context) (any, bool, error) {
-		var rep lopacity.OpacityReport
+		resp := api.OpacityResponse{L: req.L}
 		if ent != nil {
 			// Registry path: the store is built at most once per
 			// (graph, L) and shared read-only thereafter.
 			st, _ := ent.Store(req.L)
-			irep := opacity.NewReportFromStore(ent.Degrees(), st)
-			rep = lopacity.OpacityReport{L: req.L, MaxOpacity: irep.MaxLO}
-			for _, t := range irep.ByType {
-				rep.Types = append(rep.Types, lopacity.TypeOpacity{
-					Label: t.Label, Total: t.Total, Within: t.Within, Opacity: t.Opacity,
-				})
+			rep := opacity.NewReportFromStore(ent.Degrees(), st)
+			resp.MaxOpacity = rep.MaxLO
+			if len(rep.ByType) > 0 {
+				resp.Types = make([]api.OpacityType, len(rep.ByType))
 			}
-		} else {
-			rep = g.OpacityWith(req.L, nil, lopacity.ReportOptions{})
+			for i, t := range rep.ByType {
+				resp.Types[i] = api.OpacityType{Label: t.Label, Within: t.Within, Total: t.Total, Opacity: t.Opacity}
+			}
+			return resp, true, nil
 		}
-		resp := api.OpacityResponse{L: req.L, MaxOpacity: rep.MaxOpacity}
+		rep := g.OpacityWith(req.L, nil, lopacity.ReportOptions{})
+		resp.MaxOpacity = rep.MaxOpacity
 		for _, t := range rep.Types {
 			resp.Types = append(resp.Types, api.OpacityType{
 				Label: t.Label, Within: t.Within, Total: t.Total, Opacity: t.Opacity,

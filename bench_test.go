@@ -5,8 +5,9 @@ package lopacity
 // experiment benchmark executes the same runner as
 // `lopexperiments -run <id>` in the quick regime and logs the resulting
 // table once, so `go test -bench=. -benchmem` both times the harness
-// and regenerates every paper artifact. EXPERIMENTS.md records the
-// paper-versus-measured comparison.
+// and regenerates every paper artifact. docs/ARCHITECTURE.md#scale-substitution
+// says how the quick regime and the generated samples stand in for the
+// paper's inputs.
 
 import (
 	"sync"

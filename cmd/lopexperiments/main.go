@@ -1,7 +1,8 @@
 // Command lopexperiments regenerates the tables and figures of the
 // paper's evaluation (Section 6). Each experiment prints an aligned
-// text table whose rows match the paper's plotted series; EXPERIMENTS.md
-// records the paper-versus-measured comparison.
+// text table whose rows match the paper's plotted series; see
+// docs/ARCHITECTURE.md#scale-substitution for how the runs stand in for
+// the paper's inputs and sweeps.
 //
 // Usage:
 //

@@ -93,15 +93,15 @@ func TestCountWithinByClassBackings(t *testing.T) {
 	}
 }
 
-// TestOverlayPairInvertsIndex: pair maps every triangle offset back to
-// the pair index packs into it.
+// TestOverlayPairInvertsIndex: trianglePair maps every triangle offset
+// back to the pair the overlay's index packs into it.
 func TestOverlayPairInvertsIndex(t *testing.T) {
 	for _, n := range []int{2, 3, 64, 65, 101} {
 		o := NewOverlay(NewCompactMatrix(n, 2))
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if a, b := o.pair(o.index(i, j)); a != i || b != j {
-					t.Fatalf("n=%d: pair(index(%d, %d)) = (%d, %d)", n, i, j, a, b)
+				if a, b := trianglePair(n, o.index(i, j)); a != i || b != j {
+					t.Fatalf("n=%d: trianglePair(index(%d, %d)) = (%d, %d)", n, i, j, a, b)
 				}
 			}
 		}

@@ -30,10 +30,7 @@ func NewCompactMatrix(n, L int) *CompactMatrix {
 		panic(fmt.Sprintf("apsp: L=%d exceeds MaxCompactL=%d for the compact store (use KindPacked)", L, MaxCompactL))
 	}
 	m := &CompactMatrix{n: n, l: L, data: make([]uint8, n*(n-1)/2)}
-	far := uint8(L + 1)
-	for i := range m.data {
-		m.data[i] = far
-	}
+	fill(m.data, uint8(L+1))
 	return m
 }
 

@@ -155,6 +155,15 @@ func (m *MappedStore) EachPair(fn func(i, j, d int)) {
 	}
 }
 
+// copyTo fills dst, a heap store of the payload's kind, straight from
+// the mapping with Set's rules per cell (see putCells).
+func (m *MappedStore) copyTo(dst MutableStore) {
+	if m.data == nil {
+		panic("apsp: mapped store read after Close")
+	}
+	putCells(dst, 0, m.data)
+}
+
 // Clone decodes the snapshot into an independent, mutable heap store
 // of the payload's kind. This is the path an anonymization run takes
 // when seeded from a mapped store: the run mutates its private copy

@@ -61,11 +61,20 @@ func NewMatrix(n, L int) *Matrix {
 		panic(fmt.Sprintf("apsp: invalid matrix dimensions n=%d L=%d", n, L))
 	}
 	m := &Matrix{n: n, l: L, data: make([]int32, n*(n-1)/2)}
-	far := int32(L + 1)
-	for i := range m.data {
-		m.data[i] = far
-	}
+	fill(m.data, int32(L+1))
 	return m
+}
+
+// fill sets every cell to v with doubling copies, so an all-Far
+// triangle is written at memmove speed rather than one store per cell.
+func fill[T any](cells []T, v T) {
+	if len(cells) == 0 {
+		return
+	}
+	cells[0] = v
+	for k := 1; k < len(cells); k *= 2 {
+		copy(cells[k:], cells[:k])
+	}
 }
 
 // N returns the number of vertices.

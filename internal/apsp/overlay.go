@@ -99,21 +99,25 @@ func (o *Overlay) index(i, j int) int64 {
 	return int64(i)*(2*int64(o.n)-int64(i)-1)/2 + int64(j-i-1)
 }
 
-// pair inverts index: the pair i < j stored at triangle offset idx.
-// Row i starts at offset i*(2n-i-1)/2, so i is found by binary search.
-func (o *Overlay) pair(idx int64) (i, j int) {
-	n := int64(o.n)
-	start := func(r int64) int64 { return r * (2*n - r - 1) / 2 }
-	lo, hi := int64(0), n-1 // the row lies in [lo, hi)
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if start(mid) <= idx {
-			lo = mid
-		} else {
-			hi = mid
+// copyDirty writes every overridden cell into dst: straight into the
+// slice of a heap store, through Set into any other. The values were
+// checked by Set when they entered the dirty set.
+func (o *Overlay) copyDirty(dst MutableStore) {
+	switch d := dst.(type) {
+	case *CompactMatrix:
+		for idx, v := range o.dirty {
+			d.data[idx] = uint8(v)
+		}
+	case *Matrix:
+		for idx, v := range o.dirty {
+			d.data[idx] = v
+		}
+	default:
+		for idx, v := range o.dirty {
+			i, j := trianglePair(o.n, idx)
+			dst.Set(i, j, int(v))
 		}
 	}
-	return int(lo), int(idx - start(lo) + lo + 1)
 }
 
 // countWithinByClass is CountWithinByClass for an overlay: the base's
@@ -123,7 +127,7 @@ func (o *Overlay) countWithinByClass(class []int32, k int, cnt []int64) {
 	CountWithinByClass(o.base, class, k, cnt)
 	l := o.L()
 	for idx, v := range o.dirty {
-		i, j := o.pair(idx)
+		i, j := trianglePair(o.n, idx)
 		was, is := o.base.Get(i, j) <= l, int(v) <= l
 		if was == is {
 			continue
@@ -218,7 +222,9 @@ func (o *Overlay) Clone() Store {
 
 // Compact materializes the overlay into a heap store of the base's
 // kind — the escape hatch for callers that need a standalone artifact
-// (serialization, long-lived caching) rather than a view.
+// (serialization, long-lived caching) rather than a view. It costs one
+// triangle copy of the innermost base plus O(dirty) per layer, not a
+// walk over every pair (see Copy).
 func (o *Overlay) Compact() MutableStore {
 	m := NewStore(o.n, o.L(), KindOf(o.base))
 	Copy(m, o)

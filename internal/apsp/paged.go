@@ -364,15 +364,43 @@ func (s *PagedStore) EachPair(fn func(i, j, d int)) {
 	}
 }
 
+// copyTo fills dst, a heap store of the payload's kind, straight from
+// the file one page-sized ReadAt at a time, with Set's rules per cell
+// (see putCells). It bypasses the page cache: a full pass would
+// otherwise evict every other store's hot pages.
+func (s *PagedStore) copyTo(dst MutableStore) {
+	cell := int64(1)
+	if s.kind == KindPacked {
+		cell = 4
+	}
+	buf := make([]byte, min(pageSize, s.payload))
+	for off := int64(0); off < s.payload; off += pageSize {
+		b := buf[:min(pageSize, s.payload-off)]
+		if _, err := s.f.ReadAt(b, storeHeaderLen+off); err != nil {
+			panic(fmt.Sprintf("apsp: paged store read (offset %d): %v", off, err))
+		}
+		putCells(dst, int(off/cell), b)
+	}
+}
+
+// snapshot reads the whole file, header and payload, with one ReadAt.
+func (s *PagedStore) snapshot() ([]byte, error) {
+	raw := make([]byte, storeHeaderLen+s.payload)
+	if _, err := s.f.ReadAt(raw, 0); err != nil {
+		return nil, fmt.Errorf("apsp: reading paged store snapshot: %w", err)
+	}
+	return raw, nil
+}
+
 // Clone decodes the whole snapshot into an independent, mutable heap
 // store of the payload's kind, validating every cell on the way — the
 // same full-fidelity escape hatch MappedStore.Clone is. It necessarily
 // materializes the triangle; runs that only need mutability over a big
 // store should wrap the PagedStore in an Overlay instead.
 func (s *PagedStore) Clone() Store {
-	raw := make([]byte, storeHeaderLen+s.payload)
-	if _, err := s.f.ReadAt(raw, 0); err != nil {
-		panic(fmt.Sprintf("apsp: cloning paged store: %v", err))
+	raw, err := s.snapshot()
+	if err != nil {
+		panic(err.Error())
 	}
 	m, err := UnmarshalStore(raw)
 	if err != nil {

@@ -159,8 +159,9 @@ func (m *Matrix) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalStore encodes any Store in the versioned snapshot format.
-// Foreign Store implementations are copied into the equivalent built-in
-// backing first.
+// Heap stores encode directly, mapped and paged views hand back their
+// snapshot bytes, and every other store (an overlay, a foreign
+// implementation) is first copied into its heap twin by Copy.
 func MarshalStore(s Store) ([]byte, error) {
 	switch t := s.(type) {
 	case *CompactMatrix:
@@ -171,6 +172,10 @@ func MarshalStore(s Store) ([]byte, error) {
 		// The mapping already holds the snapshot bytes; copy them out so
 		// the result outlives a Close of the store.
 		return append([]byte(nil), t.raw...), nil
+	case *PagedStore:
+		// The file holds the snapshot bytes; read them out whole, as the
+		// mapped case copies its mapping.
+		return t.snapshot()
 	}
 	c := NewStore(s.N(), s.L(), KindOf(s))
 	Copy(c, s)

@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -210,24 +211,117 @@ func Within(s Store, i, j int) bool { return s.Get(i, j) <= s.L() }
 func Clone(s Store) Store { return s.Clone() }
 
 // Copy overwrites dst with the contents of src, which must have the
-// same dimensions; the backings may differ.
+// same dimensions; the backings may differ. Every cell lands under
+// Set's rules: values above Far() are clamped, values below 1 panic.
+//
+// The cost follows src's backing. A heap source of dst's kind is one
+// slice copy; a mapped or paged source whose payload is dst's kind is
+// one pass over the snapshot bytes; an overlay copies its base that way
+// and then writes its dirty cells, so flattening an overlay chain costs
+// one triangle copy plus O(dirty). Every other pairing walks EachPair.
 func Copy(dst MutableStore, src Store) {
 	if dst.N() != src.N() || dst.L() != src.L() {
 		panic("apsp: Copy dimension mismatch")
 	}
-	if d, ok := dst.(*Matrix); ok {
-		if s, ok := src.(*Matrix); ok {
+	k, heap := heapKind(dst)
+	switch s := src.(type) {
+	case *Overlay:
+		if dst == MutableStore(s) {
+			return // the base pass below would erase the dirty set it reads
+		}
+		Copy(dst, s.base)
+		s.copyDirty(dst)
+		return
+	case *CompactMatrix:
+		if d, ok := dst.(*CompactMatrix); ok {
 			d.CopyFrom(s)
 			return
 		}
-	}
-	if d, ok := dst.(*CompactMatrix); ok {
-		if s, ok := src.(*CompactMatrix); ok {
+	case *Matrix:
+		if d, ok := dst.(*Matrix); ok {
 			d.CopyFrom(s)
+			return
+		}
+	case *MappedStore:
+		if heap && s.kind == k {
+			s.copyTo(dst)
+			return
+		}
+	case *PagedStore:
+		if heap && s.kind == k {
+			s.copyTo(dst)
 			return
 		}
 	}
 	src.EachPair(func(i, j, d int) { dst.Set(i, j, d) })
+}
+
+// heapKind reports the backing of a heap store; ok is false for every
+// other store.
+func heapKind(s Store) (k Kind, ok bool) {
+	switch s.(type) {
+	case *CompactMatrix:
+		return KindCompact, true
+	case *Matrix:
+		return KindPacked, true
+	}
+	return 0, false
+}
+
+// putCells writes snapshot payload bytes of dst's own kind into dst, a
+// heap store, starting at triangle index at. Each cell keeps Set's
+// rules: a value above Far() is clamped and one below 1 panics, so no
+// unchecked file byte reaches the heap.
+func putCells(dst MutableStore, at int, raw []byte) {
+	switch d := dst.(type) {
+	case *CompactMatrix:
+		far := uint8(d.l + 1)
+		cells := d.data[at : at+len(raw)]
+		for x, c := range raw {
+			if c > far {
+				c = far
+			} else if c < 1 {
+				badCell(d.n, at+x, int(c))
+			}
+			cells[x] = c
+		}
+	case *Matrix:
+		far := int32(d.l + 1)
+		cells := d.data[at : at+len(raw)/4]
+		for x := range cells {
+			c := int32(binary.LittleEndian.Uint32(raw[4*x:]))
+			if c > far {
+				c = far
+			} else if c < 1 {
+				badCell(d.n, at+x, int(c))
+			}
+			cells[x] = c
+		}
+	}
+}
+
+// badCell panics as Set does for the cell at triangle index idx.
+func badCell(n, idx, d int) {
+	i, j := trianglePair(n, int64(idx))
+	panic(fmt.Sprintf("apsp: distance %d < 1 for distinct pair (%d, %d)", d, i, j))
+}
+
+// trianglePair inverts the row-major triangle index of an n-vertex
+// store: the pair i < j stored at offset idx. Row i starts at offset
+// i*(2n-i-1)/2, so i is found by binary search.
+func trianglePair(n int, idx int64) (i, j int) {
+	nn := int64(n)
+	start := func(r int64) int64 { return r * (2*nn - r - 1) / 2 }
+	lo, hi := int64(0), nn-1 // the row lies in [lo, hi)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if start(mid) <= idx {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return int(lo), int(idx - start(lo) + lo + 1)
 }
 
 // Equal reports whether two stores describe identical capped-distance

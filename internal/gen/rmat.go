@@ -13,8 +13,8 @@ import (
 // a=0.57, b=0.19, c=0.19, d=0.05, which produces the heavy-tailed
 // degree distributions of crawl data — the regime where the paper's
 // Google and Berkeley-Stanford samples live, and where the simpler
-// community generators under-disperse degree (see EXPERIMENTS.md's
-// table3 note).
+// community generators under-disperse degree (see
+// docs/ARCHITECTURE.md#scale-substitution).
 type RMATParams struct {
 	A, B, C, D float64
 }

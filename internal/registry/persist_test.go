@@ -1,12 +1,15 @@
 package registry
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/apsp"
+	"repro/internal/dataset"
 )
 
 // persistGraph is a small fixed test graph (a 6-cycle plus a chord).
@@ -400,5 +403,88 @@ func TestLegacyStoreFilesMigrate(t *testing.T) {
 	}
 	if _, _, _, _, err := New(Config{}).InstallSnapshot(id, legacySnapshot(t, g), 0); err == nil {
 		t.Fatal("a version-1 snapshot envelope installed without error")
+	}
+}
+
+// TestPersistRepairChainWriteThrough follows the write path of a
+// churning graph: ten 2-remove/2-add Mutate steps on an acm200 graph
+// at L=2, each child's store repaired from its parent's and written
+// through. The chain outgrows RepairOptions.CompactDepth twice, so
+// both the overlay and the compacted encodings are written.
+// Every store file must be byte-identical to the snapshot of a fresh
+// build of its child, and a restarted registry must serve every child
+// from its file with zero builds.
+func TestPersistRepairChainWriteThrough(t *testing.T) {
+	const L = 2
+	dir := t.TempDir()
+	base := dataset.Generate(dataset.ACM(200), 1)
+	var edges [][2]int
+	for _, e := range base.Edges() {
+		edges = append(edges, [2]int{e.U, e.V})
+	}
+	r := New(Config{Dir: dir})
+	g, _, err := r.Put(base.N(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Store(L)
+
+	rng := rand.New(rand.NewSource(1))
+	var children []string
+	compactions := 0
+	for step := 0; step < 10; step++ {
+		present := g.Edges()
+		var adds, removes [][2]int
+		for _, k := range rng.Perm(len(present))[:2] {
+			removes = append(removes, present[k])
+		}
+		for len(adds) < 2 {
+			u, v := rng.Intn(g.N()), rng.Intn(g.N())
+			if u != v && !g.raw.HasEdge(u, v) && (len(adds) == 0 || adds[0] != [2]int{min(u, v), max(u, v)}) {
+				adds = append(adds, [2]int{min(u, v), max(u, v)})
+			}
+		}
+		if g, _, err = r.Mutate(g, adds, removes); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		st, reused := g.Store(L)
+		if reused {
+			t.Fatalf("step %d: a fresh child's store was already cached", step)
+		}
+		if _, ok := st.(*apsp.Overlay); !ok {
+			compactions++
+		}
+		got, err := os.ReadFile(filepath.Join(dir, storeFile(g.ID(), L)))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, err := apsp.MarshalStore(apsp.Build(g.raw, L, apsp.BuildOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("step %d: persisted store differs from the snapshot of a fresh build", step)
+		}
+		children = append(children, g.ID())
+	}
+	if compactions != 2 {
+		t.Fatalf("10 repair steps compacted the chain %d times, want 2", compactions)
+	}
+	if s := r.Stats(); s.Builds != 1 || s.Repairs != int64(len(children)) || s.RepairFallbacks != 0 {
+		t.Fatalf("builds=%d repairs=%d fallbacks=%d, want 1/%d/0", s.Builds, s.Repairs, s.RepairFallbacks, len(children))
+	}
+
+	warm := New(Config{Dir: dir})
+	for _, id := range children {
+		c, ok := warm.Get(id)
+		if !ok {
+			t.Fatalf("restarted registry lost child %s", id)
+		}
+		if _, reused := c.Store(L); !reused {
+			t.Fatalf("restarted registry rebuilt the store of child %s", id)
+		}
+	}
+	if s := warm.Stats(); s.Builds != 0 || s.StoreMisses != 0 || s.StoreHits != int64(len(children)) {
+		t.Fatalf("restart: builds=%d misses=%d hits=%d, want 0/0/%d", s.Builds, s.StoreMisses, s.StoreHits, len(children))
 	}
 }

@@ -227,6 +227,11 @@ func TestCopyFileBackedCellRules(t *testing.T) {
 					"Copy":    func() { Copy(NewStore(n, L, kind), s) },
 					"Compact": func() { NewOverlay(s).Compact() },
 					"Marshal": func() { MarshalStore(NewOverlay(s)) },
+					"Compact with another cell dirty": func() {
+						o := NewOverlay(s)
+						o.Set(i, j+1, 1)
+						o.Compact()
+					},
 				} {
 					func() {
 						defer func() {
@@ -240,6 +245,74 @@ func TestCopyFileBackedCellRules(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCopyFileBackedMaskedCell: a corrupt file cell that an overlay
+// layer overrides is masked, as Overlay.EachPair masks it — Compact,
+// MarshalStore and Copy take the override and do not panic — while a
+// corrupt cell the chain leaves in place still panics.
+func TestCopyFileBackedMaskedCell(t *testing.T) {
+	const n = 30
+	g := randomGraph(n, 0.1, 5)
+	i, j := 7, 19
+	for _, L := range []int{2, MaxCompactL + 1} {
+		kind := KindFor(L)
+		data, err := MarshalStore(build(g, L))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := bytes.Clone(data)
+		for _, p := range [][2]int{{i, j}, {i, j + 1}} {
+			idx := p[0]*(2*n-p[0]-1)/2 + (p[1] - p[0] - 1)
+			if kind == KindCompact {
+				raw[storeHeaderLen+idx] = 0
+			} else {
+				binary.LittleEndian.PutUint32(raw[storeHeaderLen+4*idx:], uint32(0xfffffffd))
+			}
+		}
+		path := filepath.Join(t.TempDir(), "s.store")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenMappedStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := OpenPagedStore(path, NewPageCache(pageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]Store{"mapped": m, "paged": p} {
+			lower := NewOverlay(s)
+			lower.Set(i, j, 1)
+			upper := NewOverlay(lower)
+			upper.Set(i, j+1, L+1)
+			where := fmt.Sprintf("L=%d %s", L, name)
+			if got := upper.Compact(); got.Get(i, j) != 1 || got.Get(i, j+1) != L+1 {
+				t.Errorf("%s: Compact gave (%d, %d), want the overrides (1, %d)", where, got.Get(i, j), got.Get(i, j+1), L+1)
+			}
+			got, err := MarshalStore(upper)
+			if err != nil || !bytes.Equal(got, eachPairSnapshot(upper)) {
+				t.Errorf("%s: MarshalStore differs from the EachPair encoding (err %v)", where, err)
+			}
+			dst := NewStore(n, L, kind)
+			Copy(dst, upper)
+			if !Equal(dst, upper) {
+				t.Errorf("%s: Copy differs from the masked chain", where)
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("(%d, %d)", i, j+1); !strings.Contains(msg, want) {
+						t.Errorf("%s: unmasked corrupt cell: panic %q, want one naming %s", where, msg, want)
+					}
+				}()
+				lower.Compact()
+			}()
+		}
+		m.Close()
+		p.Close()
 	}
 }
 

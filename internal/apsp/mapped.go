@@ -156,12 +156,12 @@ func (m *MappedStore) EachPair(fn func(i, j, d int)) {
 }
 
 // copyTo fills dst, a heap store of the payload's kind, straight from
-// the mapping with Set's rules per cell (see putCells).
-func (m *MappedStore) copyTo(dst MutableStore) {
+// the mapping (see putCells) and returns the indices of cells below 1.
+func (m *MappedStore) copyTo(dst MutableStore) []int64 {
 	if m.data == nil {
 		panic("apsp: mapped store read after Close")
 	}
-	putCells(dst, 0, m.data)
+	return putCells(dst, 0, m.data, nil)
 }
 
 // Clone decodes the snapshot into an independent, mutable heap store

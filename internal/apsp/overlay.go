@@ -99,27 +99,6 @@ func (o *Overlay) index(i, j int) int64 {
 	return int64(i)*(2*int64(o.n)-int64(i)-1)/2 + int64(j-i-1)
 }
 
-// copyDirty writes every overridden cell into dst: straight into the
-// slice of a heap store, through Set into any other. The values were
-// checked by Set when they entered the dirty set.
-func (o *Overlay) copyDirty(dst MutableStore) {
-	switch d := dst.(type) {
-	case *CompactMatrix:
-		for idx, v := range o.dirty {
-			d.data[idx] = uint8(v)
-		}
-	case *Matrix:
-		for idx, v := range o.dirty {
-			d.data[idx] = v
-		}
-	default:
-		for idx, v := range o.dirty {
-			i, j := trianglePair(o.n, idx)
-			dst.Set(i, j, int(v))
-		}
-	}
-}
-
 // countWithinByClass is CountWithinByClass for an overlay: the base's
 // count, then one correction per dirty cell whose override moves the
 // pair across L. A stacked overlay's base counts itself the same way.

@@ -365,10 +365,10 @@ func (s *PagedStore) EachPair(fn func(i, j, d int)) {
 }
 
 // copyTo fills dst, a heap store of the payload's kind, straight from
-// the file one page-sized ReadAt at a time, with Set's rules per cell
-// (see putCells). It bypasses the page cache: a full pass would
-// otherwise evict every other store's hot pages.
-func (s *PagedStore) copyTo(dst MutableStore) {
+// the file one page-sized ReadAt at a time (see putCells) and returns
+// the indices of cells below 1. It bypasses the page cache: a full
+// pass would otherwise evict every other store's hot pages.
+func (s *PagedStore) copyTo(dst MutableStore) (bad []int64) {
 	cell := int64(1)
 	if s.kind == KindPacked {
 		cell = 4
@@ -379,8 +379,9 @@ func (s *PagedStore) copyTo(dst MutableStore) {
 		if _, err := s.f.ReadAt(b, storeHeaderLen+off); err != nil {
 			panic(fmt.Sprintf("apsp: paged store read (offset %d): %v", off, err))
 		}
-		putCells(dst, int(off/cell), b)
+		bad = putCells(dst, int(off/cell), b, bad)
 	}
+	return bad
 }
 
 // snapshot reads the whole file, header and payload, with one ReadAt.

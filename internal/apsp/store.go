@@ -216,94 +216,105 @@ func Clone(s Store) Store { return s.Clone() }
 //
 // The cost follows src's backing. A heap source of dst's kind is one
 // slice copy; a mapped or paged source whose payload is dst's kind is
-// one pass over the snapshot bytes; an overlay copies its base that way
-// and then writes its dirty cells, so flattening an overlay chain costs
-// one triangle copy plus O(dirty). Every other pairing walks EachPair.
+// one pass over the snapshot bytes; an overlay copied into a heap store
+// copies its base that way and then writes its dirty cells, so
+// flattening an overlay chain costs one triangle copy plus O(dirty).
+// Every other pairing walks EachPair.
 func Copy(dst MutableStore, src Store) {
 	if dst.N() != src.N() || dst.L() != src.L() {
 		panic("apsp: Copy dimension mismatch")
 	}
-	k, heap := heapKind(dst)
+	// A file cell below 1 panics only if no overlay layer masks it, as
+	// under the EachPair walk: check the ones still in place.
+	for _, idx := range copyCells(dst, src) {
+		i, j := trianglePair(dst.N(), idx)
+		if d := dst.Get(i, j); d < 1 {
+			panic(fmt.Sprintf("apsp: distance %d < 1 for distinct pair (%d, %d)", d, i, j))
+		}
+	}
+}
+
+// copyCells does Copy's work. A flat copy out of a snapshot file writes
+// cells below 1 as read and returns their triangle indices, ascending,
+// for Copy to check once the dirty cells of any overlay are in.
+func copyCells(dst MutableStore, src Store) (bad []int64) {
+	heap := false
+	switch dst.(type) {
+	case *CompactMatrix, *Matrix:
+		heap = true
+	}
 	switch s := src.(type) {
 	case *Overlay:
-		if dst == MutableStore(s) {
-			return // the base pass below would erase the dirty set it reads
+		if heap {
+			bad = copyCells(dst, s.base)
+			for idx, v := range s.dirty {
+				i, j := trianglePair(s.n, idx)
+				dst.Set(i, j, int(v))
+			}
+			return bad
 		}
-		Copy(dst, s.base)
-		s.copyDirty(dst)
-		return
 	case *CompactMatrix:
 		if d, ok := dst.(*CompactMatrix); ok {
 			d.CopyFrom(s)
-			return
+			return nil
 		}
 	case *Matrix:
 		if d, ok := dst.(*Matrix); ok {
 			d.CopyFrom(s)
-			return
+			return nil
 		}
 	case *MappedStore:
-		if heap && s.kind == k {
-			s.copyTo(dst)
-			return
+		if heap && s.kind == KindOf(dst) {
+			return s.copyTo(dst)
 		}
 	case *PagedStore:
-		if heap && s.kind == k {
-			s.copyTo(dst)
-			return
+		if heap && s.kind == KindOf(dst) {
+			return s.copyTo(dst)
 		}
 	}
 	src.EachPair(func(i, j, d int) { dst.Set(i, j, d) })
-}
-
-// heapKind reports the backing of a heap store; ok is false for every
-// other store.
-func heapKind(s Store) (k Kind, ok bool) {
-	switch s.(type) {
-	case *CompactMatrix:
-		return KindCompact, true
-	case *Matrix:
-		return KindPacked, true
-	}
-	return 0, false
+	return nil
 }
 
 // putCells writes snapshot payload bytes of dst's own kind into dst, a
-// heap store, starting at triangle index at. Each cell keeps Set's
-// rules: a value above Far() is clamped and one below 1 panics, so no
-// unchecked file byte reaches the heap.
-func putCells(dst MutableStore, at int, raw []byte) {
+// heap store, starting at triangle index at. A cell above Far() is
+// clamped as Set clamps it; a cell below 1 is written as read and its
+// index appended to bad, so no file byte reaches the heap unchecked.
+// The indices are gathered by a second scan only when the branch-free
+// first one sees such a cell.
+func putCells(dst MutableStore, at int, raw []byte, bad []int64) []int64 {
 	switch d := dst.(type) {
 	case *CompactMatrix:
-		far := uint8(d.l + 1)
+		far, low := uint8(d.l+1), uint8(1)
 		cells := d.data[at : at+len(raw)]
 		for x, c := range raw {
-			if c > far {
-				c = far
-			} else if c < 1 {
-				badCell(d.n, at+x, int(c))
+			cells[x] = min(c, far)
+			low = min(low, c)
+		}
+		if low < 1 {
+			for x, c := range raw {
+				if c < 1 {
+					bad = append(bad, int64(at+x))
+				}
 			}
-			cells[x] = c
 		}
 	case *Matrix:
-		far := int32(d.l + 1)
+		far, low := int32(d.l+1), int32(1)
 		cells := d.data[at : at+len(raw)/4]
 		for x := range cells {
 			c := int32(binary.LittleEndian.Uint32(raw[4*x:]))
-			if c > far {
-				c = far
-			} else if c < 1 {
-				badCell(d.n, at+x, int(c))
+			cells[x] = min(c, far)
+			low = min(low, c)
+		}
+		if low < 1 {
+			for x, c := range cells {
+				if c < 1 {
+					bad = append(bad, int64(at+x))
+				}
 			}
-			cells[x] = c
 		}
 	}
-}
-
-// badCell panics as Set does for the cell at triangle index idx.
-func badCell(n, idx, d int) {
-	i, j := trianglePair(n, int64(idx))
-	panic(fmt.Sprintf("apsp: distance %d < 1 for distinct pair (%d, %d)", d, i, j))
+	return bad
 }
 
 // trianglePair inverts the row-major triangle index of an n-vertex

@@ -59,11 +59,10 @@ type RegistryStats struct {
 	HydratedStores int64 `json:"hydrated_stores"`
 	// StoreBytes and StoreFileBytes report where the cached distance
 	// triangles live, keyed by backing name ("compact", "packed",
-	// "mapped", "paged", "overlay"): heap-resident bytes and
-	// file-backed bytes respectively. A heap deployment shows bytes
-	// only under store_bytes, a mapped one only under store_file_bytes,
-	// and a paged one shows per-store file bytes plus a heap residency
-	// bounded by -store-budget-bytes.
+	// "paged", "overlay"): heap-resident bytes and file-backed bytes
+	// respectively. A heap deployment shows bytes only under
+	// store_bytes, and a paged one shows per-store file bytes plus a
+	// heap residency bounded by -store-budget-bytes.
 	StoreBytes     map[string]int64 `json:"store_bytes,omitempty"`
 	StoreFileBytes map[string]int64 `json:"store_file_bytes,omitempty"`
 	// PageCache reports the shared paged-store page cache

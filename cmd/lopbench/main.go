@@ -23,7 +23,9 @@
 //	greedy_step         one committed step of a full store-seeded Rem run
 //	                    at θ=0, averaged over its steps (epinions100, L=2;
 //	                    ci scale only)
-//	warm_restart_mapped registry reboot with -mmap-stores hydration
+//	warm_restart_mapped registry reboot with -paged-stores hydration (the
+//	                    name predates the paged store; kept so the row
+//	                    stays comparable with earlier baselines)
 //	stream_build_file   streaming APSP build straight into a snapshot file
 //	mutate_clone        seed-store mutation via full deep clone (the old path)
 //	mutate_overlay      the same mutations via copy-on-write overlay
@@ -34,7 +36,7 @@
 //	                    page budget far smaller than the triangle
 //
 // The tool exits non-zero when an invariant breaks (bfs_inner
-// allocating, warm restart missing the mapped store, an overlay
+// allocating, warm restart missing the persisted store, an overlay
 // diverging from the clone it replaces, a paged sweep exceeding its
 // budget) or when a baseline comparison exceeds -max-ratio.
 package main
@@ -338,8 +340,8 @@ func benchBFSInner(g *graph.Graph) (testing.BenchmarkResult, error) {
 	return res, nil
 }
 
-// benchWarmRestart measures a full registry reboot with mapped-store
-// hydration: build + persist once, then time New(MappedStores) plus
+// benchWarmRestart measures a full registry reboot with paged-store
+// hydration: build + persist once, then time New(PagedStores) plus
 // the first Distances call, asserting it never rebuilds.
 func benchWarmRestart(g *graph.Graph) (testing.BenchmarkResult, error) {
 	dir, err := os.MkdirTemp("", "lopbench-*")
@@ -364,7 +366,7 @@ func benchWarmRestart(g *graph.Graph) (testing.BenchmarkResult, error) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r := registry.New(registry.Config{Dir: dir, MappedStores: true})
+			r := registry.New(registry.Config{Dir: dir, PagedStores: true})
 			wg, ok := r.Get(id)
 			if !ok {
 				panic("warm registry lost the graph")

@@ -26,14 +26,12 @@
 // stores are snapshotted write-through into the directory and
 // recovered at startup, so a restarted server answers its first
 // graph_ref queries with zero APSP builds (see the "persistence"
-// section of GET /v1/stats). Adding -mmap-stores makes that recovery
-// zero-copy: store snapshots are memory-mapped read-only instead of
-// decoded into the heap, so warm-restart time is independent of how
-// many gigabytes of distance triangles are on disk.
+// section of GET /v1/stats).
 //
-// Adding -paged-stores instead (mutually exclusive with -mmap-stores)
-// serves every distance store as a paged view over its snapshot file,
-// windowed through one process-wide LRU page cache capped by
+// Adding -paged-stores serves every distance store as a paged view
+// over its snapshot file, so warm-restart time is one header read per
+// store however many gigabytes of distance triangles are on disk. The
+// views are windowed through one process-wide LRU page cache capped by
 // -store-budget-bytes: total resident triangle bytes stay under the
 // budget no matter how many graphs are registered, and fresh builds
 // stream straight into their snapshot file without ever materializing
@@ -164,8 +162,7 @@ func main() {
 		storesPer    = flag.Int("stores-per-graph", 0, "cached distance stores per registered graph (0 selects 4)")
 		maxBatch     = flag.Int("max-batch", 0, "operations accepted per POST /v1/batch request (0 selects 64)")
 		dataDir      = flag.String("data-dir", "", "snapshot directory for registry persistence (empty disables)")
-		mmapStores   = flag.Bool("mmap-stores", false, "hydrate persisted distance stores at boot as read-only memory-mapped views (requires -data-dir)")
-		pagedStores  = flag.Bool("paged-stores", false, "serve distance stores as paged views over their snapshot files, capped by -store-budget-bytes (requires -data-dir; excludes -mmap-stores)")
+		pagedStores  = flag.Bool("paged-stores", false, "serve distance stores as paged views over their snapshot files, capped by -store-budget-bytes (requires -data-dir)")
 		storeBudget  = flag.Int64("store-budget-bytes", 0, "resident byte ceiling for the paged-store page cache (0 selects 256 MiB; used with -paged-stores)")
 		noRepair     = flag.Bool("disable-store-repair", false, "hydrate PATCH-derived graphs' distance stores by full rebuild instead of incremental repair (debugging escape hatch)")
 		rateLimit    = flag.Float64("rate-limit", 0, "per-client request rate in req/s; 0 disables rate limiting")
@@ -202,7 +199,6 @@ func main() {
 		StoresPerGraph:     *storesPer,
 		MaxBatchItems:      *maxBatch,
 		DataDir:            *dataDir,
-		MappedStores:       *mmapStores,
 		PagedStores:        *pagedStores,
 		StoreBudgetBytes:   *storeBudget,
 		DisableStoreRepair: *noRepair,

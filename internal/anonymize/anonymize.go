@@ -99,8 +99,8 @@ type Options struct {
 	// sparse copy-on-write overlay (apsp.Overlay) instead of rebuilding
 	// APSP from scratch — the serving layer's registry hands one cached
 	// store to every request — and never mutates the original, so the
-	// same store may seed concurrent runs, including read-only mapped
-	// and paged views of triangles larger than RAM. No full-triangle
+	// same store may seed concurrent runs, including read-only paged
+	// views of triangles larger than RAM. No full-triangle
 	// copy is ever taken: a run that commits no moves allocates O(1) for
 	// the seed, and one that does pays O(mutated cells). Every prebuilt
 	// store holds the identical capped distances a fresh build would, so

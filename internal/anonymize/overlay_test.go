@@ -19,7 +19,7 @@ func buildSeedStore(g *graph.Graph, L int) apsp.Store {
 // TestSeededRunMatchesFreshBuild: seeding through Options.Distances
 // (now an overlay over the caller's store) commits exactly the same
 // edges as building from scratch — for every read-only backing the
-// serving layer might hand over: heap, mapped, and paged.
+// serving layer might hand over: heap and paged.
 func TestSeededRunMatchesFreshBuild(t *testing.T) {
 	g := storeTestGraph()
 	opts := Options{
@@ -36,11 +36,6 @@ func TestSeededRunMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mapped, err := apsp.OpenMappedStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
 	paged, err := apsp.OpenPagedStore(path, apsp.NewPageCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +44,6 @@ func TestSeededRunMatchesFreshBuild(t *testing.T) {
 
 	seeds := map[string]apsp.Store{
 		"heap":    heap,
-		"mapped":  mapped,
 		"paged":   paged,
 		"overlay": apsp.NewOverlay(heap),
 	}

@@ -16,8 +16,8 @@ func eachPairStream(s Store) []int {
 }
 
 // TestRMATBackingsEquivalenceMatrix extends the engines × kinds matrix
-// to the out-of-core views: on RMAT graphs, the mapped and paged views
-// of a streamed snapshot, an overlay over each of them, and an overlay
+// to the out-of-core view: on RMAT graphs, the paged view of a streamed
+// snapshot of each kind, an overlay over each of them, and an overlay
 // over each heap kind all produce an EachPair stream identical to the
 // compact oracle's.
 func TestRMATBackingsEquivalenceMatrix(t *testing.T) {
@@ -49,13 +49,6 @@ func TestRMATBackingsEquivalenceMatrix(t *testing.T) {
 		for _, kind := range []Kind{KindCompact, KindPacked} {
 			path := filepath.Join(dir, kind.String()+".store")
 			snapshotFile(t, path, g, L, kind)
-			mapped, err := OpenMappedStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("mapped/"+kind.String(), mapped)
-			check("overlay/mapped/"+kind.String(), NewOverlay(mapped))
-
 			// A deliberately tiny budget: the whole matrix must still be
 			// byte-identical when every page is faulted in and evicted on
 			// the way through.
@@ -66,15 +59,13 @@ func TestRMATBackingsEquivalenceMatrix(t *testing.T) {
 			check("paged/"+kind.String(), paged)
 			check("overlay/paged/"+kind.String(), NewOverlay(paged))
 
-			mapped.Close()
 			paged.Close()
 		}
 	}
 }
 
-// TestKindPagedPlumbing: parse/NewStore behave like the mapped alias —
-// "paged" parses and cannot be built from scratch; a built store's
-// backing comes from KindFor(L) alone.
+// TestKindPagedPlumbing: "paged" parses and cannot be built from
+// scratch; a built store's backing comes from KindFor(L) alone.
 func TestKindPagedPlumbing(t *testing.T) {
 	k, err := ParseKind("paged")
 	if err != nil || k != KindPaged {
@@ -95,4 +86,16 @@ func TestKindPagedPlumbing(t *testing.T) {
 		}
 	}()
 	NewStore(4, 2, KindPaged)
+}
+
+// TestParseKindMapped: the names of the retired memory-mapped view
+// still parse, as the paged residency, so older request hints and
+// legacy snapshot file names keep resolving.
+func TestParseKindMapped(t *testing.T) {
+	for _, spelling := range []string{"mapped", "mmap"} {
+		k, err := ParseKind(spelling)
+		if err != nil || k != KindPaged {
+			t.Fatalf("ParseKind(%q) = %v, %v, want paged", spelling, k, err)
+		}
+	}
 }

@@ -24,12 +24,12 @@ func classCensusOracle(s Store, class []int32, k int) []int64 {
 	return cnt
 }
 
-// TestCountWithinByClassBackings: every backing — the row kernels of
-// the compact heap and mapped stores, the overlay correction at depth
-// one and two, and the EachPair fallback of packed (heap and mapped),
-// paged and foreign stores — yields the oracle's per-class-pair census, at sizes around
-// the 64-vertex batch boundary and with k = 1, a few classes, and one
-// class per vertex.
+// TestCountWithinByClassBackings: every backing — the row kernel of
+// the compact heap store, the overlay correction at depth one and two,
+// and the EachPair fallback of packed, paged (both payload kinds) and
+// foreign stores — yields the oracle's per-class-pair census, at sizes
+// around the 64-vertex batch boundary and with k = 1, a few classes,
+// and one class per vertex.
 func TestCountWithinByClassBackings(t *testing.T) {
 	dir := t.TempDir()
 	for _, L := range []int{1, 2, 3} {
@@ -38,17 +38,13 @@ func TestCountWithinByClassBackings(t *testing.T) {
 			base := build(g, L)
 			path := filepath.Join(dir, "s.store")
 			snapshotFile(t, path, g, L, KindCompact)
-			mapped, err := OpenMappedStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			paged, err := OpenPagedStore(path, NewPageCache(pageSize))
 			if err != nil {
 				t.Fatal(err)
 			}
 			packedPath := filepath.Join(dir, "p.store")
 			snapshotFile(t, packedPath, g, L, KindPacked)
-			mappedPacked, err := OpenMappedStore(packedPath)
+			pagedPacked, err := OpenPagedStore(packedPath, NewPageCache(pageSize))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,14 +53,13 @@ func TestCountWithinByClassBackings(t *testing.T) {
 			deep := NewOverlay(ov)
 			mutateRandom(deep, 4*n, int64(L+1))
 			stores := map[string]Store{
-				"compact":       base,
-				"packed":        asKind(base, KindPacked),
-				"mapped":        mapped,
-				"mapped/packed": mappedPacked,
-				"paged":         paged,
-				"foreign":       foreignStore{base},
-				"overlay":       ov,
-				"overlay2":      deep,
+				"compact":      base,
+				"packed":       asKind(base, KindPacked),
+				"paged":        paged,
+				"paged/packed": pagedPacked,
+				"foreign":      foreignStore{base},
+				"overlay":      ov,
+				"overlay2":     deep,
 				"overlay/paged": func() Store {
 					o := NewOverlay(paged)
 					mutateRandom(o, 2*n, 9)
@@ -86,8 +81,7 @@ func TestCountWithinByClassBackings(t *testing.T) {
 					}
 				}
 			}
-			mapped.Close()
-			mappedPacked.Close()
+			pagedPacked.Close()
 			paged.Close()
 		}
 	}

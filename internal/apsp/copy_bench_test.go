@@ -10,8 +10,8 @@ import (
 )
 
 // overlayBases are the backings a registry serves a parent store from:
-// the heap build, or a mapped or paged view of its snapshot file.
-var overlayBases = []string{"heap", "mapped", "paged"}
+// the heap build, or a paged view of its snapshot file.
+var overlayBases = []string{"heap", "paged"}
 
 // repairedOverlay builds the L=2 store of an acm1000 graph, serves it
 // from the named backing, and repairs depth 2-remove/2-add diffs onto
@@ -24,14 +24,6 @@ func repairedOverlay(b *testing.B, backing string, depth int) *Overlay {
 	switch path := filepath.Join(b.TempDir(), "base.store"); backing {
 	case "heap":
 		s = Build(g, 2, BuildOptions{})
-	case "mapped":
-		snapshotFile(b, path, g, 2, KindCompact)
-		m, err := OpenMappedStore(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { m.Close() })
-		s = m
 	case "paged":
 		snapshotFile(b, path, g, 2, KindCompact)
 		p, err := OpenPagedStore(path, NewPageCache(64*pageSize))

@@ -68,7 +68,7 @@ func scribble(o *Overlay, innermost Store, rng *rand.Rand) {
 }
 
 // TestCopyMatchesEachPair: for every base backing (compact and packed
-// heap, mapped and paged snapshots of the built kind, a foreign
+// heap, a paged snapshot of the built kind, a foreign
 // wrapper) under overlay chains of depth 0 to 5, MarshalStore is
 // byte-identical to the EachPair encoding, Compact is Equal to the
 // chain, and Copy into every kind of destination reproduces it.
@@ -81,17 +81,12 @@ func TestCopyMatchesEachPair(t *testing.T) {
 			built := build(g, L)
 			path := filepath.Join(dir, fmt.Sprintf("n%d_l%d.store", n, L))
 			snapshotFile(t, path, g, L, kind)
-			mapped, err := OpenMappedStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			paged, err := OpenPagedStore(path, NewPageCache(pageSize))
 			if err != nil {
 				t.Fatal(err)
 			}
 			bases := map[string]Store{
 				kind.String(): built,
-				"mapped":      mapped,
 				"paged":       paged,
 				"foreign":     foreignStore{built},
 			}
@@ -135,7 +130,6 @@ func TestCopyMatchesEachPair(t *testing.T) {
 					}
 				}
 			}
-			mapped.Close()
 			paged.Close()
 		}
 	}
@@ -165,8 +159,8 @@ func TestCopyOverlayAliasing(t *testing.T) {
 	}
 }
 
-// TestCopyFileBackedCellRules: the flat copy out of a mapped or paged
-// snapshot applies Set's rules to every cell — a cell above Far() is
+// TestCopyFileBackedCellRules: the flat copy out of a paged snapshot
+// applies Set's rules to every cell — a cell above Far() is
 // clamped, a cell below 1 panics naming its pair — directly and under
 // an overlay, for both payload kinds.
 func TestCopyFileBackedCellRules(t *testing.T) {
@@ -194,16 +188,12 @@ func TestCopyFileBackedCellRules(t *testing.T) {
 			return path
 		}
 		open := func(path string) map[string]Store {
-			m, err := OpenMappedStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			p, err := OpenPagedStore(path, NewPageCache(pageSize))
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { m.Close(); p.Close() })
-			return map[string]Store{"mapped": m, "paged": p}
+			t.Cleanup(func() { p.Close() })
+			return map[string]Store{"paged": p}
 		}
 
 		for name, s := range open(poke(int32(L + 9))) {
@@ -275,15 +265,11 @@ func TestCopyFileBackedMaskedCell(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := OpenMappedStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		p, err := OpenPagedStore(path, NewPageCache(pageSize))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, s := range map[string]Store{"mapped": m, "paged": p} {
+		for name, s := range map[string]Store{"paged": p} {
 			lower := NewOverlay(s)
 			lower.Set(i, j, 1)
 			upper := NewOverlay(lower)
@@ -311,25 +297,20 @@ func TestCopyFileBackedMaskedCell(t *testing.T) {
 				lower.Compact()
 			}()
 		}
-		m.Close()
 		p.Close()
 	}
 }
 
-// TestCopyClosedMappedStorePanics: a mapped store's flat copy honours
+// TestCopyClosedPagedStorePanics: a paged store's flat copy honours
 // the read-after-Close panic instead of leaving the destination all
 // Far.
-func TestCopyClosedMappedStorePanics(t *testing.T) {
-	g := randomGraph(20, 0.2, 2)
-	m, err := OpenMappedStore(writeStoreFile(t, t.TempDir(), build(g, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
+func TestCopyClosedPagedStorePanics(t *testing.T) {
+	_, ps, _ := pagedFixture(t, 20, 0.2, 2, 2, KindCompact, pageSize)
+	ps.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Copy from a closed mapped store did not panic")
+			t.Fatal("Copy from a closed paged store did not panic")
 		}
 	}()
-	Copy(NewStore(20, 2, KindCompact), m)
+	Copy(NewStore(20, 2, KindCompact), ps)
 }

@@ -12,7 +12,7 @@ import "fmt"
 // the triangle.
 //
 // The base is never written; any Store works, including the read-only
-// MappedStore and PagedStore views, which is the composition that keeps
+// PagedStore view, which is the composition that keeps
 // a writable run's peak heap at page-cache budget + O(dirty cells)
 // even when the triangle itself exceeds RAM.
 type Overlay struct {

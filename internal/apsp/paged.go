@@ -10,21 +10,22 @@ import (
 	"sync"
 )
 
-// PagedStore windows a snapshot file through a bounded LRU page cache,
-// the backing for triangles larger than RAM. Where MappedStore leaves
-// residency decisions to the kernel (and so can still balloon RSS on a
-// hot full scan), a PagedStore pins at most its PageCache's budget:
-// Get faults the 64 KiB page holding the cell into the cache, evicting
-// the least-recently-used pages of ALL stores sharing the cache until
-// the budget holds again. The cache is deliberately process-shared —
+// PagedStore windows a snapshot file through a bounded LRU page cache:
+// it is the one file-backed store, and the backing for triangles larger
+// than RAM. It pins at most its PageCache's budget: Get faults the
+// 64 KiB page holding the cell into the cache, evicting the
+// least-recently-used pages of ALL stores sharing the cache until the
+// budget holds again. The cache is deliberately process-shared —
 // the registry owns one sized by -store-budget-bytes, so the operator
 // caps total resident triangle bytes with one number no matter how
 // many graphs are registered.
 //
-// Validation depth matches MappedStore: header, dimensions, and file
-// length are checked on open; cells are range-checked only when a full
-// decode (Clone) runs. Like MappedStore it implements only the read
-// view — mutation goes through an Overlay.
+// Header, dimensions, and file length are checked on open; cells are
+// range-checked only when a full decode (Clone) runs, since scanning
+// them would read the whole file. A corrupt cell therefore surfaces as
+// an out-of-range distance at read time, and the first Clone rejects
+// it, so it never reaches a heap store. A PagedStore implements only the
+// read view — mutation goes through an Overlay.
 
 // pageSize is the cache granule: big enough that a sequential EachPair
 // amortizes one read syscall over 64k cells, small enough that random
@@ -237,8 +238,8 @@ func OpenPagedStore(path string, cache *PageCache) (*PagedStore, error) {
 	s.id = cache.nextID
 	cache.mu.Unlock()
 	// Close the file when the store becomes unreachable without an
-	// explicit Close — the same safety net MappedStore uses, and the
-	// reason registry eviction can just drop pages and let go.
+	// explicit Close — the reason registry eviction can just drop pages
+	// and let go.
 	runtime.SetFinalizer(s, func(p *PagedStore) { p.Close() })
 	return s, nil
 }
@@ -394,8 +395,8 @@ func (s *PagedStore) snapshot() ([]byte, error) {
 }
 
 // Clone decodes the whole snapshot into an independent, mutable heap
-// store of the payload's kind, validating every cell on the way — the
-// same full-fidelity escape hatch MappedStore.Clone is. It necessarily
+// store of the payload's kind, validating every cell on the way, so a
+// corrupt snapshot cannot leak past the first Clone. It necessarily
 // materializes the triangle; runs that only need mutability over a big
 // store should wrap the PagedStore in an Overlay instead.
 func (s *PagedStore) Clone() Store {

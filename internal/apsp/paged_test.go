@@ -205,6 +205,33 @@ func TestOpenPagedStoreRejectsCorrupt(t *testing.T) {
 	corrupt("header.store", func(b []byte) []byte { return b[:storeHeaderLen-2] })
 }
 
+// TestPagedStoreCorruptCellCaughtByClone documents the validation
+// tradeoff: a cell below 1 passes open (no full-file scan) but cannot
+// leak into a mutable store — Clone's decode rejects it.
+func TestPagedStoreCorruptCellCaughtByClone(t *testing.T) {
+	g := randomGraph(10, 0.4, 4)
+	data, err := MarshalStore(build(g, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] = 0
+	path := filepath.Join(t.TempDir(), "cell.store")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := OpenPagedStore(path, NewPageCache(pageSize))
+	if err != nil {
+		t.Fatalf("open rejected a corrupt cell it should defer: %v", err)
+	}
+	defer ps.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of a corrupt-cell snapshot did not panic")
+		}
+	}()
+	ps.Clone()
+}
+
 // TestPagedStoreFootprint: the byte gauges see through the view — file
 // bytes equal the snapshot size, heap bytes equal current residency.
 func TestPagedStoreFootprint(t *testing.T) {

@@ -250,7 +250,7 @@ func TestOverlayDepth(t *testing.T) {
 
 // TestRepairBackingsEquivalenceMatrix is the dynamic-graph row of the
 // backings matrix: for every engine and every base backing — compact
-// and packed heap stores, their mapped and paged file views, and an
+// and packed heap stores, their paged file views, and an
 // overlay chain — the store repaired from the parent serializes
 // byte-identically to a from-scratch build of the child. Byte identity
 // of MarshalStore is stronger than cell equality: it also pins the
@@ -295,17 +295,11 @@ func TestRepairBackingsEquivalenceMatrix(t *testing.T) {
 
 			path := filepath.Join(dir, eng+"-"+kind.String()+".store")
 			snapshotFile(t, path, g, L, kind)
-			mapped, err := OpenMappedStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(tag+"/mapped", mapped, want)
 			paged, err := OpenPagedStore(path, NewPageCache(pageSize))
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(tag+"/paged", paged, want)
-			mapped.Close()
 			paged.Close()
 		}
 	}
@@ -314,7 +308,7 @@ func TestRepairBackingsEquivalenceMatrix(t *testing.T) {
 // TestRepairChainOnRepairedOverlay: two successive diffs repaired one
 // on top of the other (parent → child → grandchild) serialize exactly
 // like a from-scratch build of the grandchild, for both a heap and a
-// mapped base at the bottom of the chain.
+// paged base at the bottom of the chain.
 func TestRepairChainOnRepairedOverlay(t *testing.T) {
 	const L = 3
 	dir := t.TempDir()
@@ -335,12 +329,12 @@ func TestRepairChainOnRepairedOverlay(t *testing.T) {
 	if err := BuildToFile(path, g, L, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenMappedStore(path)
+	paged, err := OpenPagedStore(path, NewPageCache(pageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
-	bases["mapped"] = mapped
+	defer paged.Close()
+	bases["paged"] = paged
 
 	for name, base := range bases {
 		mid, ok := RepairStore(base, child, d1, RepairOptions{})

@@ -159,27 +159,29 @@ func (m *Matrix) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalStore encodes any Store in the versioned snapshot format.
-// Heap stores encode directly, mapped and paged views hand back their
-// snapshot bytes, and every other store (an overlay, a foreign
-// implementation) is first copied into its heap twin by Copy.
+// Heap stores encode directly, a paged view hands back its snapshot
+// bytes, and every other store (an overlay, a foreign implementation)
+// is copied by Copy into its heap twin. A compact twin is built in the
+// payload of the output buffer itself, so the triangle is copied once.
 func MarshalStore(s Store) ([]byte, error) {
 	switch t := s.(type) {
 	case *CompactMatrix:
 		return t.MarshalBinary()
 	case *Matrix:
 		return t.MarshalBinary()
-	case *MappedStore:
-		// The mapping already holds the snapshot bytes; copy them out so
-		// the result outlives a Close of the store.
-		return append([]byte(nil), t.raw...), nil
 	case *PagedStore:
-		// The file holds the snapshot bytes; read them out whole, as the
-		// mapped case copies its mapping.
 		return t.snapshot()
 	}
-	c := NewStore(s.N(), s.L(), KindOf(s))
-	Copy(c, s)
-	return MarshalStore(c)
+	n, l, k := s.N(), s.L(), KindOf(s)
+	if k != KindCompact {
+		c := NewStore(n, l, k)
+		Copy(c, s)
+		return MarshalStore(c)
+	}
+	buf := make([]byte, storeHeaderLen+n*(n-1)/2)
+	appendStoreHeader(buf[:0], KindCompact, n, l)
+	Copy(&CompactMatrix{n: n, l: l, data: buf[storeHeaderLen:]}, s)
+	return buf, nil
 }
 
 // UnmarshalStore decodes a snapshot produced by MarshalStore (or either

@@ -13,13 +13,12 @@ import (
 // and the sentinel Far() = L+1 otherwise. The diagonal is implicit
 // (distance 0) and never stored.
 //
-// Four backings implement it: CompactMatrix (uint8 cells, every built
+// Three backings implement it: CompactMatrix (uint8 cells, every built
 // store with L <= MaxCompactL — a capped distance never exceeds L+1, so
 // one byte suffices), Matrix (int32 cells, the original packed layout,
-// needed only for thresholds beyond MaxCompactL), MappedStore (a
-// read-only memory-mapped view of a persisted snapshot), and PagedStore
-// (a read-only window over a snapshot file through a bounded page
-// cache, for triangles larger than RAM). Mutation is a separate
+// needed only for thresholds beyond MaxCompactL), and PagedStore (a
+// read-only window over a persisted snapshot file through a bounded
+// page cache, for triangles larger than RAM). Mutation is a separate
 // contract: see MutableStore and Overlay.
 type Store interface {
 	// N returns the number of vertices.
@@ -36,18 +35,17 @@ type Store interface {
 	// order with the stored capped distance.
 	EachPair(fn func(i, j, d int))
 	// Clone returns an independent deep, heap-resident copy: mutating
-	// the clone never affects the original. File-backed stores (mapped,
-	// paged) materialize the full triangle; prefer NewOverlay when the
-	// goal is a mutable view rather than an independent heap copy.
+	// the clone never affects the original. A file-backed PagedStore
+	// materializes the full triangle; prefer NewOverlay when the goal is
+	// a mutable view rather than an independent heap copy.
 	Clone() Store
 }
 
 // MutableStore is the write view: everything a Store offers plus cell
 // writes. The heap backings (CompactMatrix, Matrix) and the sparse
-// Overlay implement it; the file-backed read views (MappedStore,
-// PagedStore) deliberately do not — wrapping one in an Overlay is the
-// only mutation path, which is what keeps writable runs from ever
-// needing the full triangle in heap.
+// Overlay implement it; the file-backed PagedStore deliberately does
+// not — wrapping it in an Overlay is the only mutation path, which is
+// what keeps writable runs from ever needing the full triangle in heap.
 type MutableStore interface {
 	Store
 	// Set stores the capped distance d for the unordered pair {i, j}.
@@ -70,14 +68,10 @@ const (
 	// KindPacked is the int32 layout; it has no threshold ceiling and
 	// is the backing of every L above MaxCompactL.
 	KindPacked
-	// KindMapped names the read-only MappedStore view over a persisted
-	// snapshot file. It is a residency, not a buildable backing:
-	// NewStore panics on it, and the view reports its payload's kind.
-	KindMapped
 	// KindPaged names the read-only PagedStore view: a snapshot file
-	// windowed through a bounded LRU page cache. Like KindMapped it is a
-	// residency — NewStore panics on it — but its resident memory is
-	// explicitly capped, so it serves triangles larger than RAM.
+	// windowed through a bounded LRU page cache. It is a residency, not
+	// a buildable backing: NewStore panics on it, and the view reports
+	// its payload's kind.
 	KindPaged
 )
 
@@ -88,8 +82,6 @@ func (k Kind) String() string {
 		return "compact"
 	case KindPacked:
 		return "packed"
-	case KindMapped:
-		return "mapped"
 	case KindPaged:
 		return "paged"
 	}
@@ -97,20 +89,20 @@ func (k Kind) String() string {
 }
 
 // ParseKind resolves a case-sensitive store name ("compact", "packed",
-// "mapped", "paged"; "" selects compact). The HTTP service uses it to
-// reject unknown names.
+// "paged"; "" selects compact). The HTTP service uses it to reject
+// unknown names. "mapped" and "mmap", the names of a retired
+// memory-mapped view, resolve to KindPaged, so older requests and
+// legacy snapshot file names keep parsing.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "compact", "uint8":
 		return KindCompact, nil
 	case "packed", "int32":
 		return KindPacked, nil
-	case "mapped", "mmap":
-		return KindMapped, nil
-	case "paged":
+	case "paged", "mapped", "mmap":
 		return KindPaged, nil
 	}
-	return 0, fmt.Errorf("apsp: unknown store %q (want compact, packed, mapped, or paged)", s)
+	return 0, fmt.Errorf("apsp: unknown store %q (want compact, packed, or paged)", s)
 }
 
 // KindFor returns the backing of every built store at threshold L:
@@ -131,8 +123,6 @@ func NewStore(n, L int, k Kind) MutableStore {
 		return NewMatrix(n, L)
 	case KindCompact:
 		return NewCompactMatrix(n, L)
-	case KindMapped:
-		panic("apsp: mapped stores are opened from snapshot files (OpenMappedStore), not built")
 	case KindPaged:
 		panic("apsp: paged stores are opened from snapshot files (OpenPagedStore), not built")
 	}
@@ -140,16 +130,14 @@ func NewStore(n, L int, k Kind) MutableStore {
 }
 
 // KindOf reports the backing of a store, defaulting to KindFor(L) for
-// foreign implementations. A mapped or paged store reports its payload
-// kind (what Clone decodes into), not KindMapped/KindPaged, and an
-// overlay reports its base's kind, so serialization built on KindOf
-// treats every view as its heap twin.
+// foreign implementations. A paged store reports its payload kind (what
+// Clone decodes into), not KindPaged, and an overlay reports its base's
+// kind, so serialization built on KindOf treats every view as its heap
+// twin.
 func KindOf(s Store) Kind {
 	switch t := s.(type) {
 	case *Matrix:
 		return KindPacked
-	case *MappedStore:
-		return t.Kind()
 	case *PagedStore:
 		return t.Kind()
 	case *CompactMatrix:
@@ -161,18 +149,16 @@ func KindOf(s Store) Kind {
 }
 
 // BackingName names the concrete representation of a store for
-// operator-facing accounting ("compact", "packed", "mapped", "paged",
-// "overlay") — unlike KindOf it does NOT fold views to their heap
-// twins, because resident-bytes gauges exist precisely to distinguish
-// a mapped or paged view from a heap copy of the same snapshot.
+// operator-facing accounting ("compact", "packed", "paged", "overlay")
+// — unlike KindOf it does NOT fold views to their heap twins, because
+// resident-bytes gauges exist precisely to distinguish a paged view
+// from a heap copy of the same snapshot.
 func BackingName(s Store) string {
 	switch s.(type) {
 	case *Matrix:
 		return "packed"
 	case *CompactMatrix:
 		return "compact"
-	case *MappedStore:
-		return "mapped"
 	case *PagedStore:
 		return "paged"
 	case *Overlay:
@@ -183,18 +169,15 @@ func BackingName(s Store) string {
 
 // Footprint reports how many bytes a store pins in heap and how many
 // live in its backing file. Heap backings are all heap and no file; a
-// mapped store is all file (the mapping is page-cache memory the OS
-// can reclaim, not Go heap); a paged store pins exactly its resident
-// pages; an overlay adds its dirty set on top of its base. Foreign
-// implementations report zero, not an estimate.
+// paged store pins exactly its resident pages; an overlay adds its
+// dirty set on top of its base. Foreign implementations report zero,
+// not an estimate.
 func Footprint(s Store) (heapBytes, fileBytes int64) {
 	switch t := s.(type) {
 	case *CompactMatrix:
 		return int64(len(t.data)), 0
 	case *Matrix:
 		return 4 * int64(len(t.data)), 0
-	case *MappedStore:
-		return 0, int64(len(t.raw))
 	case *PagedStore:
 		return t.ResidentBytes(), t.FileBytes()
 	case *Overlay:
@@ -215,8 +198,8 @@ func Clone(s Store) Store { return s.Clone() }
 // Set's rules: values above Far() are clamped, values below 1 panic.
 //
 // The cost follows src's backing. A heap source of dst's kind is one
-// slice copy; a mapped or paged source whose payload is dst's kind is
-// one pass over the snapshot bytes; an overlay copied into a heap store
+// slice copy; a paged source whose payload is dst's kind is one pass
+// over the snapshot bytes; an overlay copied into a heap store
 // copies its base that way and then writes its dirty cells, so
 // flattening an overlay chain costs one triangle copy plus O(dirty).
 // Every other pairing walks EachPair.
@@ -262,10 +245,6 @@ func copyCells(dst MutableStore, src Store) (bad []int64) {
 		if d, ok := dst.(*Matrix); ok {
 			d.CopyFrom(s)
 			return nil
-		}
-	case *MappedStore:
-		if heap && s.kind == KindOf(dst) {
-			return s.copyTo(dst)
 		}
 	case *PagedStore:
 		if heap && s.kind == KindOf(dst) {
@@ -385,9 +364,9 @@ func CountWithin(s Store) int {
 // row, so a caller folding it into unordered class pairs sums the
 // cells (a, b) and (b, a).
 //
-// One-byte triangles, heap or mapped, are counted straight off their
-// rows; an overlay counts its base and then corrects once per dirty
-// cell; every other backing is walked through EachPair.
+// A one-byte heap triangle is counted straight off its rows; an overlay
+// counts its base and then corrects once per dirty cell; every other
+// backing is walked through EachPair.
 func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
 	if len(class) != s.N() || len(cnt) < k*k {
 		panic(fmt.Sprintf("apsp: CountWithinByClass got %d classes for n=%d and %d counters for k=%d", len(class), s.N(), len(cnt), k))
@@ -396,11 +375,6 @@ func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
 	case *CompactMatrix:
 		countCompactRows(t.data, t.n, t.l, class, k, cnt)
 		return
-	case *MappedStore:
-		if t.kind == KindCompact {
-			countCompactRows(t.data, t.n, t.l, class, k, cnt)
-			return
-		}
 	case *Overlay:
 		t.countWithinByClass(class, k, cnt)
 		return

@@ -18,12 +18,12 @@ import (
 // retains the triangle: peak memory is one block plus the per-worker
 // BFS scratch, independent of the O(n²/2) payload, so a snapshot
 // larger than RAM can be built on its way to disk and then served back
-// through MappedStore or PagedStore.
+// through PagedStore.
 //
 // The output is byte-for-byte the LOPS snapshot MarshalStore produces
 // for the heap build of the same graph and threshold — the tests
 // assert this — so everything that reads snapshots (boot hydration,
-// mmap, paging, quarantine) is oblivious to which path wrote them.
+// paging, quarantine) is oblivious to which path wrote them.
 
 // streamMaxBlockCells is the number of cells from which a block closes,
 // once it also holds a batch per worker, so memory stays bounded no

@@ -180,7 +180,7 @@ func TestBoundedCSRMatchesBaseline(t *testing.T) {
 
 // TestRMATEnginesAgreeAcrossKinds is the cross-engine equivalence
 // matrix on RMAT graphs: the sweep and the oracles, copied into both
-// heap backings, plus the mapped view of the snapshot, describe the
+// heap backings, plus the paged view of the snapshot, describe the
 // same capped distances.
 func TestRMATEnginesAgreeAcrossKinds(t *testing.T) {
 	dir := t.TempDir()
@@ -201,7 +201,7 @@ func TestRMATEnginesAgreeAcrossKinds(t *testing.T) {
 				}
 			}
 		}
-		// Mapped view of the persisted snapshot, pairwise against the
+		// Paged view of the persisted snapshot, pairwise against the
 		// same reference.
 		data, err := MarshalStore(ref)
 		if err != nil {
@@ -211,17 +211,17 @@ func TestRMATEnginesAgreeAcrossKinds(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := OpenMappedStore(path)
+		paged, err := OpenPagedStore(path, NewPageCache(pageSize))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(mapped, ref) {
-			t.Errorf("L=%d: mapped view disagrees with its source store", L)
+		if !Equal(paged, ref) {
+			t.Errorf("L=%d: paged view disagrees with its source store", L)
 		}
-		if !Equal(mapped.Clone(), ref) {
-			t.Errorf("L=%d: mapped Clone disagrees with its source store", L)
+		if !Equal(paged.Clone(), ref) {
+			t.Errorf("L=%d: paged Clone disagrees with its source store", L)
 		}
-		if err := mapped.Close(); err != nil {
+		if err := paged.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

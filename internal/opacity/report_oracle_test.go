@@ -150,10 +150,6 @@ func TestNewReportFromStoreMatchesOracle(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			mapped, err := apsp.OpenMappedStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			paged, err := apsp.OpenPagedStore(path, apsp.NewPageCache(1<<16))
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +163,6 @@ func TestNewReportFromStoreMatchesOracle(t *testing.T) {
 			stores := map[string]apsp.Store{
 				"compact":  compact,
 				"packed":   packed,
-				"mapped":   mapped,
 				"paged":    paged,
 				"overlay":  shallow,
 				"overlay2": deep,
@@ -180,7 +175,6 @@ func TestNewReportFromStoreMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			mapped.Close()
 			paged.Close()
 		}
 	}

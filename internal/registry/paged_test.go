@@ -14,9 +14,6 @@ func TestPagedConfigValidation(t *testing.T) {
 	if err := (Config{PagedStores: true}).Validate(); err == nil {
 		t.Error("PagedStores without Dir validated")
 	}
-	if err := (Config{Dir: t.TempDir(), PagedStores: true, MappedStores: true}).Validate(); err == nil {
-		t.Error("PagedStores together with MappedStores validated")
-	}
 	if err := (Config{StoreBudgetBytes: -1}).Validate(); err == nil {
 		t.Error("negative store budget validated")
 	}
@@ -25,10 +22,10 @@ func TestPagedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBuildThroughToFile: with a file-backed residency policy a COLD
-// build streams straight into its snapshot file and is served as the
-// configured view from the first request — the write-through copy is
-// not a separate post-build marshal.
+// TestBuildThroughToFile: with paged residency a COLD build streams
+// straight into its snapshot file and is served as a paged view from
+// the first request — the write-through copy is not a separate
+// post-build marshal.
 func TestBuildThroughToFile(t *testing.T) {
 	n, edges := persistGraphEdges()
 	oracle := func() apsp.Store {
@@ -41,45 +38,31 @@ func TestBuildThroughToFile(t *testing.T) {
 		return st
 	}()
 
-	cases := map[string]Config{
-		"mapped": {MappedStores: true},
-		"paged":  {PagedStores: true, StoreBudgetBytes: 1 << 20},
+	dir := t.TempDir()
+	r := New(Config{Dir: dir, PagedStores: true, StoreBudgetBytes: 1 << 20})
+	g, _, err := r.Put(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, cfg := range cases {
-		cfg.Dir = t.TempDir()
-		r := New(cfg)
-		g, _, err := r.Put(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, reused := g.Store(2)
-		if reused {
-			t.Fatalf("%s: cold build reported reuse", name)
-		}
-		switch name {
-		case "mapped":
-			if _, ok := st.(*apsp.MappedStore); !ok {
-				t.Fatalf("mapped: cold build served %T, want *apsp.MappedStore", st)
-			}
-		case "paged":
-			if _, ok := st.(*apsp.PagedStore); !ok {
-				t.Fatalf("paged: cold build served %T, want *apsp.PagedStore", st)
-			}
-		}
-		if !apsp.Equal(oracle, st) {
-			t.Fatalf("%s: build-through store differs from heap oracle", name)
-		}
-		k := 2
-		if _, err := os.Stat(filepath.Join(cfg.Dir, storeFile(g.ID(), k))); err != nil {
-			t.Fatalf("%s: snapshot file missing after build-through: %v", name, err)
-		}
-		stats := r.Stats()
-		if stats.Persist.StoreWrites != 1 || stats.Persist.WriteErrors != 0 {
-			t.Fatalf("%s: persist counters %+v, want exactly one clean store write", name, stats.Persist)
-		}
-		if stats.Builds != 1 || stats.StoreMisses != 1 {
-			t.Fatalf("%s: builds=%d misses=%d, want 1/1", name, stats.Builds, stats.StoreMisses)
-		}
+	st, reused := g.Store(2)
+	if reused {
+		t.Fatal("cold build reported reuse")
+	}
+	if _, ok := st.(*apsp.PagedStore); !ok {
+		t.Fatalf("cold build served %T, want *apsp.PagedStore", st)
+	}
+	if !apsp.Equal(oracle, st) {
+		t.Fatal("build-through store differs from heap oracle")
+	}
+	if _, err := os.Stat(filepath.Join(dir, storeFile(g.ID(), 2))); err != nil {
+		t.Fatalf("snapshot file missing after build-through: %v", err)
+	}
+	stats := r.Stats()
+	if stats.Persist.StoreWrites != 1 || stats.Persist.WriteErrors != 0 {
+		t.Fatalf("persist counters %+v, want exactly one clean store write", stats.Persist)
+	}
+	if stats.Builds != 1 || stats.StoreMisses != 1 {
+		t.Fatalf("builds=%d misses=%d, want 1/1", stats.Builds, stats.StoreMisses)
 	}
 }
 
@@ -136,7 +119,7 @@ func TestPagedWarmRestart(t *testing.T) {
 // TestPagedEvictionKeepsFile: LRU eviction of a paged store reclaims
 // its cache pages but must NOT delete the snapshot file — the file is
 // the store's backing (a request may still hold the view) and the warm
-// source for the next boot. Heap and mapped evictions keep deleting.
+// source for the next boot. Heap evictions keep deleting.
 func TestPagedEvictionKeepsFile(t *testing.T) {
 	dir := t.TempDir()
 	n, edges := persistGraphEdges()
@@ -166,6 +149,40 @@ func TestPagedEvictionKeepsFile(t *testing.T) {
 	}
 	if ev := r.Stats().StoreEvictions; ev != 1 {
 		t.Fatalf("StoreEvictions = %d, want 1", ev)
+	}
+}
+
+// TestPagedRestartQuarantinesCorrupt: a damaged snapshot must not
+// hydrate at a paged boot; it is set aside exactly as in the
+// heap-decode path.
+func TestPagedRestartQuarantinesCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	n, edges := persistGraphEdges()
+	r1 := New(Config{Dir: dir})
+	g1, _, err := r1.Put(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1.Store(2)
+
+	var storePath string
+	files, _ := os.ReadDir(dir)
+	for _, f := range files {
+		if filepath.Ext(f.Name()) == storeSuffix {
+			storePath = filepath.Join(dir, f.Name())
+		}
+	}
+	if storePath == "" {
+		t.Fatal("no store snapshot written")
+	}
+	if err := os.Truncate(storePath, 10); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := New(Config{Dir: dir, PagedStores: true})
+	stats := r2.Stats()
+	if stats.Persist.StoresLoaded != 0 || stats.Persist.Quarantined != 1 {
+		t.Fatalf("corrupt paged boot: %+v, want 0 loaded / 1 quarantined", stats.Persist)
 	}
 }
 
@@ -219,8 +236,8 @@ func TestCrashMidStreamingBuildQuarantine(t *testing.T) {
 	}
 }
 
-// TestStatsStoreBytes: the per-backing byte gauges tell heap, mapped,
-// and paged deployments apart — heap triangles live in StoreBytes,
+// TestStatsStoreBytes: the per-backing byte gauges tell heap and paged
+// deployments apart — heap triangles live in StoreBytes,
 // file-backed ones in StoreFileBytes with paged heap residency bounded
 // by the page budget.
 func TestStatsStoreBytes(t *testing.T) {
@@ -267,28 +284,4 @@ func sumBytes(m map[string]int64) int64 {
 		total += v
 	}
 	return total
-}
-
-// TestMappedStatsFileBytes: a mapped warm boot reports its triangles
-// as file bytes under the "mapped" label with zero heap residency —
-// the gauge pair that distinguishes it from a heap boot on dashboards.
-func TestMappedStatsFileBytes(t *testing.T) {
-	dir := t.TempDir()
-	n, edges := persistGraphEdges()
-	r1 := New(Config{Dir: dir})
-	g1, _, err := r1.Put(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1.Store(2)
-
-	r2 := New(Config{Dir: dir, MappedStores: true})
-	ms := r2.Stats()
-	wantFile := int64(22) + int64(n)*int64(n-1)/2
-	if ms.StoreFileBytes["mapped"] != wantFile {
-		t.Fatalf("mapped StoreFileBytes = %d, want %d", ms.StoreFileBytes["mapped"], wantFile)
-	}
-	if hb := ms.StoreBytes["mapped"]; hb != 0 {
-		t.Fatalf("mapped view reports %d heap bytes, want 0", hb)
-	}
 }

@@ -229,7 +229,7 @@ func (p *persister) quarantine(name string) {
 // errSnapshotTooLarge marks a snapshot that exceeds the heap slurp
 // limit. Unlike corruption, an oversized file may be perfectly valid —
 // just not safe to read wholesale — so the loader skips it (leaving it
-// on disk for a mapped-hydration boot) instead of quarantining it.
+// on disk for a paged boot) instead of quarantining it.
 var errSnapshotTooLarge = fmt.Errorf("registry: snapshot exceeds the %d-byte heap load limit", maxSnapshotSize)
 
 // readSnapshot slurps one snapshot file with a size guard.
@@ -362,7 +362,7 @@ func (r *Registry) loadFromDisk() {
 		}
 		st, err := r.hydrateStore(name)
 		if errors.Is(err, errSnapshotTooLarge) {
-			continue // valid but unslurpable: a mapped boot can still use it
+			continue // valid but unslurpable: a paged boot can still use it
 		}
 		if err != nil || st.N() != ent.raw.N() || st.L() != l || apsp.KindOf(st) != apsp.KindFor(l) {
 			p.quarantine(name)
@@ -376,23 +376,15 @@ func (r *Registry) loadFromDisk() {
 }
 
 // hydrateStore opens one store snapshot under the configured residency:
-// paged, mapped, or decoded into the heap.
+// paged or decoded into the heap.
 func (r *Registry) hydrateStore(name string) (apsp.Store, error) {
-	path := filepath.Join(r.persist.dir, name)
-	switch {
-	case r.cfg.PagedStores:
+	if r.cfg.PagedStores {
 		// Budgeted hydration: the snapshot is served through the
 		// registry's shared page cache, so boot cost is one header
-		// read per store and resident bytes stay under the budget
-		// no matter how many snapshots come back.
-		return apsp.OpenPagedStore(path, r.pages)
-	case r.cfg.MappedStores:
-		// Zero-copy hydration: the snapshot becomes a read-only
-		// mapped view, so boot cost is independent of store size and
-		// no slurp limit applies. Open-time validation covers the
-		// header, dimensions, and payload length; cell values are
-		// checked lazily by the first Clone.
-		return apsp.OpenMappedStore(path)
+		// read per store, no slurp limit applies, and resident bytes
+		// stay under the budget no matter how many snapshots come
+		// back. Cell values are checked lazily by the first Clone.
+		return apsp.OpenPagedStore(filepath.Join(r.persist.dir, name), r.pages)
 	}
 	data, err := r.persist.readSnapshot(name)
 	if err != nil {

@@ -302,6 +302,9 @@ func TestParseStoreFileRoundTrip(t *testing.T) {
 		id + ".l2.bitbfs.packed.store": false,
 		id + ".l300.fw.packed.store":   true,
 		id + ".l300.bfs.compact.store": false,
+		id + ".l2.auto.mapped.store":   false,
+		id + ".l2.bfs.mmap.store":      false,
+		id + ".l2.auto.paged.store":    false,
 	} {
 		gotID, _, legacy, derived, ok := parseStoreFile(name)
 		if !ok || gotID != id || !legacy || derived != wantDerived {
@@ -316,8 +319,9 @@ func TestParseStoreFileRoundTrip(t *testing.T) {
 }
 
 // TestLegacyStoreFilesMigrate boots a data dir written in the format
-// that keyed stores by engine and backing: two engines' copies of L=2
-// and a packed copy of L=2, plus an L=3 store under the current name
+// that keyed stores by engine and backing: two engines' copies of L=2,
+// a packed copy of L=2 and a copy named for the retired mapped backing,
+// plus an L=3 store under the current name
 // next to a damaged legacy copy of it. Every residency boots warm,
 // seeds one store per (id, L) — the current name wins — deletes the
 // redundant copies instead of quarantining them, and leaves only
@@ -349,13 +353,13 @@ func TestLegacyStoreFilesMigrate(t *testing.T) {
 		id + ".l2.auto.compact.store":   marshal(2, apsp.KindCompact),
 		id + ".l2.bitbfs.compact.store": marshal(2, apsp.KindCompact),
 		id + ".l2.pointer.packed.store": marshal(2, apsp.KindPacked),
+		id + ".l2.auto.mapped.store":    marshal(2, apsp.KindCompact),
 		storeFile(id, 3):                marshal(3, apsp.KindCompact),
 		id + ".l3.bfs.compact.store":    marshal(3, apsp.KindCompact)[:30],
 	}
 	for name, cfg := range map[string]Config{
-		"heap":   {},
-		"mapped": {MappedStores: true},
-		"paged":  {PagedStores: true},
+		"heap":  {},
+		"paged": {PagedStores: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -367,8 +371,8 @@ func TestLegacyStoreFilesMigrate(t *testing.T) {
 			cfg.Dir = dir
 			r := New(cfg)
 			ps := r.Stats().Persist
-			if ps.StoresLoaded != 2 || ps.Quarantined != 0 || ps.Deletes != 3 {
-				t.Fatalf("boot: %+v, want 2 stores loaded, 0 quarantined, 3 deleted", ps)
+			if ps.StoresLoaded != 2 || ps.Quarantined != 0 || ps.Deletes != 4 {
+				t.Fatalf("boot: %+v, want 2 stores loaded, 0 quarantined, 4 deleted", ps)
 			}
 			got, ok := r.Get(id)
 			if !ok {

@@ -58,27 +58,18 @@ type Config struct {
 	// serves its first graph_ref queries with zero APSP builds. See
 	// persist.go for the format and the failure policy.
 	Dir string
-	// MappedStores, when set (and Dir is), hydrates store snapshots at
-	// boot as read-only memory-mapped views (apsp.MappedStore) instead
-	// of decoding them into the heap: a warm restart over gigabytes of
-	// persisted triangles costs page-table setup, not a read-and-copy
-	// of every byte, and cells are paged in only as requests touch
-	// them. Mapped hydration skips the per-cell validation the heap
-	// decode performs (the header, dimensions, and payload length are
-	// still checked); mutable consumers transparently Clone, which
-	// validates fully. Freshly built stores are streamed straight into
-	// their snapshot file and served as mapped views from the first
-	// request — the triangle is never materialized in the heap.
-	MappedStores bool
 	// PagedStores, when set (and Dir is), serves store snapshots as
 	// paged views (apsp.PagedStore): cells are windowed through a
 	// shared LRU page cache capped at StoreBudgetBytes, so total
 	// resident triangle bytes stay bounded no matter how many graphs
 	// and thresholds are cached — the out-of-core mode for triangles
-	// larger than RAM. Fresh builds stream straight to disk and are
-	// served paged from the first request. Mutually exclusive with
-	// MappedStores (they are two residency policies over the same
-	// snapshot files).
+	// larger than RAM. A warm restart costs one header read per store,
+	// not a read-and-decode of every byte; the per-cell validation the
+	// heap decode performs is deferred to the first Clone (the header,
+	// dimensions, and payload length are still checked at open). Fresh
+	// builds stream straight into their snapshot file and are served
+	// paged from the first request — the triangle is never
+	// materialized in the heap.
 	PagedStores bool
 	// StoreBudgetBytes caps the resident bytes of the shared page
 	// cache when PagedStores is set. Zero selects 256 MiB; budgets
@@ -125,9 +116,6 @@ func (c Config) Validate() error {
 	}
 	if c.PagedStores && c.Dir == "" {
 		return fmt.Errorf("registry: paged stores require a data dir (the snapshot file is the backing)")
-	}
-	if c.PagedStores && c.MappedStores {
-		return fmt.Errorf("registry: mapped and paged stores are mutually exclusive residency policies")
 	}
 	if c.Dir != "" {
 		if err := os.MkdirAll(c.Dir, 0o755); err != nil {
@@ -407,13 +395,13 @@ func (g *Graph) Store(L int) (apsp.Store, bool) {
 			return
 		}
 		start := time.Now()
-		// Build-through-to-file: with a file-backed residency policy the
-		// snapshot is not a copy of the store, it IS the store. The
-		// triangle streams straight into a temp file during the sweep
-		// (never materialized in heap), is renamed into place, and the
-		// served view opens over the final file. Any failure falls back
-		// to the classic heap build + write-through.
-		if g.reg.persist != nil && (g.reg.cfg.MappedStores || g.reg.cfg.PagedStores) {
+		// Build-through-to-file: with paged residency the snapshot is
+		// not a copy of the store, it IS the store. The triangle
+		// streams straight into a temp file during the sweep (never
+		// materialized in heap), is renamed into place, and the served
+		// view opens over the final file. Any failure falls back to the
+		// classic heap build + write-through.
+		if g.reg.persist != nil && g.reg.cfg.PagedStores {
 			slot.store = g.reg.buildThroughFile(g.raw, g.id, L)
 			fileBacked = slot.store != nil
 		}
@@ -463,10 +451,9 @@ func pagedStoreOf(slot *storeSlot) *apsp.PagedStore {
 
 // buildThroughFile streams a fresh APSP build straight into its
 // snapshot file — temp name first, then an atomic rename, so a crash
-// mid-sweep leaves only a quarantinable .tmp- partial — and hydrates
-// the result as the configured file-backed view (mapped or paged). It
-// returns nil when any step fails; the caller falls back to a heap
-// build and the registry keeps serving.
+// mid-sweep leaves only a quarantinable .tmp- partial — and opens the
+// result as a paged view. It returns nil when any step fails; the
+// caller falls back to a heap build and the registry keeps serving.
 func (r *Registry) buildThroughFile(raw *graph.Graph, id string, L int) apsp.Store {
 	p := r.persist
 	name := storeFile(id, L)
@@ -483,7 +470,7 @@ func (r *Registry) buildThroughFile(raw *graph.Graph, id string, L int) apsp.Sto
 		return nil
 	}
 	p.storeWrites.Add(1)
-	st, err := r.openStoreFile(final)
+	st, err := apsp.OpenPagedStore(final, r.pages)
 	if err != nil {
 		// The snapshot itself is durable (BuildToFile synced before the
 		// rename); only this process's view failed. Serve from the heap
@@ -491,15 +478,6 @@ func (r *Registry) buildThroughFile(raw *graph.Graph, id string, L int) apsp.Sto
 		return nil
 	}
 	return st
-}
-
-// openStoreFile opens a snapshot file as the configured file-backed
-// view: paged when a page budget governs residency, mapped otherwise.
-func (r *Registry) openStoreFile(path string) (apsp.Store, error) {
-	if r.cfg.PagedStores {
-		return apsp.OpenPagedStore(path, r.pages)
-	}
-	return apsp.OpenMappedStore(path)
 }
 
 // Stats is a point-in-time snapshot of registry effectiveness.
@@ -537,12 +515,12 @@ type Stats struct {
 	// adopted alongside them — builds this replica never paid.
 	Hydrations, HydratedStores int64
 	// StoreBytes and StoreFileBytes aggregate the cached stores'
-	// footprints by backing name ("compact", "packed", "mapped",
-	// "paged", "overlay"): heap-resident bytes and file-backed bytes
+	// footprints by backing name ("compact", "packed", "paged",
+	// "overlay"): heap-resident bytes and file-backed bytes
 	// respectively. Together they answer "where do my triangles live" —
-	// a heap deployment shows bytes only in StoreBytes, a mapped one
-	// only in StoreFileBytes, and a paged one shows file bytes per
-	// store plus a heap residency bounded by the page budget.
+	// a heap deployment shows bytes only in StoreBytes, and a paged one
+	// shows file bytes per store plus a heap residency bounded by the
+	// page budget.
 	StoreBytes, StoreFileBytes map[string]int64
 	// PageCache reports the shared paged-store cache (zero value when
 	// paged hydration is disabled).

@@ -199,7 +199,7 @@ func TestDistancesSharesSlotAcrossDegradedKinds(t *testing.T) {
 	for _, L := range []int{2, apsp.MaxCompactL + 1} {
 		s1, _ := g.Store(L)
 		for _, e := range []apsp.Engine{apsp.EngineAuto, apsp.EngineBFS, apsp.EngineBit} {
-			for _, k := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked, apsp.KindMapped} {
+			for _, k := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked, apsp.KindPaged} {
 				if s2, reused := g.Distances(L, e, k); !reused || s1 != s2 {
 					t.Fatalf("L=%d %v/%v: hints cached a separate store", L, e, k)
 				}
@@ -282,5 +282,26 @@ func TestConcurrentAccess(t *testing.T) {
 	st := r.Stats()
 	if st.StoreMisses < 1 || st.StoreHits < workers-1 {
 		t.Fatalf("store counters inconsistent with single-build: %+v", st)
+	}
+}
+
+// TestBuildTimingStats: every cold build increments Builds and feeds
+// the millisecond aggregates; cache hits do not.
+func TestBuildTimingStats(t *testing.T) {
+	n, edges := persistGraphEdges()
+	r := New(Config{})
+	g, _, err := r.Put(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Store(2)
+	g.Store(3)
+	g.Store(2) // hit
+	stats := r.Stats()
+	if stats.Builds != 2 {
+		t.Fatalf("Builds = %d, want 2", stats.Builds)
+	}
+	if stats.BuildMSTotal < 0 || stats.BuildMSMax < 0 || stats.BuildMSMax > stats.BuildMSTotal {
+		t.Fatalf("timing aggregates inconsistent: total=%d max=%d", stats.BuildMSTotal, stats.BuildMSMax)
 	}
 }

@@ -150,7 +150,7 @@ func (s *Server) refreshStatsGauges() {
 	g.jobsWorkers.Set(float64(js.Workers))
 	// Backings absent from this snapshot keep their previous series
 	// value; zero them by always writing the full label set.
-	for _, kind := range []string{"compact", "packed", "mapped", "paged", "overlay"} {
+	for _, kind := range []string{"compact", "packed", "paged", "overlay"} {
 		g.storeBytes.With(kind).Set(float64(rs.StoreBytes[kind]))
 		g.storeFileBytes.With(kind).Set(float64(rs.StoreFileBytes[kind]))
 	}

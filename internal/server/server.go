@@ -112,21 +112,14 @@ type Config struct {
 	// zero APSP builds. Empty disables persistence (the pre-existing
 	// in-memory behavior).
 	DataDir string
-	// MappedStores, when set (with DataDir), hydrates persisted store
-	// snapshots at startup as read-only memory-mapped views instead of
-	// decoding them into the heap: warm-restart cost becomes
-	// independent of store size, and distance cells are paged in on
-	// first touch. See registry.Config.MappedStores for the
-	// validation tradeoff.
-	MappedStores bool
 	// PagedStores, when set (with DataDir), serves distance stores as
 	// paged views over their snapshot files, windowed through one
 	// process-wide LRU page cache capped at StoreBudgetBytes: total
 	// resident triangle bytes stay under the budget no matter how many
 	// graphs and thresholds are cached, and fresh builds stream
 	// straight to disk instead of materializing in the heap — the
-	// out-of-core mode for triangles larger than RAM. Mutually
-	// exclusive with MappedStores.
+	// out-of-core mode for triangles larger than RAM. See
+	// registry.Config.PagedStores for the validation tradeoff.
 	PagedStores bool
 	// StoreBudgetBytes caps the paged-store page cache; zero selects
 	// 256 MiB. Meaningful only with PagedStores.
@@ -221,9 +214,9 @@ func (c Config) limiterConfig() obs.LimiterConfig {
 func (c Config) registryConfig() registry.Config {
 	return registry.Config{
 		MaxGraphs: c.GraphCapacity, MaxStoresPerGraph: c.StoresPerGraph,
-		Dir: c.DataDir, MappedStores: c.MappedStores,
-		PagedStores: c.PagedStores, StoreBudgetBytes: c.StoreBudgetBytes,
-		DisableRepair: c.DisableStoreRepair,
+		Dir: c.DataDir, PagedStores: c.PagedStores,
+		StoreBudgetBytes: c.StoreBudgetBytes,
+		DisableRepair:    c.DisableStoreRepair,
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // two build hints.
 var (
 	engineHints = []string{"", "auto", "bfs", "fw", "pointer", "bitbfs"}
-	storeHints  = []string{"", "compact", "packed", "mapped", "paged"}
+	storeHints  = []string{"", "compact", "packed", "mapped", "mmap", "paged"}
 )
 
 // TestOpacityEngineStoreKnobs: every engine/store hint a client can

@@ -239,8 +239,8 @@ type Options struct {
 	// overlay over the store instead of rebuilding APSP — the serving
 	// layer's registry obtains handles via WrapDistances — and never
 	// mutates the original, so one store may seed many concurrent
-	// runs, including read-only memory-mapped or paged views of
-	// triangles larger than RAM; no full copy of the store is ever
+	// runs, including read-only paged views of triangles larger
+	// than RAM; no full copy of the store is ever
 	// taken. The anonymization outcome is identical either way; only
 	// the per-run setup cost changes. Supported by EdgeRemoval,
 	// EdgeRemovalInsertion, and SimulatedAnnealing.

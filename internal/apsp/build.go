@@ -77,14 +77,7 @@ type BuildOptions struct {
 // sweep, into the backing KindFor(L) selects.
 func Build(g *graph.Graph, L int, o BuildOptions) MutableStore {
 	c := g.Frozen()
-	n := c.N()
-	m := NewStore(n, L, KindFor(L))
-	sw := newSweeper(c, L, o.Workers)
-	switch t := m.(type) {
-	case *CompactMatrix:
-		sweepRows(sw, t.data, 0, n)
-	case *Matrix:
-		sweepRows(sw, t.data, 0, n)
-	}
+	m := newTriangle(c.N(), L, KindFor(L))
+	m.sweep(newSweeper(c, L, o.Workers))
 	return m
 }

@@ -88,13 +88,13 @@ func TestCountWithinByClassBackings(t *testing.T) {
 }
 
 // TestOverlayPairInvertsIndex: trianglePair maps every triangle offset
-// back to the pair the overlay's index packs into it.
+// back to the pair pairIndex, the index every backing and the overlay
+// share, packs into it.
 func TestOverlayPairInvertsIndex(t *testing.T) {
 	for _, n := range []int{2, 3, 64, 65, 101} {
-		o := NewOverlay(NewCompactMatrix(n, 2))
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if a, b := trianglePair(n, o.index(i, j)); a != i || b != j {
+				if a, b := trianglePair(n, pairIndex(n, i, j)); a != i || b != j {
 					t.Fatalf("n=%d: trianglePair(index(%d, %d)) = (%d, %d)", n, i, j, a, b)
 				}
 			}
@@ -105,7 +105,7 @@ func TestOverlayPairInvertsIndex(t *testing.T) {
 // TestCountWithinByClassRejectsShortInputs: a class vector of the
 // wrong length or too few counters panics instead of miscounting.
 func TestCountWithinByClassRejectsShortInputs(t *testing.T) {
-	s := NewCompactMatrix(4, 2)
+	s := NewStore(4, 2, KindCompact)
 	for name, f := range map[string]func(){
 		"class": func() { CountWithinByClass(s, make([]int32, 3), 1, make([]int64, 1)) },
 		"cnt":   func() { CountWithinByClass(s, make([]int32, 4), 2, make([]int64, 3)) },

@@ -29,13 +29,9 @@ type Overlay struct {
 	dirtyRows []bool
 }
 
-// Compile-time interface checks: the overlay is the mutable view; its
+// Compile-time interface check: the overlay is the mutable view; its
 // base stays behind the read-only contract.
-var (
-	_ MutableStore = (*Overlay)(nil)
-	_ MutableStore = (*CompactMatrix)(nil)
-	_ MutableStore = (*Matrix)(nil)
-)
+var _ MutableStore = (*Overlay)(nil)
 
 // NewOverlay returns an empty copy-on-write view over base. It is O(1):
 // no cell is copied until written.
@@ -87,18 +83,6 @@ func (o *Overlay) dirtyBytes() int64 {
 	return 48*int64(len(o.dirty)) + int64(len(o.dirtyRows))
 }
 
-// index packs the unordered pair {i, j} into its row-major triangle
-// offset, validating bounds exactly like the heap backings.
-func (o *Overlay) index(i, j int) int64 {
-	if i > j {
-		i, j = j, i
-	}
-	if i == j || i < 0 || j >= o.n {
-		panic(fmt.Sprintf("apsp: invalid pair (%d, %d) for n=%d", i, j, o.n))
-	}
-	return int64(i)*(2*int64(o.n)-int64(i)-1)/2 + int64(j-i-1)
-}
-
 // countWithinByClass is CountWithinByClass for an overlay: the base's
 // count, then one correction per dirty cell whose override moves the
 // pair across L. A stacked overlay's base counts itself the same way.
@@ -127,7 +111,7 @@ func (o *Overlay) Get(i, j int) int {
 		i, j = j, i
 	}
 	if i >= 0 && i < o.n && o.dirtyRows[i] {
-		if d, ok := o.dirty[o.index(i, j)]; ok {
+		if d, ok := o.dirty[pairIndex(o.n, i, j)]; ok {
 			return int(d)
 		}
 	}
@@ -146,7 +130,7 @@ func (o *Overlay) Set(i, j, d int) {
 	if d < 1 {
 		panic(fmt.Sprintf("apsp: distance %d < 1 for distinct pair (%d, %d)", d, i, j))
 	}
-	idx := o.index(i, j)
+	idx := pairIndex(o.n, i, j)
 	if o.base.Get(i, j) == d {
 		delete(o.dirty, idx)
 		return

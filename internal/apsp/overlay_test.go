@@ -176,7 +176,7 @@ func TestOverlayDeltaEquivalence(t *testing.T) {
 // as the heap backings — clamp above Far, panic below 1, panic on a
 // diagonal or out-of-range pair.
 func TestOverlaySetValidation(t *testing.T) {
-	base := NewCompactMatrix(5, 3)
+	base := NewStore(5, 3, KindCompact)
 	o := NewOverlay(base)
 	o.Set(0, 1, 99)
 	if got := o.Get(0, 1); got != o.Far() {

@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -218,11 +217,7 @@ func OpenPagedStore(path string, cache *PageCache) (*PagedStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("apsp: %s: %w", path, err)
 	}
-	cells := cellCount(uint64(n))
-	want := cells
-	if k == KindPacked {
-		want = 4 * cells
-	}
+	want := cellCount(uint64(n)) * uint64(k.width())
 	if got := uint64(fi.Size() - storeHeaderLen); got != want {
 		f.Close()
 		return nil, fmt.Errorf("apsp: %s: snapshot payload is %d bytes, want %d for n=%d %v cells", path, got, want, n, k)
@@ -282,20 +277,6 @@ func (s *PagedStore) ResidentBytes() int64 { return s.cache.residentBytes(s.id) 
 // header.
 func (s *PagedStore) FileBytes() int64 { return s.payload + storeHeaderLen }
 
-// index returns the packed upper-triangle offset of the unordered pair
-// {i, j}; the layout is identical to the other backings. int64 because
-// a paged store exists precisely for triangles whose cell count
-// justifies it.
-func (s *PagedStore) index(i, j int) int64 {
-	if i > j {
-		i, j = j, i
-	}
-	if i == j || i < 0 || j >= s.n {
-		panic(fmt.Sprintf("apsp: pair (%d, %d) out of range for n=%d", i, j, s.n))
-	}
-	return int64(i)*(2*int64(s.n)-int64(i)-1)/2 + int64(j-i-1)
-}
-
 // pageOf maps a payload byte offset to its page index, intra-page
 // offset, and the page's byte length (short only at the tail).
 func (s *PagedStore) pageOf(off int64) (page int64, rel int, size int) {
@@ -312,23 +293,16 @@ func (s *PagedStore) pageOf(off int64) (page int64, rel int, size int) {
 // cache. Pages are aligned to the payload start and pageSize is a
 // multiple of the cell width, so a cell never straddles two pages.
 func (s *PagedStore) cellAt(idx int64) int {
-	off := idx
-	if s.kind == KindPacked {
-		off = 4 * idx
-	}
-	page, rel, size := s.pageOf(off)
+	page, rel, size := s.pageOf(idx * s.kind.width())
 	buf, err := s.cache.load(s.id, page, size, s.f)
 	if err != nil {
 		panic(fmt.Sprintf("apsp: paged store read (page %d): %v", page, err))
 	}
-	if s.kind == KindCompact {
-		return int(buf[rel])
-	}
-	return int(int32(binary.LittleEndian.Uint32(buf[rel:])))
+	return s.kind.decodeCell(buf, rel)
 }
 
 // Get returns the capped distance for the unordered pair {i, j}.
-func (s *PagedStore) Get(i, j int) int { return s.cellAt(s.index(i, j)) }
+func (s *PagedStore) Get(i, j int) int { return s.cellAt(pairIndex(s.n, i, j)) }
 
 // EachPair calls fn for every unordered pair i < j in row-major order.
 // The walk is page-sequential: each 64 KiB page is faulted once and
@@ -337,10 +311,8 @@ func (s *PagedStore) Get(i, j int) int { return s.cellAt(s.index(i, j)) }
 // opacity-tracker construction over an out-of-core triangle at disk
 // bandwidth instead of one cache probe per pair.
 func (s *PagedStore) EachPair(fn func(i, j, d int)) {
-	cell := int64(1)
-	if s.kind == KindPacked {
-		cell = 4
-	}
+	k := s.kind
+	w := int(k.width())
 	i, j := 0, 1
 	for pageStart := int64(0); pageStart < s.payload; pageStart += pageSize {
 		page, _, size := s.pageOf(pageStart)
@@ -348,14 +320,8 @@ func (s *PagedStore) EachPair(fn func(i, j, d int)) {
 		if err != nil {
 			panic(fmt.Sprintf("apsp: paged store read (page %d): %v", page, err))
 		}
-		for rel := 0; rel+int(cell) <= len(buf); rel += int(cell) {
-			var d int
-			if s.kind == KindCompact {
-				d = int(buf[rel])
-			} else {
-				d = int(int32(binary.LittleEndian.Uint32(buf[rel:])))
-			}
-			fn(i, j, d)
+		for rel := 0; rel+w <= len(buf); rel += w {
+			fn(i, j, k.decodeCell(buf, rel))
 			j++
 			if j == s.n {
 				i++
@@ -365,22 +331,18 @@ func (s *PagedStore) EachPair(fn func(i, j, d int)) {
 	}
 }
 
-// copyTo fills dst, a heap store of the payload's kind, straight from
-// the file one page-sized ReadAt at a time (see putCells) and returns
-// the indices of cells below 1. It bypasses the page cache: a full
-// pass would otherwise evict every other store's hot pages.
-func (s *PagedStore) copyTo(dst MutableStore) (bad []int64) {
-	cell := int64(1)
-	if s.kind == KindPacked {
-		cell = 4
-	}
+// copyTo fills dst, a heap triangle of the payload's kind, straight
+// from the file one page-sized ReadAt at a time (see putCells) and
+// returns the indices of cells below 1. It bypasses the page cache: a
+// full pass would otherwise evict every other store's hot pages.
+func (s *PagedStore) copyTo(dst heapTriangle) (bad []int64) {
 	buf := make([]byte, min(pageSize, s.payload))
 	for off := int64(0); off < s.payload; off += pageSize {
 		b := buf[:min(pageSize, s.payload-off)]
 		if _, err := s.f.ReadAt(b, storeHeaderLen+off); err != nil {
 			panic(fmt.Sprintf("apsp: paged store read (offset %d): %v", off, err))
 		}
-		bad = putCells(dst, int(off/cell), b, bad)
+		bad = dst.putCells(int(off/s.kind.width()), b, bad)
 	}
 	return bad
 }

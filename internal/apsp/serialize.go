@@ -3,9 +3,10 @@ package apsp
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// Binary snapshot format for distance stores, shared by both backings.
+// Binary snapshot format for distance stores, shared by both cell widths.
 // A store is the expensive artifact of the serving workload — an
 // L-capped APSP build — so the registry persists built stores and
 // reloads them on boot, and this file defines the wire form:
@@ -19,12 +20,13 @@ import (
 //	22      -     payload: n*(n-1)/2 cells in row-major pair order
 //	              (compact: one byte per cell; packed: int32 LE)
 //
-// Decoding is strict: a wrong magic, unknown version or kind, a
-// truncated or oversized payload, or any cell outside [1, L+1] is an
-// error — never a panic and never a silently misloaded store. The
-// sizes decoded from the header are validated against the actual
-// payload length BEFORE any allocation, so a corrupt header cannot
-// force a huge allocation.
+// Decoding is strict: a wrong magic, unknown version or kind, an L
+// whose sentinel L+1 the kind's cell cannot hold, a truncated or
+// oversized payload, or any cell outside [1, L+1] is an error — never
+// a panic and never a silently misloaded store. The sizes decoded
+// from the header are validated against the actual payload length
+// BEFORE any allocation, so a corrupt header cannot force a huge
+// allocation.
 
 const (
 	storeMagic   = "LOPS"
@@ -54,7 +56,8 @@ func appendStoreHeader(buf []byte, k Kind, n, l int) []byte {
 
 // decodeStoreHeader validates the fixed header and returns the kind and
 // dimensions. n is bounded so the caller's payload-length check cannot
-// overflow.
+// overflow, and L so that a cell of the kind can hold Far = L+1.
+// Every decoder of snapshot bytes, heap or paged, starts here.
 func decodeStoreHeader(data []byte) (k Kind, n, l int, err error) {
 	if len(data) < storeHeaderLen {
 		return 0, 0, 0, fmt.Errorf("apsp: store snapshot truncated: %d bytes < %d-byte header", len(data), storeHeaderLen)
@@ -73,88 +76,112 @@ func decodeStoreHeader(data []byte) (k Kind, n, l int, err error) {
 	}
 	un := binary.LittleEndian.Uint64(data[6:14])
 	ul := binary.LittleEndian.Uint64(data[14:22])
-	const maxDim = 1 << 31
-	if un > maxDim || ul > maxDim {
-		return 0, 0, 0, fmt.Errorf("apsp: store snapshot dimensions n=%d L=%d out of range", un, ul)
+	if un > 1<<31 {
+		return 0, 0, 0, fmt.Errorf("apsp: store snapshot dimension n=%d out of range", un)
+	}
+	if ul > k.maxL() {
+		return 0, 0, 0, fmt.Errorf("apsp: %v snapshot claims L=%d > %d, leaving its cells no room for Far=L+1", k, ul, k.maxL())
 	}
 	return k, int(un), int(ul), nil
 }
 
-// MarshalBinary encodes the compact store in the versioned snapshot
-// format. It implements encoding.BinaryMarshaler.
-func (m *CompactMatrix) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, storeHeaderLen+len(m.data))
-	buf = appendStoreHeader(buf, KindCompact, m.n, m.l)
-	return append(buf, m.data...), nil
+// The cell codec: the one place that knows how wide a cell of each
+// kind is and how it is laid out in snapshot bytes. Compact cells are
+// one byte, packed cells one little-endian int32; heap triangles hold
+// the same cells natively.
+
+// cellKind returns the kind whose cells are T.
+func cellKind[T cell]() Kind {
+	if _, ok := any(T(0)).(uint8); ok {
+		return KindCompact
+	}
+	return KindPacked
 }
 
-// UnmarshalBinary overwrites m with a compact-store snapshot. It
-// implements encoding.BinaryUnmarshaler and rejects snapshots of the
-// packed kind; use UnmarshalStore when the kind is not known up front.
-func (m *CompactMatrix) UnmarshalBinary(data []byte) error {
-	k, n, l, err := decodeStoreHeader(data)
-	if err != nil {
-		return err
+// width returns the bytes one cell of kind k takes.
+func (k Kind) width() int64 {
+	if k == KindPacked {
+		return 4
 	}
-	if k != KindCompact {
-		return fmt.Errorf("apsp: snapshot holds a %v store, not compact", k)
+	return 1
+}
+
+// maxL returns the largest threshold whose sentinel L+1 a cell of kind
+// k can hold.
+func (k Kind) maxL() uint64 {
+	if k == KindPacked {
+		return math.MaxInt32 - 1
 	}
-	if l > MaxCompactL {
-		return fmt.Errorf("apsp: compact snapshot claims L=%d > MaxCompactL=%d", l, MaxCompactL)
+	return MaxCompactL
+}
+
+// decodeCell returns the cell of kind k at byte offset off of snapshot
+// bytes b.
+func (k Kind) decodeCell(b []byte, off int) int {
+	if k == KindPacked {
+		return int(int32(binary.LittleEndian.Uint32(b[off:])))
 	}
-	payload := data[storeHeaderLen:]
-	if want := cellCount(uint64(n)); uint64(len(payload)) != want {
-		return fmt.Errorf("apsp: compact snapshot payload is %d bytes, want %d for n=%d", len(payload), want, n)
-	}
-	far := uint8(l + 1)
-	for i, c := range payload {
-		if c < 1 || c > far {
-			return fmt.Errorf("apsp: compact snapshot cell %d holds %d outside [1, %d]", i, c, far)
+	return int(b[off])
+}
+
+// appendCells appends the snapshot encoding of cells to buf.
+func appendCells[T cell](buf []byte, cells []T) []byte {
+	switch c := any(cells).(type) {
+	case []uint8:
+		return append(buf, c...)
+	case []int32:
+		for _, x := range c {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 		}
 	}
-	m.n, m.l = n, l
-	m.data = append([]uint8(nil), payload...)
-	return nil
+	return buf
 }
 
-// MarshalBinary encodes the packed store in the versioned snapshot
-// format. It implements encoding.BinaryMarshaler.
-func (m *Matrix) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, storeHeaderLen+4*len(m.data))
-	buf = appendStoreHeader(buf, KindPacked, m.n, m.l)
-	for _, c := range m.data {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+// decodeCells fills cells from their snapshot encoding raw.
+func decodeCells[T cell](cells []T, raw []byte) {
+	switch c := any(cells).(type) {
+	case []uint8:
+		copy(c, raw)
+	case []int32:
+		for x := range c {
+			c[x] = int32(binary.LittleEndian.Uint32(raw[4*x:]))
+		}
 	}
-	return buf, nil
 }
 
-// UnmarshalBinary overwrites m with a packed-store snapshot. It
+// MarshalBinary encodes the store in the versioned snapshot format. It
+// implements encoding.BinaryMarshaler.
+func (m *Triangle[T]) MarshalBinary() ([]byte, error) {
+	k := m.kind()
+	buf := make([]byte, 0, storeHeaderLen+int64(len(m.data))*k.width())
+	return appendCells(appendStoreHeader(buf, k, m.n, m.l), m.data), nil
+}
+
+// UnmarshalBinary overwrites m with a snapshot of m's kind. It
 // implements encoding.BinaryUnmarshaler and rejects snapshots of the
-// compact kind; use UnmarshalStore when the kind is not known up front.
-func (m *Matrix) UnmarshalBinary(data []byte) error {
+// other kind; use UnmarshalStore when the kind is not known up front.
+func (m *Triangle[T]) UnmarshalBinary(data []byte) error {
 	k, n, l, err := decodeStoreHeader(data)
 	if err != nil {
 		return err
 	}
-	if k != KindPacked {
-		return fmt.Errorf("apsp: snapshot holds a %v store, not packed", k)
+	if k != m.kind() {
+		return fmt.Errorf("apsp: snapshot holds a %v store, not %v", k, m.kind())
 	}
 	payload := data[storeHeaderLen:]
 	cells := cellCount(uint64(n))
-	if uint64(len(payload)) != 4*cells {
-		return fmt.Errorf("apsp: packed snapshot payload is %d bytes, want %d for n=%d", len(payload), 4*cells, n)
+	if want := cells * uint64(k.width()); uint64(len(payload)) != want {
+		return fmt.Errorf("apsp: %v snapshot payload is %d bytes, want %d for n=%d", k, len(payload), want, n)
 	}
-	far := uint32(l + 1)
-	out := make([]int32, cells)
-	for i := range out {
-		c := binary.LittleEndian.Uint32(payload[4*i:])
+	out := make([]T, cells)
+	decodeCells(out, payload)
+	far := T(l + 1)
+	for i, c := range out {
 		if c < 1 || c > far {
-			return fmt.Errorf("apsp: packed snapshot cell %d holds %d outside [1, %d]", i, c, far)
+			return fmt.Errorf("apsp: %v snapshot cell %d holds %d outside [1, %d]", k, i, c, far)
 		}
-		out[i] = int32(c)
 	}
-	m.n, m.l = n, l
-	m.data = out
+	m.n, m.l, m.data = n, l, out
 	return nil
 }
 
@@ -165,45 +192,37 @@ func (m *Matrix) UnmarshalBinary(data []byte) error {
 // payload of the output buffer itself, so the triangle is copied once.
 func MarshalStore(s Store) ([]byte, error) {
 	switch t := s.(type) {
-	case *CompactMatrix:
-		return t.MarshalBinary()
-	case *Matrix:
+	case heapTriangle:
 		return t.MarshalBinary()
 	case *PagedStore:
 		return t.snapshot()
 	}
 	n, l, k := s.N(), s.L(), KindOf(s)
 	if k != KindCompact {
-		c := NewStore(n, l, k)
+		c := newTriangle(n, l, k)
 		Copy(c, s)
-		return MarshalStore(c)
+		return c.MarshalBinary()
 	}
 	buf := make([]byte, storeHeaderLen+n*(n-1)/2)
 	appendStoreHeader(buf[:0], KindCompact, n, l)
-	Copy(&CompactMatrix{n: n, l: l, data: buf[storeHeaderLen:]}, s)
+	Copy(&Triangle[uint8]{n: n, l: l, data: buf[storeHeaderLen:]}, s)
 	return buf, nil
 }
 
-// UnmarshalStore decodes a snapshot produced by MarshalStore (or either
-// MarshalBinary), selecting the backing recorded in the header. Corrupt
+// UnmarshalStore decodes a snapshot produced by MarshalStore (or
+// Triangle's MarshalBinary) into a triangle of the kind recorded in the
+// header. Corrupt
 // or truncated input returns an error, never a panic.
 func UnmarshalStore(data []byte) (Store, error) {
 	k, _, _, err := decodeStoreHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	switch k {
-	case KindCompact:
-		m := &CompactMatrix{}
-		if err := m.UnmarshalBinary(data); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		m := &Matrix{}
-		if err := m.UnmarshalBinary(data); err != nil {
-			return nil, err
-		}
-		return m, nil
+	// An empty triangle of the header's kind: UnmarshalBinary replaces
+	// its dimensions and cells.
+	m := newTriangle(0, 0, k)
+	if err := m.UnmarshalBinary(data); err != nil {
+		return nil, err
 	}
+	return m, nil
 }

@@ -2,7 +2,11 @@ package apsp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +109,20 @@ func corruptStoreSnapshots(t testing.TB) (valid [][]byte, cases []corruptCase) {
 			b[storeHeaderLen], b[storeHeaderLen+1], b[storeHeaderLen+2], b[storeHeaderLen+3] = 0, 0, 0, 0
 		})},
 		{"packed truncated", packed[:len(packed)-2]},
+		{"compact L above MaxCompactL", mutate(compact, func(b []byte) { binary.LittleEndian.PutUint64(b[14:], MaxCompactL+1) })},
+		{"packed L without room for Far", mutate(packed, func(b []byte) { binary.LittleEndian.PutUint64(b[14:], math.MaxInt32) })},
+	}
+}
+
+// addStoreSeeds seeds a snapshot fuzz target with the valid snapshots
+// and every corruption of them.
+func addStoreSeeds(f *testing.F) {
+	valid, cases := corruptStoreSnapshots(f)
+	for _, data := range valid {
+		f.Add(data)
+	}
+	for _, tc := range cases {
+		f.Add(tc.data)
 	}
 }
 
@@ -130,13 +148,7 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 // is strict, so every snapshot it accepts re-encodes to the same bytes
 // and holds only cells in [1, L+1].
 func FuzzUnmarshalStore(f *testing.F) {
-	valid, cases := corruptStoreSnapshots(f)
-	for _, data := range valid {
-		f.Add(data)
-	}
-	for _, tc := range cases {
-		f.Add(tc.data)
-	}
+	addStoreSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := UnmarshalStore(data)
 		if err != nil {
@@ -157,19 +169,87 @@ func FuzzUnmarshalStore(f *testing.F) {
 	})
 }
 
-// TestUnmarshalKindMismatch: the typed UnmarshalBinary methods refuse
-// snapshots of the other backing instead of misreading them.
+// FuzzOpenPagedStore drives the paged decoder with the same bytes as
+// FuzzUnmarshalStore, written to a file. Opening must never panic. A
+// snapshot the heap decoder accepts must open as a view equal to the
+// decoded store that re-encodes to the input. The view checks only the
+// header and the length, deferring the cells, so a snapshot the heap
+// decoder refuses may open only when EachPair shows a cell outside
+// [1, Far].
+func FuzzOpenPagedStore(f *testing.F) {
+	addStoreSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.store")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ps, openErr := OpenPagedStore(path, NewPageCache(pageSize))
+		if openErr == nil {
+			defer ps.Close()
+		}
+		s, err := UnmarshalStore(data)
+		if err == nil {
+			if openErr != nil {
+				t.Fatalf("OpenPagedStore refused a snapshot UnmarshalStore accepts: %v", openErr)
+			}
+			if !Equal(ps, s) {
+				t.Fatalf("paged view differs from the decoded store (n=%d L=%d kind=%v)", s.N(), s.L(), KindOf(s))
+			}
+			out, err := MarshalStore(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatal("paged view re-encodes differently")
+			}
+			return
+		}
+		if openErr != nil {
+			return
+		}
+		outside := false
+		ps.EachPair(func(_, _, d int) { outside = outside || d < 1 || d > ps.Far() })
+		if !outside {
+			t.Fatalf("OpenPagedStore opened a snapshot UnmarshalStore refuses (%v) with every cell in [1, %d]", err, ps.Far())
+		}
+	})
+}
+
+// TestCompactSnapshotOversizedLRejected: a compact header claiming
+// L > MaxCompactL promises a Far no one-byte cell can hold, so both the
+// heap decoder and the paged view refuse the file.
+func TestCompactSnapshotOversizedLRejected(t *testing.T) {
+	data, err := MarshalStore(NewStore(4, 2, KindCompact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[14:], 300)
+	if _, err := UnmarshalStore(data); err == nil {
+		t.Error("UnmarshalStore accepted a compact snapshot with L=300")
+	}
+	path := filepath.Join(t.TempDir(), "oversized.store")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := OpenPagedStore(path, NewPageCache(pageSize)); err == nil {
+		defer ps.Close()
+		t.Errorf("OpenPagedStore accepted a compact snapshot with L=300 (Far()=%d)", ps.Far())
+	}
+}
+
+// TestUnmarshalKindMismatch: each width's UnmarshalBinary refuses
+// snapshots of the other kind instead of misreading them.
 func TestUnmarshalKindMismatch(t *testing.T) {
 	g := serializeTestGraph(10, 5)
 	compact, _ := MarshalStore(Build(g, 2, BuildOptions{}))
 	packed, _ := MarshalStore(asKind(build(g, 2), KindPacked))
-	var m Matrix
+	var m Triangle[int32]
 	if err := m.UnmarshalBinary(compact); err == nil || !strings.Contains(err.Error(), "not packed") {
-		t.Errorf("Matrix accepted a compact snapshot (err=%v)", err)
+		t.Errorf("Triangle[int32] accepted a compact snapshot (err=%v)", err)
 	}
-	var c CompactMatrix
+	var c Triangle[uint8]
 	if err := c.UnmarshalBinary(packed); err == nil || !strings.Contains(err.Error(), "not compact") {
-		t.Errorf("CompactMatrix accepted a packed snapshot (err=%v)", err)
+		t.Errorf("Triangle[uint8] accepted a packed snapshot (err=%v)", err)
 	}
 }
 

@@ -1,11 +1,6 @@
 package apsp
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Store is the read view every layer above this package programs
 // against: an L-capped geodesic distance store over a fixed vertex set.
@@ -13,13 +8,13 @@ import (
 // and the sentinel Far() = L+1 otherwise. The diagonal is implicit
 // (distance 0) and never stored.
 //
-// Three backings implement it: CompactMatrix (uint8 cells, every built
-// store with L <= MaxCompactL — a capped distance never exceeds L+1, so
-// one byte suffices), Matrix (int32 cells, the original packed layout,
-// needed only for thresholds beyond MaxCompactL), and PagedStore (a
-// read-only window over a persisted snapshot file through a bounded
-// page cache, for triangles larger than RAM). Mutation is a separate
-// contract: see MutableStore and Overlay.
+// Two types implement it. Triangle is the heap store, one upper
+// triangle written once for two cell widths: uint8 (KindCompact, every
+// store with L <= MaxCompactL — a capped distance never exceeds L+1,
+// so one byte suffices) and int32 (KindPacked, every L above it).
+// PagedStore is a read-only window over a persisted snapshot file
+// through a bounded page cache, for triangles larger than RAM.
+// Mutation is a separate contract: see MutableStore and Overlay.
 type Store interface {
 	// N returns the number of vertices.
 	N() int
@@ -42,10 +37,10 @@ type Store interface {
 }
 
 // MutableStore is the write view: everything a Store offers plus cell
-// writes. The heap backings (CompactMatrix, Matrix) and the sparse
-// Overlay implement it; the file-backed PagedStore deliberately does
-// not — wrapping it in an Overlay is the only mutation path, which is
-// what keeps writable runs from ever needing the full triangle in heap.
+// writes. The heap Triangle and the sparse Overlay implement it; the
+// file-backed PagedStore deliberately does not — wrapping it in an
+// Overlay is the only mutation path, which is what keeps writable runs
+// from ever needing the full triangle in heap.
 type MutableStore interface {
 	Store
 	// Set stores the capped distance d for the unordered pair {i, j}.
@@ -119,10 +114,8 @@ func KindFor(L int) Kind {
 // KindCompact with L > MaxCompactL; KindFor(L) is always legal.
 func NewStore(n, L int, k Kind) MutableStore {
 	switch k {
-	case KindPacked:
-		return NewMatrix(n, L)
-	case KindCompact:
-		return NewCompactMatrix(n, L)
+	case KindCompact, KindPacked:
+		return newTriangle(n, L, k)
 	case KindPaged:
 		panic("apsp: paged stores are opened from snapshot files (OpenPagedStore), not built")
 	}
@@ -136,12 +129,10 @@ func NewStore(n, L int, k Kind) MutableStore {
 // twin.
 func KindOf(s Store) Kind {
 	switch t := s.(type) {
-	case *Matrix:
-		return KindPacked
+	case heapTriangle:
+		return t.kind()
 	case *PagedStore:
 		return t.Kind()
-	case *CompactMatrix:
-		return KindCompact
 	case *Overlay:
 		return KindOf(t.Base())
 	}
@@ -154,11 +145,9 @@ func KindOf(s Store) Kind {
 // resident-bytes gauges exist precisely to distinguish a paged view
 // from a heap copy of the same snapshot.
 func BackingName(s Store) string {
-	switch s.(type) {
-	case *Matrix:
-		return "packed"
-	case *CompactMatrix:
-		return "compact"
+	switch t := s.(type) {
+	case heapTriangle:
+		return t.kind().String()
 	case *PagedStore:
 		return "paged"
 	case *Overlay:
@@ -174,10 +163,8 @@ func BackingName(s Store) string {
 // not an estimate.
 func Footprint(s Store) (heapBytes, fileBytes int64) {
 	switch t := s.(type) {
-	case *CompactMatrix:
-		return int64(len(t.data)), 0
-	case *Matrix:
-		return 4 * int64(len(t.data)), 0
+	case heapTriangle:
+		return int64(cellCount(uint64(t.N()))) * t.kind().width(), 0
 	case *PagedStore:
 		return t.ResidentBytes(), t.FileBytes()
 	case *Overlay:
@@ -221,11 +208,7 @@ func Copy(dst MutableStore, src Store) {
 // cells below 1 as read and returns their triangle indices, ascending,
 // for Copy to check once the dirty cells of any overlay are in.
 func copyCells(dst MutableStore, src Store) (bad []int64) {
-	heap := false
-	switch dst.(type) {
-	case *CompactMatrix, *Matrix:
-		heap = true
-	}
+	h, heap := dst.(heapTriangle)
 	switch s := src.(type) {
 	case *Overlay:
 		if heap {
@@ -236,82 +219,17 @@ func copyCells(dst MutableStore, src Store) (bad []int64) {
 			}
 			return bad
 		}
-	case *CompactMatrix:
-		if d, ok := dst.(*CompactMatrix); ok {
-			d.CopyFrom(s)
-			return nil
-		}
-	case *Matrix:
-		if d, ok := dst.(*Matrix); ok {
-			d.CopyFrom(s)
+	case heapTriangle:
+		if heap && h.copyFrom(s) {
 			return nil
 		}
 	case *PagedStore:
-		if heap && s.kind == KindOf(dst) {
-			return s.copyTo(dst)
+		if heap && s.kind == h.kind() {
+			return s.copyTo(h)
 		}
 	}
 	src.EachPair(func(i, j, d int) { dst.Set(i, j, d) })
 	return nil
-}
-
-// putCells writes snapshot payload bytes of dst's own kind into dst, a
-// heap store, starting at triangle index at. A cell above Far() is
-// clamped as Set clamps it; a cell below 1 is written as read and its
-// index appended to bad, so no file byte reaches the heap unchecked.
-// The indices are gathered by a second scan only when the branch-free
-// first one sees such a cell.
-func putCells(dst MutableStore, at int, raw []byte, bad []int64) []int64 {
-	switch d := dst.(type) {
-	case *CompactMatrix:
-		far, low := uint8(d.l+1), uint8(1)
-		cells := d.data[at : at+len(raw)]
-		for x, c := range raw {
-			cells[x] = min(c, far)
-			low = min(low, c)
-		}
-		if low < 1 {
-			for x, c := range raw {
-				if c < 1 {
-					bad = append(bad, int64(at+x))
-				}
-			}
-		}
-	case *Matrix:
-		far, low := int32(d.l+1), int32(1)
-		cells := d.data[at : at+len(raw)/4]
-		for x := range cells {
-			c := int32(binary.LittleEndian.Uint32(raw[4*x:]))
-			cells[x] = min(c, far)
-			low = min(low, c)
-		}
-		if low < 1 {
-			for x, c := range cells {
-				if c < 1 {
-					bad = append(bad, int64(at+x))
-				}
-			}
-		}
-	}
-	return bad
-}
-
-// trianglePair inverts the row-major triangle index of an n-vertex
-// store: the pair i < j stored at offset idx. Row i starts at offset
-// i*(2n-i-1)/2, so i is found by binary search.
-func trianglePair(n int, idx int64) (i, j int) {
-	nn := int64(n)
-	start := func(r int64) int64 { return r * (2*nn - r - 1) / 2 }
-	lo, hi := int64(0), nn-1 // the row lies in [lo, hi)
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if start(mid) <= idx {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return int(lo), int(idx - start(lo) + lo + 1)
 }
 
 // Equal reports whether two stores describe identical capped-distance
@@ -324,14 +242,9 @@ func Equal(a, b Store) bool {
 	if a.N() != b.N() || a.L() != b.L() {
 		return false
 	}
-	if x, ok := a.(*Matrix); ok {
-		if y, ok := b.(*Matrix); ok {
-			return slices.Equal(x.data, y.data)
-		}
-	}
-	if x, ok := a.(*CompactMatrix); ok {
-		if y, ok := b.(*CompactMatrix); ok {
-			return bytes.Equal(x.data, y.data)
+	if x, ok := a.(heapTriangle); ok {
+		if eq, ok := x.equalCells(b); ok {
+			return eq
 		}
 	}
 	n := a.N()
@@ -364,7 +277,7 @@ func CountWithin(s Store) int {
 // row, so a caller folding it into unordered class pairs sums the
 // cells (a, b) and (b, a).
 //
-// A one-byte heap triangle is counted straight off its rows; an overlay
+// A heap triangle is counted straight off its rows; an overlay
 // counts its base and then corrects once per dirty cell; every other
 // backing is walked through EachPair.
 func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
@@ -372,8 +285,8 @@ func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
 		panic(fmt.Sprintf("apsp: CountWithinByClass got %d classes for n=%d and %d counters for k=%d", len(class), s.N(), len(cnt), k))
 	}
 	switch t := s.(type) {
-	case *CompactMatrix:
-		countCompactRows(t.data, t.n, t.l, class, k, cnt)
+	case heapTriangle:
+		t.countWithinByClass(class, k, cnt)
 		return
 	case *Overlay:
 		t.countWithinByClass(class, k, cnt)
@@ -385,23 +298,6 @@ func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
 			cnt[int(class[i])*k+int(class[j])]++
 		}
 	})
-}
-
-// countCompactRows is CountWithinByClass over a one-byte triangle. The
-// inner loop is branch-free: (L-d)>>63 is -1 exactly when d > L.
-func countCompactRows(data []uint8, n, L int, class []int32, k int, cnt []int64) {
-	idx := 0
-	for i := 0; i < n-1; i++ {
-		row := data[idx : idx+n-i-1]
-		cls := class[i+1 : n]
-		cls = cls[:len(row)]
-		base := int(class[i]) * k
-		c := cnt[base : base+k]
-		for j, d := range row {
-			c[cls[j]] += 1 + int64(L-int(d))>>63
-		}
-		idx += len(row)
-	}
 }
 
 // Histogram returns counts of stored distances: hist[d] for d in

@@ -9,25 +9,17 @@ import (
 )
 
 // TestCompactRejectsOversizedL is the constructor bound: one byte must
-// hold L+1, so NewCompactMatrix and NewStore(KindCompact) reject
-// L > MaxCompactL.
+// hold L+1, so NewStore(KindCompact) rejects L > MaxCompactL.
 func TestCompactRejectsOversizedL(t *testing.T) {
-	if m := NewCompactMatrix(4, MaxCompactL); m.Far() != MaxCompactL+1 {
+	if m := NewStore(4, MaxCompactL, KindCompact); m.Far() != MaxCompactL+1 {
 		t.Fatalf("L=MaxCompactL must be accepted, Far=%d", m.Far())
 	}
-	for _, build := range map[string]func(){
-		"NewCompactMatrix": func() { NewCompactMatrix(4, MaxCompactL+1) },
-		"NewStore":         func() { NewStore(4, MaxCompactL+1, KindCompact) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("compact constructor accepted L=%d", MaxCompactL+1)
-				}
-			}()
-			build()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("compact constructor accepted L=%d", MaxCompactL+1)
+		}
+	}()
+	NewStore(4, MaxCompactL+1, KindCompact)
 }
 
 // TestPackedAcceptsOversizedL: the int32 layout has no threshold

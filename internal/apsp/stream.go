@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -45,46 +44,30 @@ func StreamBuild(w io.Writer, g *graph.Graph, L int, o BuildOptions) error {
 	if _, err := bw.Write(appendStoreHeader(nil, kind, n, L)); err != nil {
 		return err
 	}
-	sw := newSweeper(c, L, o.Workers)
-	var err error
-	if kind == KindCompact {
-		err = streamTriangle(sw, uint8(L+1), func(cells []uint8) error {
-			_, err := bw.Write(cells)
-			return err
-		})
-	} else {
-		var out []byte
-		err = streamTriangle(sw, int32(L+1), func(cells []int32) error {
-			out = out[:0]
-			for _, x := range cells {
-				out = binary.LittleEndian.AppendUint32(out, uint32(x))
-			}
-			_, err := bw.Write(out)
-			return err
-		})
-	}
-	if err != nil {
+	// An empty triangle of the kind carries the cell width.
+	if err := newTriangle(0, L, kind).stream(newSweeper(c, L, o.Workers), bw); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// streamTriangle sweeps the triangle block by block into one reused
-// all-Far buffer and hands each finished block to emit.
-func streamTriangle[T uint8 | int32](sw *sweeper, far T, emit func([]T) error) error {
+// stream sweeps the triangle of sw block by block into one reused
+// all-Far buffer of m's cells and writes each finished block's snapshot
+// encoding to w. m itself is not written.
+func (*Triangle[T]) stream(sw *sweeper, w io.Writer) error {
 	n := sw.c.N()
 	var buf []T
+	var out []byte
 	for _, b := range streamBlocks(n, len(sw.scratch)) {
 		size := rowOffset(n, b[1]) - rowOffset(n, b[0])
 		if cap(buf) < size {
 			buf = make([]T, size)
 		}
 		cells := buf[:size]
-		for i := range cells {
-			cells[i] = far
-		}
+		fill(cells, T(sw.l+1))
 		sweepRows(sw, cells, b[0], b[1])
-		if err := emit(cells); err != nil {
+		out = appendCells(out[:0], cells)
+		if _, err := w.Write(out); err != nil {
 			return err
 		}
 	}

@@ -39,10 +39,6 @@ const batchSize = 64
 // machine.
 const autoParallelMinN = 4096
 
-// rowOffset returns the index of cell {s, s+1}, the first cell of row
-// s, in the packed upper triangle over n vertices.
-func rowOffset(n, s int) int { return s * (2*n - s - 1) / 2 }
-
 // sweepScratch is one worker's reusable BFS state. The seen and next
 // words are kept all zero between batches; a frontier word is written
 // whenever its vertex joins the active list, before it is read, so it
@@ -100,7 +96,7 @@ func newSweeper(c *graph.CSR, L, workers int) *sweeper {
 // are cut into batches of 64 from lo, and the batches are dealt to the
 // sweeper's workers in ascending order; the result does not depend on
 // the worker count.
-func sweepRows[T uint8 | int32](sw *sweeper, cells []T, lo, hi int) {
+func sweepRows[T cell](sw *sweeper, cells []T, lo, hi int) {
 	if sw.l == 0 || hi <= lo {
 		return
 	}
@@ -131,7 +127,7 @@ func sweepRows[T uint8 | int32](sw *sweeper, cells []T, lo, hi int) {
 // cells, the span of rows [lo, hi). A pair is discovered exactly once,
 // at its true BFS level, because bits already seen at a vertex are
 // masked out of every expansion into it.
-func sweepBatch[T uint8 | int32](c *graph.CSR, L int, cells []T, lo, base, hi int, sc *sweepScratch) {
+func sweepBatch[T cell](c *graph.CSR, L int, cells []T, lo, base, hi int, sc *sweepScratch) {
 	n := c.N()
 	k := min(batchSize, hi-base)
 	span := rowOffset(n, lo)

@@ -172,13 +172,21 @@ func decodeGraphSnapshot(data []byte) (n int, edges [][2]int, err error) {
 }
 
 // writeFile atomically materializes name in the snapshot directory:
-// write a temp file alongside, then rename over the final name.
+// write a temp file alongside, then rename over the final name. When
+// either step fails the temp file is removed, so a partial write does
+// not hold disk until the next boot sweeps it.
 func (p *persister) writeFile(name string, data []byte) error {
 	tmp := filepath.Join(p.dir, tmpPrefix+name)
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(p.dir, name))
 	}
-	return os.Rename(tmp, filepath.Join(p.dir, name))
+	if err != nil {
+		// The caller counts the failed write; a temp file that cannot
+		// be removed either is quarantined at the next boot.
+		_ = os.Remove(tmp)
+	}
+	return err
 }
 
 // saveGraph snapshots one registered graph's canonical edge set.

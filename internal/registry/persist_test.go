@@ -286,6 +286,37 @@ func TestPersistQuarantinesTempFiles(t *testing.T) {
 	}
 }
 
+// TestPersistFailedWriteRemovesTemp: a snapshot write whose rename
+// fails (a directory holds the graph's final name) counts one write
+// error and leaves no temp file behind.
+func TestPersistFailedWriteRemovesTemp(t *testing.T) {
+	dir := t.TempDir()
+	n, edges := persistGraphEdges()
+	canonical, err := Canonicalize(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(Config{Dir: dir})
+	if err := os.Mkdir(filepath.Join(dir, graphFile(Digest(n, canonical))), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Put(n, edges); err != nil {
+		t.Fatal(err)
+	}
+	if p := r.Stats().Persist; p.WriteErrors != 1 || p.GraphWrites != 0 {
+		t.Fatalf("persist stats %+v, want one write error and no graph write", p)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tmpPrefix) {
+			t.Errorf("failed write left temp file %s", e.Name())
+		}
+	}
+}
+
 // TestParseStoreFileRoundTrip: the filename codec inverts itself, and
 // the legacy engine/kind spelling still parses, reporting whether its
 // kind is the one L derives.

@@ -2,6 +2,7 @@ package lopacity
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -78,6 +79,11 @@ func TestAnonymizeByRejectsBaselinesAndBadInput(t *testing.T) {
 	}
 	if _, err := AnonymizeBy(g, Options{L: 1, Theta: 1.2}, labelClassifier); err == nil {
 		t.Fatal("theta=1.2 accepted")
+	}
+	for _, m := range []Method{EdgeRemoval, SimulatedAnnealing} {
+		if _, err := AnonymizeBy(g, Options{L: math.MaxInt32, Theta: 0.5, Method: m}, labelClassifier); err == nil {
+			t.Fatalf("%v: L above the largest store threshold accepted", m)
+		}
 	}
 }
 
@@ -199,5 +205,8 @@ func TestAnonymizeByLabelsValidation(t *testing.T) {
 	}
 	if _, err := AnonymizeByLabels(g, Options{L: 1, Theta: 0.5, Method: GADES}, ok); err == nil {
 		t.Fatal("baseline method accepted label types")
+	}
+	if _, err := AnonymizeByLabels(g, Options{L: math.MaxInt32, Theta: 0.5}, ok); err == nil {
+		t.Fatal("L above the largest store threshold accepted")
 	}
 }

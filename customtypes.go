@@ -68,8 +68,8 @@ func (g *Graph) classifierTypes(classify PairClassifier) (*opacity.FuncTypes, []
 // The classifier is evaluated on all n(n-1)/2 vertex pairs, so this is
 // an O(n^2) operation plus the distance computation.
 func (g *Graph) OpacityBy(L int, classify PairClassifier) (OpacityReport, error) {
-	if L < 1 {
-		return OpacityReport{}, fmt.Errorf("lopacity: L must be >= 1, got %d", L)
+	if L < 1 || L > apsp.MaxL {
+		return OpacityReport{}, fmt.Errorf("lopacity: L must be in [1, %d], got %d", apsp.MaxL, L)
 	}
 	types, labels, err := g.classifierTypes(classify)
 	if err != nil {
@@ -184,8 +184,8 @@ var _ opacity.TypeAssigner = (*opacity.FuncTypes)(nil)
 // O(n + #labels²) for the census rather than the classifier's O(n²).
 // labels must have exactly N entries.
 func (g *Graph) OpacityByLabels(L int, labels []string) (OpacityReport, error) {
-	if L < 1 {
-		return OpacityReport{}, fmt.Errorf("lopacity: L must be >= 1, got %d", L)
+	if L < 1 || L > apsp.MaxL {
+		return OpacityReport{}, fmt.Errorf("lopacity: L must be in [1, %d], got %d", apsp.MaxL, L)
 	}
 	lt, err := g.labelTypes(labels)
 	if err != nil {

@@ -113,6 +113,12 @@ func TestOpacityByValidation(t *testing.T) {
 	if _, err := g.OpacityBy(0, func(u, v int) string { return "x" }); err == nil {
 		t.Fatal("L=0 accepted")
 	}
+	if _, err := g.OpacityBy(math.MaxInt32, func(u, v int) string { return "x" }); err == nil {
+		t.Fatal("L above the largest store threshold accepted")
+	}
+	if _, err := g.OpacityByLabels(math.MaxInt32, make([]string, g.N())); err == nil {
+		t.Fatal("OpacityByLabels: L above the largest store threshold accepted")
+	}
 	if _, err := g.OpacityBy(1, nil); err == nil {
 		t.Fatal("nil classifier accepted")
 	}

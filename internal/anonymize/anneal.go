@@ -85,8 +85,8 @@ func Anneal(g *graph.Graph, opts AnnealOptions) (Result, error) {
 // between proposal iterations, exactly like the wall-clock budget, and
 // returns the usual best-effort result with Result.Cancelled set.
 func AnnealContext(ctx context.Context, g *graph.Graph, opts AnnealOptions) (Result, error) {
-	if opts.L < 1 {
-		return Result{}, fmt.Errorf("anonymize: L must be >= 1, got %d", opts.L)
+	if opts.L < 1 || opts.L > apsp.MaxL {
+		return Result{}, fmt.Errorf("anonymize: L must be in [1, %d], got %d", apsp.MaxL, opts.L)
 	}
 	if opts.Theta < 0 || opts.Theta > 1 {
 		return Result{}, fmt.Errorf("anonymize: theta must be in [0, 1], got %v", opts.Theta)

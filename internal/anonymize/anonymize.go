@@ -66,7 +66,8 @@ func (h Heuristic) String() string {
 
 // Options configures a run of the L-opacification algorithm.
 type Options struct {
-	// L is the path-length threshold of the privacy model (>= 1).
+	// L is the path-length threshold of the privacy model, from 1 to
+	// apsp.MaxL.
 	L int
 	// Theta is the confidence threshold in [0, 1]; the run stops when
 	// max-opacity <= Theta (the loop condition of Algorithms 4 and 5).
@@ -207,8 +208,8 @@ func Run(g *graph.Graph, opts Options) (Result, error) {
 // promptly, not merely whoever was waiting on it. A cancelled run
 // returns the best-effort result with Result.Cancelled set.
 func RunContext(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
-	if opts.L < 1 {
-		return Result{}, fmt.Errorf("anonymize: L must be >= 1, got %d", opts.L)
+	if opts.L < 1 || opts.L > apsp.MaxL {
+		return Result{}, fmt.Errorf("anonymize: L must be in [1, %d], got %d", apsp.MaxL, opts.L)
 	}
 	if opts.Theta < 0 || opts.Theta > 1 {
 		return Result{}, fmt.Errorf("anonymize: theta must be in [0, 1], got %v", opts.Theta)

@@ -105,7 +105,7 @@ func TestPrebuiltDistancesSeed(t *testing.T) {
 	g := randomGraph(40, 0.1, 3)
 	for _, kind := range []apsp.Kind{apsp.KindCompact, apsp.KindPacked} {
 		prebuilt := storeIn(g, 2, kind)
-		pristine := apsp.Clone(prebuilt)
+		pristine := prebuilt.Clone()
 		opts := Options{L: 2, Theta: 0.3, Heuristic: RemovalInsertion, Seed: 7}
 
 		fresh, err := Run(g, opts)

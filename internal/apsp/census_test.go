@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// foreignStore hides a store's concrete type, so CountWithinByClass
-// takes its EachPair fallback.
+// foreignStore hides a store's concrete type, so the row walk reads it
+// through Get.
 type foreignStore struct{ Store }
 
 // classCensusOracle is CountWithinByClass spelled out over Get.
@@ -24,16 +24,45 @@ func classCensusOracle(s Store, class []int32, k int) []int64 {
 	return cnt
 }
 
-// TestCountWithinByClassBackings: every backing — the row kernel of
-// the compact heap store, the overlay correction at depth one and two,
-// and the EachPair fallback of packed, paged (both payload kinds) and
-// foreign stores — yields the oracle's per-class-pair census, at sizes
-// around the 64-vertex batch boundary and with k = 1, a few classes,
-// and one class per vertex.
+// straddlingRow returns the first row of an n-vertex triangle whose
+// cells cross a page boundary of a kind-k snapshot, and the column of
+// the row's first cell past that boundary; i is -1 when no row does.
+func straddlingRow(n int, k Kind) (i, j int) {
+	w := k.width()
+	for i := 0; i < n-1; i++ {
+		first := int64(rowOffset(n, i)) * w
+		if next := (first/pageSize + 1) * pageSize; next < first+int64(n-1-i)*w {
+			return i, i + 1 + int((next-first)/w)
+		}
+	}
+	return -1, 0
+}
+
+// dirtyStraddlingRow overrides, in o, the two ends of the first row
+// that crosses a page boundary of a kind-k snapshot and the cells on
+// either side of that boundary, each with a value its base does not
+// hold there.
+func dirtyStraddlingRow(o *Overlay, k Kind) {
+	i, j := straddlingRow(o.N(), k)
+	if i < 0 {
+		return
+	}
+	for _, c := range []int{i + 1, j - 1, j, o.N() - 1} {
+		o.Set(i, c, o.Get(i, c)%o.Far()+1)
+	}
+}
+
+// TestCountWithinByClassBackings: the row walk of every backing — the
+// compact and packed heap stores, overlays at depth one and two, paged
+// stores of both payload kinds, with rows that straddle a page of the
+// one-page cache from n = 400 on, overlays dirtied in such a row, and
+// a foreign store read through Get — yields the oracle's
+// per-class-pair census, at sizes around the 64-vertex batch boundary
+// and with k = 1, a few classes, and one class per vertex.
 func TestCountWithinByClassBackings(t *testing.T) {
 	dir := t.TempDir()
 	for _, L := range []int{1, 2, 3} {
-		for _, n := range []int{0, 1, 2, 64, 65, 150} {
+		for _, n := range []int{0, 1, 2, 64, 65, 150, 400} {
 			g := randomGraph(n, 3/float64(max(n, 1)), int64(n+L))
 			base := build(g, L)
 			path := filepath.Join(dir, "s.store")
@@ -63,6 +92,16 @@ func TestCountWithinByClassBackings(t *testing.T) {
 				"overlay/paged": func() Store {
 					o := NewOverlay(paged)
 					mutateRandom(o, 2*n, 9)
+					return o
+				}(),
+				"overlay/paged/straddle": func() Store {
+					o := NewOverlay(paged)
+					dirtyStraddlingRow(o, KindCompact)
+					return o
+				}(),
+				"overlay/paged/packed/straddle": func() Store {
+					o := NewOverlay(pagedPacked)
+					dirtyStraddlingRow(o, KindPacked)
 					return o
 				}(),
 			}
@@ -119,4 +158,21 @@ func TestCountWithinByClassRejectsShortInputs(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// trianglePair inverts pairIndex: the pair i < j stored at offset idx.
+// Row i starts at offset i*(2n-i-1)/2, so i is found by binary search.
+func trianglePair(n int, idx int64) (i, j int) {
+	nn := int64(n)
+	start := func(r int64) int64 { return r * (2*nn - r - 1) / 2 }
+	lo, hi := int64(0), nn-1 // the row lies in [lo, hi)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if start(mid) <= idx {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return int(lo), int(idx - start(lo) + lo + 1)
 }

@@ -33,8 +33,9 @@ type foreignMutable struct{ MutableStore }
 // scribble writes one overlay layer the way repair chains and probe /
 // revert cycles do: random cells, a cell set to Far(), a clamped write
 // above Far(), the first and the last row, a cell written and then
-// restored to its base value, and a cell that a lower layer overrides
-// written back to the innermost base's value.
+// restored to its base value, a cell that a lower layer overrides
+// written back to the innermost base's value, and the cells of the row
+// that straddles a page boundary of the store's snapshot.
 func scribble(o *Overlay, innermost Store, rng *rand.Rand) {
 	n := o.N()
 	if n < 2 {
@@ -54,6 +55,7 @@ func scribble(o *Overlay, innermost Store, rng *rand.Rand) {
 	o.Set(i, j, o.Far()+7)
 	o.Set(0, 1+rng.Intn(n-1), 1)
 	o.Set(n-2, n-1, 1+rng.Intn(o.Far()))
+	dirtyStraddlingRow(o, KindOf(o))
 	i, j = cell()
 	was := o.Base().Get(i, j)
 	o.Set(i, j, 1+was%o.Far())
@@ -68,14 +70,15 @@ func scribble(o *Overlay, innermost Store, rng *rand.Rand) {
 }
 
 // TestCopyMatchesEachPair: for every base backing (compact and packed
-// heap, a paged snapshot of the built kind, a foreign
-// wrapper) under overlay chains of depth 0 to 5, MarshalStore is
+// heap, a paged snapshot of the built kind — whose rows straddle pages
+// of the one-page cache from n = 400 on — and a foreign wrapper) under
+// overlay chains of depth 0 to 5, MarshalStore is
 // byte-identical to the EachPair encoding, Compact is Equal to the
 // chain, and Copy into every kind of destination reproduces it.
 func TestCopyMatchesEachPair(t *testing.T) {
 	dir := t.TempDir()
 	for _, L := range []int{2, MaxCompactL + 1} {
-		for _, n := range []int{0, 1, 2, 65, 300} {
+		for _, n := range []int{0, 1, 2, 65, 300, 400} {
 			g := randomGraph(n, 3/float64(max(n, 1)), int64(n+L))
 			kind := KindFor(L)
 			built := build(g, L)

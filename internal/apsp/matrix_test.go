@@ -74,7 +74,7 @@ func TestStoreCloneEqualCopy(t *testing.T) {
 		m := NewStore(4, 2, k)
 		m.Set(0, 1, 1)
 		m.Set(1, 2, 2)
-		c := Clone(m).(MutableStore)
+		c := m.Clone().(MutableStore)
 		if KindOf(c) != k {
 			t.Fatalf("Clone changed backing: %v -> %v", k, KindOf(c))
 		}
@@ -98,18 +98,26 @@ func TestStoreCloneEqualCopy(t *testing.T) {
 	})
 }
 
+// countWithin is the number of pairs within L, counted as one class.
+func countWithin(s Store) int64 {
+	cnt := make([]int64, 1)
+	CountWithinByClass(s, make([]int32, s.N()), 1, cnt)
+	return cnt[0]
+}
+
 func TestStoreCountWithinAndHistogram(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k Kind) {
 		m := NewStore(4, 2, k) // 6 pairs
 		m.Set(0, 1, 1)
 		m.Set(0, 2, 2)
 		m.Set(1, 2, 1)
-		if got := CountWithin(m); got != 3 {
-			t.Fatalf("CountWithin = %d, want 3", got)
+		if got := countWithin(m); got != 3 {
+			t.Fatalf("countWithin = %d, want 3", got)
 		}
-		h := Histogram(m)
+		h := make([]int, m.Far()+1)
+		m.EachPair(func(_, _, d int) { h[d]++ })
 		if h[1] != 2 || h[2] != 1 || h[3] != 3 {
-			t.Fatalf("Histogram = %v", h)
+			t.Fatalf("histogram = %v", h)
 		}
 	})
 }
@@ -135,10 +143,10 @@ func TestStoreWithin(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k Kind) {
 		m := NewStore(3, 2, k)
 		m.Set(0, 1, 2)
-		if !Within(m, 0, 1) {
+		if m.Get(0, 1) > m.L() {
 			t.Fatal("distance 2 with L=2 should be within")
 		}
-		if Within(m, 0, 2) {
+		if m.Get(0, 2) <= m.L() {
 			t.Fatal("Far pair reported within")
 		}
 	})

@@ -1,6 +1,10 @@
 package apsp
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Overlay is the copy-on-write MutableStore: a read-only base plus a
 // sparse map of dirty cells. It is what lets a writable anonymization
@@ -83,27 +87,6 @@ func (o *Overlay) dirtyBytes() int64 {
 	return 48*int64(len(o.dirty)) + int64(len(o.dirtyRows))
 }
 
-// countWithinByClass is CountWithinByClass for an overlay: the base's
-// count, then one correction per dirty cell whose override moves the
-// pair across L. A stacked overlay's base counts itself the same way.
-func (o *Overlay) countWithinByClass(class []int32, k int, cnt []int64) {
-	CountWithinByClass(o.base, class, k, cnt)
-	l := o.L()
-	for idx, v := range o.dirty {
-		i, j := trianglePair(o.n, idx)
-		was, is := o.base.Get(i, j) <= l, int(v) <= l
-		if was == is {
-			continue
-		}
-		c := &cnt[int(class[i])*k+int(class[j])]
-		if is {
-			*c++
-		} else {
-			*c--
-		}
-	}
-}
-
 // Get returns the capped distance for the unordered pair {i, j}: the
 // overridden value when the cell is dirty, the base's otherwise.
 func (o *Overlay) Get(i, j int) int {
@@ -144,24 +127,8 @@ func (o *Overlay) Set(i, j, d int) {
 
 // EachPair calls fn for every unordered pair i < j in row-major order,
 // serving dirty cells from the overlay and everything else from the
-// base. With an empty dirty set it delegates to the base outright, so
-// a never-written overlay scans at full base speed.
-func (o *Overlay) EachPair(fn func(i, j, d int)) {
-	if len(o.dirty) == 0 {
-		o.base.EachPair(fn)
-		return
-	}
-	var idx int64
-	o.base.EachPair(func(i, j, d int) {
-		if o.dirtyRows[i] {
-			if v, ok := o.dirty[idx]; ok {
-				d = int(v)
-			}
-		}
-		fn(i, j, d)
-		idx++
-	})
-}
+// base. A never-written overlay walks its base's rows untouched.
+func (o *Overlay) EachPair(fn func(i, j, d int)) { rowsOf(o).eachPair(fn) }
 
 // Clone returns an independent overlay over the same (shared, read-only)
 // base: the dirty set is copied, so mutations of the clone and the
@@ -169,27 +136,14 @@ func (o *Overlay) EachPair(fn func(i, j, d int)) {
 // which restores the cheap many-runs-from-one-cached-store pattern
 // without the full-triangle copies it used to imply.
 func (o *Overlay) Clone() Store {
-	c := &Overlay{
-		base:      o.base,
-		n:         o.n,
-		far:       o.far,
-		dirty:     make(map[int64]int32, len(o.dirty)),
-		dirtyRows: make([]bool, len(o.dirtyRows)),
-	}
-	for k, v := range o.dirty {
-		c.dirty[k] = v
-	}
-	copy(c.dirtyRows, o.dirtyRows)
-	return c
+	c := *o
+	c.dirty, c.dirtyRows = maps.Clone(o.dirty), slices.Clone(o.dirtyRows)
+	return &c
 }
 
 // Compact materializes the overlay into a heap store of the base's
 // kind — the escape hatch for callers that need a standalone artifact
-// (serialization, long-lived caching) rather than a view. It costs one
-// triangle copy of the innermost base plus O(dirty) per layer, not a
-// walk over every pair (see Copy).
-func (o *Overlay) Compact() MutableStore {
-	m := NewStore(o.n, o.L(), KindOf(o.base))
-	Copy(m, o)
-	return m
-}
+// (serialization, long-lived caching) rather than a view. Over a heap
+// base it costs one triangle copy plus O(dirty), not a walk over every
+// pair (see Copy).
+func (o *Overlay) Compact() MutableStore { return rowsOf(o).heapCopy() }

@@ -20,11 +20,12 @@ import (
 // many graphs are registered.
 //
 // Header, dimensions, and file length are checked on open; cells are
-// range-checked only when a full decode (Clone) runs, since scanning
-// them would read the whole file. A corrupt cell therefore surfaces as
-// an out-of-range distance at read time, and the first Clone rejects
-// it, so it never reaches a heap store. A PagedStore implements only the
-// read view — mutation goes through an Overlay.
+// range-checked only when a full copy (Clone, Copy, MarshalStore of an
+// overlay) runs, since scanning them would read the whole file. A
+// corrupt cell therefore surfaces as an out-of-range distance at read
+// time, and the first copy clamps or rejects it, so it never reaches a
+// heap store. A PagedStore implements only the read view — mutation
+// goes through an Overlay.
 
 // pageSize is the cache granule: big enough that a sequential EachPair
 // amortizes one read syscall over 64k cells, small enough that random
@@ -277,75 +278,40 @@ func (s *PagedStore) ResidentBytes() int64 { return s.cache.residentBytes(s.id) 
 // header.
 func (s *PagedStore) FileBytes() int64 { return s.payload + storeHeaderLen }
 
-// pageOf maps a payload byte offset to its page index, intra-page
-// offset, and the page's byte length (short only at the tail).
-func (s *PagedStore) pageOf(off int64) (page int64, rel int, size int) {
-	page = off / pageSize
-	rel = int(off % pageSize)
-	size = pageSize
-	if remain := s.payload - page*pageSize; remain < pageSize {
-		size = int(remain)
+// page returns payload page p: through the cache when direct is nil,
+// and otherwise read straight from the file into direct, a buffer of at
+// least one page that the next read overwrites. Pages are aligned to
+// the payload start and pageSize is a multiple of the cell width, so a
+// cell never straddles two pages.
+func (s *PagedStore) page(p int64, direct []byte) []byte {
+	size := min(pageSize, s.payload-p*pageSize)
+	var err error
+	if direct == nil {
+		direct, err = s.cache.load(s.id, p, int(size), s.f)
+	} else {
+		direct = direct[:size]
+		_, err = s.f.ReadAt(direct, storeHeaderLen+p*pageSize)
 	}
-	return page, rel, size
-}
-
-// cellAt reads the cell at the given payload cell index through the
-// cache. Pages are aligned to the payload start and pageSize is a
-// multiple of the cell width, so a cell never straddles two pages.
-func (s *PagedStore) cellAt(idx int64) int {
-	page, rel, size := s.pageOf(idx * s.kind.width())
-	buf, err := s.cache.load(s.id, page, size, s.f)
 	if err != nil {
-		panic(fmt.Sprintf("apsp: paged store read (page %d): %v", page, err))
+		panic(fmt.Sprintf("apsp: paged store read (page %d): %v", p, err))
 	}
-	return s.kind.decodeCell(buf, rel)
+	return direct
 }
 
-// Get returns the capped distance for the unordered pair {i, j}.
-func (s *PagedStore) Get(i, j int) int { return s.cellAt(pairIndex(s.n, i, j)) }
+// Get returns the capped distance for the unordered pair {i, j}, read
+// through the cache.
+func (s *PagedStore) Get(i, j int) int {
+	off := pairIndex(s.n, i, j) * s.kind.width()
+	return s.kind.decodeCell(s.page(off/pageSize, nil), int(off%pageSize))
+}
 
 // EachPair calls fn for every unordered pair i < j in row-major order.
-// The walk is page-sequential: each 64 KiB page is faulted once and
+// The row walk is page-sequential: each 64 KiB page is faulted once and
 // fully consumed before moving on, so a complete scan costs one pass
 // over the file regardless of the cache budget — this is what keeps
 // opacity-tracker construction over an out-of-core triangle at disk
 // bandwidth instead of one cache probe per pair.
-func (s *PagedStore) EachPair(fn func(i, j, d int)) {
-	k := s.kind
-	w := int(k.width())
-	i, j := 0, 1
-	for pageStart := int64(0); pageStart < s.payload; pageStart += pageSize {
-		page, _, size := s.pageOf(pageStart)
-		buf, err := s.cache.load(s.id, page, size, s.f)
-		if err != nil {
-			panic(fmt.Sprintf("apsp: paged store read (page %d): %v", page, err))
-		}
-		for rel := 0; rel+w <= len(buf); rel += w {
-			fn(i, j, k.decodeCell(buf, rel))
-			j++
-			if j == s.n {
-				i++
-				j = i + 1
-			}
-		}
-	}
-}
-
-// copyTo fills dst, a heap triangle of the payload's kind, straight
-// from the file one page-sized ReadAt at a time (see putCells) and
-// returns the indices of cells below 1. It bypasses the page cache: a
-// full pass would otherwise evict every other store's hot pages.
-func (s *PagedStore) copyTo(dst heapTriangle) (bad []int64) {
-	buf := make([]byte, min(pageSize, s.payload))
-	for off := int64(0); off < s.payload; off += pageSize {
-		b := buf[:min(pageSize, s.payload-off)]
-		if _, err := s.f.ReadAt(b, storeHeaderLen+off); err != nil {
-			panic(fmt.Sprintf("apsp: paged store read (offset %d): %v", off, err))
-		}
-		bad = dst.putCells(int(off/s.kind.width()), b, bad)
-	}
-	return bad
-}
+func (s *PagedStore) EachPair(fn func(i, j, d int)) { rowsOf(s).eachPair(fn) }
 
 // snapshot reads the whole file, header and payload, with one ReadAt.
 func (s *PagedStore) snapshot() ([]byte, error) {
@@ -356,19 +322,10 @@ func (s *PagedStore) snapshot() ([]byte, error) {
 	return raw, nil
 }
 
-// Clone decodes the whole snapshot into an independent, mutable heap
-// store of the payload's kind, validating every cell on the way, so a
-// corrupt snapshot cannot leak past the first Clone. It necessarily
-// materializes the triangle; runs that only need mutability over a big
-// store should wrap the PagedStore in an Overlay instead.
-func (s *PagedStore) Clone() Store {
-	raw, err := s.snapshot()
-	if err != nil {
-		panic(err.Error())
-	}
-	m, err := UnmarshalStore(raw)
-	if err != nil {
-		panic(fmt.Sprintf("apsp: cloning paged store: %v", err))
-	}
-	return m
-}
+// Clone copies the whole snapshot into an independent, mutable heap
+// store of the payload's kind under Copy's rules — a cell above Far is
+// clamped, a cell below 1 panics — so a corrupt snapshot cannot leak
+// past the first Clone. It necessarily materializes the triangle; runs
+// that only need mutability over a big store should wrap the
+// PagedStore in an Overlay instead.
+func (s *PagedStore) Clone() Store { return rowsOf(s).heapCopy() }

@@ -26,10 +26,16 @@ func pagedFixture(t *testing.T, n int, p float64, seed int64, L int, kind Kind, 
 
 // TestPagedStoreMatchesOracle: every Get and the full ordered EachPair
 // stream agree with the heap oracle, for both payload kinds, even with
-// a budget far below the file size.
+// a budget far below the file size: at n = 400 (compact) and n = 200
+// (packed) rows straddle the pages of the one-page cache. An overlay
+// dirtied in such a row streams as the same overlay over the oracle.
 func TestPagedStoreMatchesOracle(t *testing.T) {
-	for _, kind := range []Kind{KindCompact, KindPacked} {
-		oracle, ps, _ := pagedFixture(t, 60, 0.1, 21, 3, kind, pageSize)
+	for _, tc := range []struct {
+		kind Kind
+		n    int
+	}{{KindCompact, 60}, {KindPacked, 60}, {KindCompact, 400}, {KindPacked, 200}} {
+		kind := tc.kind
+		oracle, ps, _ := pagedFixture(t, tc.n, 6/float64(tc.n), 21, 3, kind, pageSize)
 		if ps.N() != oracle.N() || ps.L() != oracle.L() || ps.Far() != oracle.Far() {
 			t.Fatalf("%v: dimensions diverge", kind)
 		}
@@ -41,18 +47,23 @@ func TestPagedStoreMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+		over, overOracle := NewOverlay(ps), NewOverlay(oracle)
+		dirtyStraddlingRow(over, kind)
+		dirtyStraddlingRow(overOracle, kind)
 		type cell struct{ i, j, d int }
-		var want []cell
-		oracle.EachPair(func(i, j, d int) { want = append(want, cell{i, j, d}) })
-		k := 0
-		ps.EachPair(func(i, j, d int) {
-			if k >= len(want) || want[k] != (cell{i, j, d}) {
-				t.Fatalf("%v: EachPair[%d] = %v", kind, k, cell{i, j, d})
+		for name, pair := range map[string][2]Store{"paged": {oracle, ps}, "overlay": {overOracle, over}} {
+			var want []cell
+			pair[0].EachPair(func(i, j, d int) { want = append(want, cell{i, j, d}) })
+			k := 0
+			pair[1].EachPair(func(i, j, d int) {
+				if k >= len(want) || want[k] != (cell{i, j, d}) {
+					t.Fatalf("%v n=%d %s: EachPair[%d] = %v", kind, n, name, k, cell{i, j, d})
+				}
+				k++
+			})
+			if k != len(want) {
+				t.Fatalf("%v n=%d %s: EachPair emitted %d cells, want %d", kind, n, name, k, len(want))
 			}
-			k++
-		})
-		if k != len(want) {
-			t.Fatalf("%v: EachPair emitted %d cells, want %d", kind, k, len(want))
 		}
 	}
 }
@@ -98,7 +109,8 @@ func TestPagedStoreBudget(t *testing.T) {
 }
 
 // TestPageCacheSharedBudget: two stores on one cache share its budget —
-// total residency stays capped while both keep serving correct cells.
+// total residency stays capped while both keep serving correct cells,
+// and copying one store out does not evict the other's pages.
 func TestPageCacheSharedBudget(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewPageCache(2 * pageSize)
@@ -131,6 +143,17 @@ func TestPageCacheSharedBudget(t *testing.T) {
 	}
 	if st := cache.Stats(); st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("shared residency %d exceeds budget %d", st.ResidentBytes, st.BudgetBytes)
+	}
+	// Copy reads its source's file around the cache, so a full copy of
+	// one store leaves the other's hot pages resident.
+	resident := stores[1].ResidentBytes()
+	dst := NewStore(500, 2, KindCompact)
+	Copy(dst, stores[0])
+	if !Equal(dst, oracles[0]) {
+		t.Fatal("Copy out of the paged store diverged")
+	}
+	if got := stores[1].ResidentBytes(); got != resident || got == 0 {
+		t.Fatalf("Copy of a sibling store moved this store's residency from %d to %d bytes", resident, got)
 	}
 	// Closing one store reclaims its pages without touching the other.
 	stores[0].Close()

@@ -61,9 +61,6 @@ type RepairOptions struct {
 	// CompactDirtyFraction compacts when overridden cells exceed this
 	// fraction of the triangle. Zero selects 1/8.
 	CompactDirtyFraction float64
-	// Scratch, when non-nil, amortizes the O(n) work buffers across
-	// calls (the continuous-audit loop repairs once per step).
-	Scratch *Scratch
 }
 
 // Absolute floors under the fraction-of-n heuristics: below these the
@@ -117,10 +114,7 @@ func RepairStore(base Store, child *graph.Graph, diff graph.Diff, opts RepairOpt
 	if diff.Size() > maxEdits {
 		return nil, false
 	}
-	sc := opts.Scratch
-	if sc == nil {
-		sc = NewScratch(n)
-	}
+	sc := NewScratch(n)
 
 	o := NewOverlay(base)
 	// Phase 1 — insertions, in diff order. Each replay reads the

@@ -3,7 +3,6 @@ package apsp
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Binary snapshot format for distance stores, shared by both cell widths.
@@ -110,7 +109,7 @@ func (k Kind) width() int64 {
 // k can hold.
 func (k Kind) maxL() uint64 {
 	if k == KindPacked {
-		return math.MaxInt32 - 1
+		return MaxL
 	}
 	return MaxCompactL
 }
@@ -197,12 +196,10 @@ func MarshalStore(s Store) ([]byte, error) {
 	case *PagedStore:
 		return t.snapshot()
 	}
-	n, l, k := s.N(), s.L(), KindOf(s)
-	if k != KindCompact {
-		c := newTriangle(n, l, k)
-		Copy(c, s)
-		return c.MarshalBinary()
+	if KindOf(s) != KindCompact {
+		return rowsOf(s).heapCopy().MarshalBinary()
 	}
+	n, l := s.N(), s.L()
 	buf := make([]byte, storeHeaderLen+n*(n-1)/2)
 	appendStoreHeader(buf[:0], KindCompact, n, l)
 	Copy(&Triangle[uint8]{n: n, l: l, data: buf[storeHeaderLen:]}, s)

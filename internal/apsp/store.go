@@ -15,6 +15,12 @@ import "fmt"
 // PagedStore is a read-only window over a persisted snapshot file
 // through a bounded page cache, for triangles larger than RAM.
 // Mutation is a separate contract: see MutableStore and Overlay.
+//
+// Every bulk reader — EachPair, CountWithinByClass, Equal, Copy and
+// MarshalStore — is written once, as one in-order walk over the
+// triangle's rows. Each backing, and the Overlay over any of them,
+// feeds that walk from its own cells in one place (readCells in
+// rows.go); any other implementation is read through Get.
 type Store interface {
 	// N returns the number of vertices.
 	N() int
@@ -60,8 +66,8 @@ const (
 	// backing of every threshold up to MaxCompactL, which covers every
 	// threshold the privacy model uses in practice.
 	KindCompact Kind = iota
-	// KindPacked is the int32 layout; it has no threshold ceiling and
-	// is the backing of every L above MaxCompactL.
+	// KindPacked is the int32 layout, the backing of every L above
+	// MaxCompactL up to MaxL.
 	KindPacked
 	// KindPaged names the read-only PagedStore view: a snapshot file
 	// windowed through a bounded LRU page cache. It is a residency, not
@@ -110,8 +116,9 @@ func KindFor(L int) Kind {
 }
 
 // NewStore returns an all-Far store for n vertices and threshold L with
-// the given backing. It panics on invalid dimensions and on
-// KindCompact with L > MaxCompactL; KindFor(L) is always legal.
+// the given backing. It panics on invalid dimensions and on an L the
+// backing's cell cannot cap (see newTriangle); KindFor(L) is legal for
+// every L up to MaxL.
 func NewStore(n, L int, k Kind) MutableStore {
 	switch k {
 	case KindCompact, KindPacked:
@@ -172,138 +179,4 @@ func Footprint(s Store) (heapBytes, fileBytes int64) {
 		return h + t.dirtyBytes(), f
 	}
 	return 0, 0
-}
-
-// Within reports whether the pair {i, j} is at geodesic distance <= L.
-func Within(s Store, i, j int) bool { return s.Get(i, j) <= s.L() }
-
-// Clone returns a deep copy of s with the same backing.
-func Clone(s Store) Store { return s.Clone() }
-
-// Copy overwrites dst with the contents of src, which must have the
-// same dimensions; the backings may differ. Every cell lands under
-// Set's rules: values above Far() are clamped, values below 1 panic.
-//
-// The cost follows src's backing. A heap source of dst's kind is one
-// slice copy; a paged source whose payload is dst's kind is one pass
-// over the snapshot bytes; an overlay copied into a heap store
-// copies its base that way and then writes its dirty cells, so
-// flattening an overlay chain costs one triangle copy plus O(dirty).
-// Every other pairing walks EachPair.
-func Copy(dst MutableStore, src Store) {
-	if dst.N() != src.N() || dst.L() != src.L() {
-		panic("apsp: Copy dimension mismatch")
-	}
-	// A file cell below 1 panics only if no overlay layer masks it, as
-	// under the EachPair walk: check the ones still in place.
-	for _, idx := range copyCells(dst, src) {
-		i, j := trianglePair(dst.N(), idx)
-		if d := dst.Get(i, j); d < 1 {
-			panic(fmt.Sprintf("apsp: distance %d < 1 for distinct pair (%d, %d)", d, i, j))
-		}
-	}
-}
-
-// copyCells does Copy's work. A flat copy out of a snapshot file writes
-// cells below 1 as read and returns their triangle indices, ascending,
-// for Copy to check once the dirty cells of any overlay are in.
-func copyCells(dst MutableStore, src Store) (bad []int64) {
-	h, heap := dst.(heapTriangle)
-	switch s := src.(type) {
-	case *Overlay:
-		if heap {
-			bad = copyCells(dst, s.base)
-			for idx, v := range s.dirty {
-				i, j := trianglePair(s.n, idx)
-				dst.Set(i, j, int(v))
-			}
-			return bad
-		}
-	case heapTriangle:
-		if heap && h.copyFrom(s) {
-			return nil
-		}
-	case *PagedStore:
-		if heap && s.kind == h.kind() {
-			return s.copyTo(h)
-		}
-	}
-	src.EachPair(func(i, j, d int) { dst.Set(i, j, d) })
-	return nil
-}
-
-// Equal reports whether two stores describe identical capped-distance
-// matrices: same vertex count, same threshold, same entries. The
-// backing kinds need not match — a compact store equals its packed
-// twin, which is what the cross-store validation tests assert.
-// Same-backing comparisons run as flat slice compares; mixed backings
-// fall back to a pairwise walk that stops at the first mismatch.
-func Equal(a, b Store) bool {
-	if a.N() != b.N() || a.L() != b.L() {
-		return false
-	}
-	if x, ok := a.(heapTriangle); ok {
-		if eq, ok := x.equalCells(b); ok {
-			return eq
-		}
-	}
-	n := a.N()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if a.Get(i, j) != b.Get(i, j) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CountWithin returns the number of unordered pairs at distance <= L.
-func CountWithin(s Store) int {
-	count := 0
-	l := s.L()
-	s.EachPair(func(_, _, d int) {
-		if d <= l {
-			count++
-		}
-	})
-	return count
-}
-
-// CountWithinByClass is CountWithin split by vertex class: for every
-// pair i < j at distance <= L it adds 1 to cnt[class[i]*k+class[j]].
-// class holds one value in [0, k) per vertex and cnt needs k*k cells;
-// counts are added to what cnt already holds. The count is ordered by
-// row, so a caller folding it into unordered class pairs sums the
-// cells (a, b) and (b, a).
-//
-// A heap triangle is counted straight off its rows; an overlay
-// counts its base and then corrects once per dirty cell; every other
-// backing is walked through EachPair.
-func CountWithinByClass(s Store, class []int32, k int, cnt []int64) {
-	if len(class) != s.N() || len(cnt) < k*k {
-		panic(fmt.Sprintf("apsp: CountWithinByClass got %d classes for n=%d and %d counters for k=%d", len(class), s.N(), len(cnt), k))
-	}
-	switch t := s.(type) {
-	case heapTriangle:
-		t.countWithinByClass(class, k, cnt)
-		return
-	case *Overlay:
-		t.countWithinByClass(class, k, cnt)
-		return
-	}
-	l := s.L()
-	s.EachPair(func(i, j, d int) {
-		if d <= l {
-			cnt[int(class[i])*k+int(class[j])]++
-		}
-	})
-}
-
-// Histogram returns counts of stored distances: hist[d] for d in
-// [1, L] and hist[L+1] aggregating Far pairs. Index 0 is unused.
-func Histogram(s Store) []int {
-	hist := make([]int, s.L()+2)
-	s.EachPair(func(_, _, d int) { hist[d]++ })
-	return hist
 }

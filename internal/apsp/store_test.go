@@ -1,29 +1,39 @@
 package apsp
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/fixture"
+	"repro/internal/graph"
 )
 
-// TestCompactRejectsOversizedL is the constructor bound: one byte must
-// hold L+1, so NewStore(KindCompact) rejects L > MaxCompactL.
+// TestCompactRejectsOversizedL is the constructor bound: a cell must
+// hold L+1, so NewStore rejects L > MaxCompactL for KindCompact and
+// L > MaxL for KindPacked, and StreamBuild refuses L > MaxL.
 func TestCompactRejectsOversizedL(t *testing.T) {
-	if m := NewStore(4, MaxCompactL, KindCompact); m.Far() != MaxCompactL+1 {
-		t.Fatalf("L=MaxCompactL must be accepted, Far=%d", m.Far())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("compact constructor accepted L=%d", MaxCompactL+1)
+	for k, top := range map[Kind]int{KindCompact: MaxCompactL, KindPacked: MaxL} {
+		if m := NewStore(4, top, k); m.Far() != top+1 {
+			t.Fatalf("%v: L=%d must be accepted, Far=%d", k, top, m.Far())
 		}
-	}()
-	NewStore(4, MaxCompactL+1, KindCompact)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v constructor accepted L=%d", k, top+1)
+				}
+			}()
+			NewStore(4, top+1, k)
+		}()
+	}
+	if err := StreamBuild(io.Discard, graph.New(4), MaxL+1, BuildOptions{}); err == nil {
+		t.Errorf("StreamBuild accepted L=%d", MaxL+1)
+	}
 }
 
-// TestPackedAcceptsOversizedL: the int32 layout has no threshold
-// ceiling and is the backing KindFor derives past MaxCompactL.
+// TestPackedAcceptsOversizedL: the int32 layout reaches past
+// MaxCompactL and is the backing KindFor derives there.
 func TestPackedAcceptsOversizedL(t *testing.T) {
 	L := MaxCompactL + 10
 	if m := NewStore(4, L, KindPacked); m.Far() != L+1 {

@@ -34,7 +34,7 @@ const streamMaxBlockCells = 1 << 20
 // parallelizes the sweep within each block; blocks are written in
 // order.
 func StreamBuild(w io.Writer, g *graph.Graph, L int, o BuildOptions) error {
-	if L < 0 {
+	if L < 0 || L > MaxL {
 		return fmt.Errorf("apsp: invalid threshold L=%d", L)
 	}
 	kind := KindFor(L)

@@ -281,7 +281,7 @@ func TestParallelTrivialGraphs(t *testing.T) {
 	if m := Build(graph.New(1), 2, four); m.N() != 1 {
 		t.Fatal("single vertex mishandled")
 	}
-	if m := Build(graph.New(5), 3, four); CountWithin(m) != 0 {
+	if m := Build(graph.New(5), 3, four); countWithin(m) != 0 {
 		t.Fatal("edgeless graph has pairs within L")
 	}
 }
@@ -327,7 +327,7 @@ func TestBitBFSEmptyAndTrivialGraphs(t *testing.T) {
 			}
 		}
 	}
-	if m := build(fixture.Figure1(), 0); CountWithin(m) != 0 {
+	if m := build(fixture.Figure1(), 0); countWithin(m) != 0 {
 		t.Fatal("L=0 must report no pairs within range")
 	}
 }

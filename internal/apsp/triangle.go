@@ -20,9 +20,11 @@
 // A store is identified by its graph and L alone: KindFor derives the
 // backing from L, and nothing else about a build is configurable but
 // its parallelism. All code above this package programs against the
-// Store interface, and the package-level Equal/Clone/Copy/CountWithin/
-// CountWithinByClass/Histogram helpers work on any Store regardless of
-// backing.
+// Store interface. Every bulk reader — EachPair, CountWithinByClass,
+// Equal, Copy and MarshalStore — is written once, over one in-order
+// walk of the triangle's rows that each backing feeds from its own
+// cells: a heap triangle's data, a paged store's pages, an overlay's
+// base patched with its dirty cells (see rows.go).
 //
 // One sweep builds every store: Build (heap stores) and StreamBuild /
 // BuildToFile (snapshot files) run a bit-parallel BFS over 64-source
@@ -44,6 +46,7 @@ package apsp
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -51,6 +54,10 @@ import (
 // cells hold the capped distance or the sentinel L+1, so L+1 must fit
 // in a uint8. Every experiment in the paper uses L <= 6.
 const MaxCompactL = 254
+
+// MaxL is the largest threshold any store can represent: the int32
+// cell of KindPacked must hold the sentinel L+1.
+const MaxL = math.MaxInt32 - 1
 
 // cell is the element type of a heap triangle.
 type cell interface{ uint8 | int32 }
@@ -75,15 +82,12 @@ type heapTriangle interface {
 	kind() Kind
 	sweep(sw *sweeper)
 	stream(sw *sweeper, w io.Writer) error
-	putCells(at int, raw []byte, bad []int64) []int64
-	copyFrom(src Store) bool
-	equalCells(b Store) (equal, ok bool)
-	countWithinByClass(class []int32, k int, cnt []int64)
 }
 
 // newTriangle returns an all-Far triangle of k's cell width for n
 // vertices and threshold L: the one place a Kind picks T. It panics on
-// invalid dimensions and on KindCompact with L > MaxCompactL.
+// invalid dimensions and on an L whose sentinel L+1 the cell cannot
+// hold: L > MaxCompactL for KindCompact, L > MaxL for KindPacked.
 func newTriangle(n, L int, k Kind) heapTriangle {
 	if k == KindPacked {
 		return makeTriangle[int32](n, L)
@@ -95,8 +99,8 @@ func makeTriangle[T cell](n, L int) *Triangle[T] {
 	if n < 0 || L < 0 {
 		panic(fmt.Sprintf("apsp: invalid store dimensions n=%d L=%d", n, L))
 	}
-	if cellKind[T]() == KindCompact && L > MaxCompactL {
-		panic(fmt.Sprintf("apsp: L=%d exceeds MaxCompactL=%d for the compact store (use KindPacked)", L, MaxCompactL))
+	if k := cellKind[T](); uint64(L) > k.maxL() {
+		panic(fmt.Sprintf("apsp: L=%d exceeds the %v store's maximum %d", L, k, k.maxL()))
 	}
 	m := &Triangle[T]{n: n, l: L, data: make([]T, n*(n-1)/2)}
 	fill(m.data, T(L+1))
@@ -148,80 +152,12 @@ func (m *Triangle[T]) Clone() Store {
 	return &Triangle[T]{n: m.n, l: m.l, data: slices.Clone(m.data)}
 }
 
-// copyFrom copies src into m with one slice copy when src is a triangle
-// of m's width, and reports whether it was.
-func (m *Triangle[T]) copyFrom(src Store) bool {
-	s, ok := src.(*Triangle[T])
-	if ok {
-		copy(m.data, s.data)
-	}
-	return ok
-}
-
-// equalCells compares m's cells with b's as flat slices when b is a
-// triangle of m's width; ok reports whether it was.
-func (m *Triangle[T]) equalCells(b Store) (equal, ok bool) {
-	s, ok := b.(*Triangle[T])
-	return ok && slices.Equal(m.data, s.data), ok
-}
-
-// EachPair calls fn for every unordered pair i < j with the stored
-// capped distance.
-func (m *Triangle[T]) EachPair(fn func(i, j, d int)) {
-	idx := 0
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			fn(i, j, int(m.data[idx]))
-			idx++
-		}
-	}
-}
+// EachPair calls fn for every unordered pair i < j in row-major order
+// with the stored capped distance.
+func (m *Triangle[T]) EachPair(fn func(i, j, d int)) { rows[T]{m}.eachPair(fn) }
 
 // sweep fills m, all Far, with the build sweep.
 func (m *Triangle[T]) sweep(sw *sweeper) { sweepRows(sw, m.data, 0, m.n) }
-
-// countWithinByClass is CountWithinByClass counted straight off the
-// rows. The inner loop is branch-free: (L-d)>>63 is -1 exactly when
-// d > L.
-func (m *Triangle[T]) countWithinByClass(class []int32, k int, cnt []int64) {
-	n, L, idx := m.n, m.l, 0
-	for i := 0; i < n-1; i++ {
-		row := m.data[idx : idx+n-i-1]
-		cls := class[i+1 : n]
-		cls = cls[:len(row)]
-		base := int(class[i]) * k
-		c := cnt[base : base+k]
-		for j, d := range row {
-			c[cls[j]] += 1 + int64(L-int(d))>>63
-		}
-		idx += len(row)
-	}
-}
-
-// putCells writes snapshot payload bytes of m's own kind into m,
-// starting at triangle index at. A cell above Far() is clamped as Set
-// clamps it; a cell below 1 is written as read and its index appended
-// to bad, so no file byte reaches the heap unchecked. The indices are
-// gathered by a second scan only when the first one sees such a cell.
-func (m *Triangle[T]) putCells(at int, raw []byte, bad []int64) []int64 {
-	cells := m.data[at : at+len(raw)/int(cellKind[T]().width())]
-	decodeCells(cells, raw)
-	far, low := T(m.l+1), T(1)
-	for x, c := range cells {
-		if c > far {
-			cells[x] = far
-		}
-		low = min(low, c)
-	}
-	if low < 1 {
-		for x, c := range cells {
-			if c < 1 {
-				bad = append(bad, int64(at+x))
-			}
-		}
-	}
-	return bad
-}
 
 // The triangle layout, shared by every backing: the pair i < j of an
 // n-vertex store sits at row-major offset rowOffset(n, i) + j - i - 1.
@@ -252,21 +188,4 @@ type pairError struct{ n, i, j int }
 
 func (e pairError) Error() string {
 	return fmt.Sprintf("apsp: invalid pair (%d, %d) for n=%d", e.i, e.j, e.n)
-}
-
-// trianglePair inverts pairIndex: the pair i < j stored at offset idx.
-// Row i starts at offset i*(2n-i-1)/2, so i is found by binary search.
-func trianglePair(n int, idx int64) (i, j int) {
-	nn := int64(n)
-	start := func(r int64) int64 { return r * (2*nn - r - 1) / 2 }
-	lo, hi := int64(0), nn-1 // the row lies in [lo, hi)
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if start(mid) <= idx {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return int(lo), int(idx - start(lo) + lo + 1)
 }

@@ -96,7 +96,7 @@ func TestLabelTypesWithTracker(t *testing.T) {
 	brute := make([]int, lt.NumTypes())
 	for u := 0; u < 6; u++ {
 		for v := u + 1; v < 6; v++ {
-			if apsp.Within(m, u, v) {
+			if m.Get(u, v) <= m.L() {
 				brute[lt.TypeOf(u, v)]++
 			}
 		}

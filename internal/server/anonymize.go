@@ -13,6 +13,7 @@ import (
 
 	lopacity "repro"
 	"repro/api"
+	"repro/internal/apsp"
 	"repro/internal/jobs"
 )
 
@@ -52,6 +53,9 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 		// default of 1" (normalized below so l:0 and l:1 share a cache
 		// key); only negatives are outside the domain.
 		return prepared{}, fmt.Errorf("l must be >= 0 (l:0 selects the default 1), got %d", req.L)
+	}
+	if req.L > apsp.MaxL {
+		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
 	}
 	l := req.L
 	if l == 0 { // the library's default; normalized here so l:0 and l:1 share a cache key

@@ -9,6 +9,7 @@ import (
 
 	lopacity "repro"
 	"repro/api"
+	"repro/internal/apsp"
 )
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
@@ -35,6 +36,9 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) prepareAudit(req *api.AuditRequest) (prepared, error) {
 	if req.L < 1 {
 		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
+	}
+	if req.L > apsp.MaxL {
+		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
 	}
 	if req.Theta < 0 || req.Theta > 1 {
 		return prepared{}, fmt.Errorf("theta %v outside [0, 1]", req.Theta)

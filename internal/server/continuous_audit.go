@@ -44,6 +44,9 @@ func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepar
 	if req.L < 1 {
 		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
 	}
+	if req.L > apsp.MaxL {
+		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
+	}
 	if req.Theta < 0 || req.Theta > 1 {
 		return prepared{}, fmt.Errorf("theta %v outside [0, 1]", req.Theta)
 	}

@@ -8,6 +8,7 @@ import (
 
 	lopacity "repro"
 	"repro/api"
+	"repro/internal/apsp"
 	"repro/internal/jobs"
 	"repro/internal/opacity"
 )
@@ -35,6 +36,9 @@ func (s *Server) handleOpacity(w http.ResponseWriter, r *http.Request) {
 func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 	if req.L < 1 {
 		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
+	}
+	if req.L > apsp.MaxL {
+		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
 	}
 	g, ent, err := s.resolveGraph(req.Graph, req.GraphRef)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,14 +16,18 @@ import (
 	lopacity "repro"
 
 	"repro/api"
+	"repro/internal/apsp"
 )
 
-// TestLBoundaryValidation pins the validation domain of the two
+// TestLBoundaryValidation pins the validation domain of the
 // l-taking operations at the boundaries: opacity requires l >= 1,
 // anonymize accepts l >= 0 with l:0 normalized to the library default
-// of 1 — and each rejection names the domain it enforces.
+// of 1, and every one of them refuses an l above apsp.MaxL, whose
+// sentinel l+1 no store cell can hold — and each rejection names the
+// domain it enforces.
 func TestLBoundaryValidation(t *testing.T) {
 	ts := newTestServer(t, Config{})
+	const tooBig, tooBigErr = apsp.MaxL + 1, "l must be <= 2147483646"
 	cases := []struct {
 		op         string
 		body       any
@@ -35,6 +40,12 @@ func TestLBoundaryValidation(t *testing.T) {
 		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: -1, Theta: 0.5}, http.StatusBadRequest, "l must be >= 0 (l:0 selects the default 1)"},
 		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: 0, Theta: 0.5}, http.StatusOK, ""},
 		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: 1, Theta: 0.5}, http.StatusOK, ""},
+		{"opacity", api.OpacityRequest{Graph: figure1(), L: tooBig}, http.StatusBadRequest, tooBigErr},
+		{"opacity", api.OpacityRequest{Graph: figure1(), L: apsp.MaxL}, http.StatusOK, ""},
+		{"anonymize", api.AnonymizeRequest{Graph: figure1(), L: tooBig, Theta: 0.5}, http.StatusBadRequest, tooBigErr},
+		{"audit", api.AuditRequest{Published: figure1(), Original: figure1(), L: tooBig, Theta: 0.5}, http.StatusBadRequest, tooBigErr},
+		{"replay", api.ReplayRequest{Original: figure1(), L: tooBig, Theta: 0.5}, http.StatusBadRequest, tooBigErr},
+		{"continuous_audit", api.ContinuousAuditRequest{Graph: figure1(), L: tooBig, Theta: 0.5, Steps: []api.MutationStep{{Remove: [][2]int{{0, 1}}}}}, http.StatusBadRequest, tooBigErr},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/"+tc.op, tc.body)
@@ -48,6 +59,30 @@ func TestLBoundaryValidation(t *testing.T) {
 				t.Errorf("%s: error %q does not mention %q", tc.op, body.Message, tc.wantErr)
 			}
 		}
+	}
+}
+
+// TestOpacityLargestL: at l = apsp.MaxL the store's sentinel still
+// fits its cells, so isolated vertices stay beyond reach: the pair of
+// degree-0 vertices of a 4-vertex graph with one edge is within l in 0
+// of its 1 instances.
+func TestOpacityLargestL(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/opacity", api.OpacityRequest{Graph: api.Graph{N: 4, Edges: [][2]int{{0, 1}}}, L: apsp.MaxL})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var got api.OpacityResponse
+	if err := json.Unmarshal(readBody(t, resp), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []api.OpacityType{
+		{Label: "P{0,0}", Within: 0, Total: 1, Opacity: 0},
+		{Label: "P{0,1}", Within: 0, Total: 4, Opacity: 0},
+		{Label: "P{1,1}", Within: 1, Total: 1, Opacity: 1},
+	}
+	if !slices.Equal(got.Types, want) {
+		t.Fatalf("types %+v, want %+v", got.Types, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	lopacity "repro"
 	"repro/api"
+	"repro/internal/apsp"
 )
 
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
@@ -45,6 +46,9 @@ func (s *Server) prepareReplay(req *api.ReplayRequest) (prepared, error) {
 	}
 	if req.L < 1 {
 		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
+	}
+	if req.L > apsp.MaxL {
+		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

@@ -196,8 +196,9 @@ func ParseMethod(s string) (Method, error) {
 
 // Options configures Anonymize.
 type Options struct {
-	// L is the path-length threshold (>= 1). Linkages of length at
-	// most L are the ones the model protects. Defaults to 1.
+	// L is the path-length threshold, from 1 to 2147483646 (the
+	// largest a distance store can cap at). Linkages of length at most
+	// L are the ones the model protects. Defaults to 1.
 	L int
 	// Theta is the confidence ceiling in [0, 1]: after anonymization no
 	// vertex-pair type has more than a Theta fraction of its pairs

@@ -205,6 +205,12 @@ func TestAnonymizeValidation(t *testing.T) {
 	if _, err := Anonymize(g, Options{Theta: 0.5, L: -1}); err == nil {
 		t.Error("negative L accepted")
 	}
+	if _, err := Anonymize(g, Options{Theta: 0.5, L: math.MaxInt32}); err == nil {
+		t.Error("L above the largest store threshold accepted")
+	}
+	if _, err := ReplayTrace(g, strings.NewReader(""), ReplayOptions{L: math.MaxInt32}); err == nil {
+		t.Error("ReplayTrace: L above the largest store threshold accepted")
+	}
 	if _, err := Anonymize(g, Options{Theta: 0.5, Method: Method(99)}); err == nil {
 		t.Error("unknown method accepted")
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/anonymize"
+	"repro/internal/apsp"
 )
 
 // TraceStep is one committed greedy move in an anonymization run, as
@@ -93,6 +94,9 @@ func ReplayTrace(original *Graph, r io.Reader, opts ReplayOptions) (ReplayReport
 	}
 	if opts.L < 1 {
 		return ReplayReport{}, fmt.Errorf("lopacity: L must be >= 1, got %d", opts.L)
+	}
+	if opts.L > apsp.MaxL {
+		return ReplayReport{}, fmt.Errorf("lopacity: L must be <= %d, got %d", apsp.MaxL, opts.L)
 	}
 	g := original.Clone()
 	rep := ReplayReport{}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -411,5 +413,59 @@ func TestContinuousAuditClient(t *testing.T) {
 	}
 	if len(viaRef.Steps) != 2 || viaRef.Steps[0].MaxOpacity != inline.Steps[0].MaxOpacity {
 		t.Fatalf("ref response %+v differs from inline %+v", viaRef, inline)
+	}
+}
+
+// plainOpacity is api.OpacityResponse without its codec: decoding
+// into it with json.Decoder is how the client read every opacity body
+// before the type had its own decoder.
+type plainOpacity api.OpacityResponse
+
+// TestOpacityBodyDecodesAsDecoder serves opacity bodies in spellings
+// the server never writes and checks that the client decodes, or
+// fails, exactly as a json.Decoder of the whole body does: a first
+// document followed by anything is accepted, as it always was.
+func TestOpacityBodyDecodesAsDecoder(t *testing.T) {
+	canonical := `{"l":2,"max_opacity":0.5,"types":[{"label":"P{1,2}","within":1,"total":2,"opacity":0.5},{"label":"P{2,2}","within":0,"total":1,"opacity":0}]}`
+	var v any
+	if err := json.Unmarshal([]byte(canonical), &v); err != nil {
+		t.Fatal(err)
+	}
+	pretty, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string]string{
+		"canonical":        canonical,
+		"trailing newline": canonical + "\n",
+		"trailing garbage": canonical + "garbage",
+		"two documents":    canonical + "\n" + canonical,
+		"pretty-printed":   string(pretty) + "\n",
+		"escaped label":    `{"l":2,"max_opacity":0,"types":[{"label":"\u003cP\u003e","within":0,"total":0,"opacity":0}]}`,
+		"truncated":        canonical[:len(canonical)-2],
+		"wrong type":       `{"l":"2","max_opacity":0.5,"types":null}`,
+		"empty":            "",
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write([]byte(body))
+			}))
+			defer ts.Close()
+			c, err := client.New(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := c.Opacity(context.Background(), api.OpacityRequest{Graph: figure1(), L: 2})
+			var want plainOpacity
+			wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("client error %v, json.Decoder error %v", gotErr, wantErr)
+			}
+			if wantErr == nil && !reflect.DeepEqual(*got, api.OpacityResponse(want)) {
+				t.Fatalf("client decoded %+v, json.Decoder %+v", *got, want)
+			}
+		})
 	}
 }

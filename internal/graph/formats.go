@@ -149,7 +149,9 @@ func WriteAdjacency(w io.Writer, g *Graph) error {
 }
 
 // ReadAdjacency decodes the WriteAdjacency format. Vertex count is the
-// number of lines; neighbor references must be in range.
+// number of lines; every line names a distinct vertex in [0, n) and
+// neighbor references must be in range, so the graph's size is bounded
+// by the input's.
 func ReadAdjacency(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -186,25 +188,20 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, r := range rows {
-		if r.v < 0 {
-			return nil, fmt.Errorf("graph: negative vertex %d", r.v)
-		}
-		if r.v+1 > n {
-			n = r.v + 1
-		}
-		for _, u := range r.neighbors {
-			if u+1 > n {
-				n = u + 1
-			}
-		}
-	}
+	n := len(rows)
+	seen := make([]bool, n)
 	var edges []Edge
 	for _, r := range rows {
+		if r.v < 0 || r.v >= n {
+			return nil, fmt.Errorf("graph: vertex %d out of range [0, %d)", r.v, n)
+		}
+		if seen[r.v] {
+			return nil, fmt.Errorf("graph: vertex %d listed twice", r.v)
+		}
+		seen[r.v] = true
 		for _, u := range r.neighbors {
-			if u < 0 {
-				return nil, fmt.Errorf("graph: negative neighbor %d of %d", u, r.v)
+			if u < 0 || u >= n {
+				return nil, fmt.Errorf("graph: neighbor %d of %d out of range [0, %d)", u, r.v, n)
 			}
 			edges = append(edges, Edge{U: r.v, V: u})
 		}

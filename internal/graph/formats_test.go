@@ -120,6 +120,13 @@ func TestReadAdjacencyErrors(t *testing.T) {
 		"bad vertex":   "x: 1\n",
 		"bad neighbor": "0: y\n",
 		"negative":     "-1: 0\n",
+		// One line, so n = 1 and the id is out of range; sizing the
+		// graph from the largest id would ask for 10^9+1 vertices.
+		"huge id":           "0:0000000001000000000",
+		"vertex past n":     "0: 1\n2: 0\n",
+		"neighbor past n":   "0: 1\n1: 0 2\n",
+		"negative neighbor": "0: -1\n",
+		"duplicate vertex":  "0: 1\n0: 1\n",
 	} {
 		if _, err := ReadAdjacency(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)

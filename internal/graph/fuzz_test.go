@@ -80,6 +80,7 @@ func FuzzReadAdjacency(f *testing.F) {
 	f.Add("0:\n")
 	f.Add(": 1\n")
 	f.Add("0: 0\n")
+	f.Add("0:0000000001000000000")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadAdjacency(strings.NewReader(input))
 		if err != nil {

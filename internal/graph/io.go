@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,16 +30,19 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // with '#' or '%' are comments. Vertex IDs may be sparse and arbitrary;
 // they are densified in ascending order of original ID, so a graph whose
 // IDs are already dense integers 0..n-1 keeps its labels across a
-// write/read round trip no matter how its edges are ordered. Self-loops
-// and duplicate edges (including reversed duplicates) are skipped,
-// matching the simple-graph model. It returns the graph and the original
-// ID of each dense vertex.
+// write/read round trip no matter how its edges are ordered. Duplicate
+// edges (including reversed duplicates) are skipped, matching the
+// simple-graph model. A self-loop line is skipped whole: it names no
+// vertex, so an ID that appears only on self-loop lines is not in the
+// graph. It returns the graph and the original ID of each dense vertex.
 //
 // A "# Nodes: <n> ..." header comment (the format WriteEdgeList emits)
 // declares the vertex count; when it exceeds the number of distinct
-// endpoint IDs, the remainder become isolated vertices, so graphs with
-// isolated vertices — which count toward the |T| denominators of the
-// opacity model — survive a write/read round trip.
+// endpoint IDs, the remainder become isolated vertices at the highest
+// indices. Every vertex below them has an edge, and that is the only
+// shape the format can carry: a read → write → read round trip
+// reproduces the graph, isolated vertices included (they count toward
+// the |T| denominators of the opacity model).
 func ReadEdgeList(r io.Reader) (*Graph, []int, error) {
 	type rawEdge struct{ u, v int }
 	var (
@@ -80,10 +84,16 @@ func ReadEdgeList(r io.Reader) (*Graph, []int, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, fields[1], err)
 		}
+		if u == v {
+			continue
+		}
 		edges = append(edges, rawEdge{lookup(u), lookup(v)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
+	}
+	if declaredNodes > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("graph: header declares %d vertices, beyond the int32 index space", declaredNodes)
 	}
 	// Relabel so dense indices follow ascending original IDs; header-
 	// declared isolated vertices take the highest indices.
@@ -106,7 +116,7 @@ func ReadEdgeList(r io.Reader) (*Graph, []int, error) {
 	for i, e := range edges {
 		relabeled[i] = Edge{U: perm[e.u], V: perm[e.v]}
 	}
-	g, _ := build(n, relabeled) // silently drops self-loops and duplicates
+	g, _ := build(n, relabeled) // silently drops duplicates
 	return g, sorted, nil
 }
 

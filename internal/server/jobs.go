@@ -90,7 +90,7 @@ func (s *Server) runPrepared(ctx context.Context, p prepared) (body json.RawMess
 	if err != nil {
 		return nil, false, err
 	}
-	b, err := json.Marshal(v)
+	b, err := marshalResult(v)
 	if err != nil {
 		return nil, false, codedError(http.StatusInternalServerError, api.CodeInternal, err)
 	}
@@ -98,6 +98,19 @@ func (s *Server) runPrepared(ctx context.Context, p prepared) (body json.RawMess
 		s.cache.Put(p.key, b)
 	}
 	return b, false, nil
+}
+
+// marshalResult encodes an operation's response value. A response
+// type with its own codec (api.OpacityResponse) writes compact, escaped
+// JSON itself, so it is called directly: json.Marshal would only re-scan
+// its output to compact and escape it again, and that scan of a large
+// opacity answer costs as much as the encoding. The bytes are the same
+// either way.
+func marshalResult(v any) ([]byte, error) {
+	if m, ok := v.(json.Marshaler); ok {
+		return m.MarshalJSON()
+	}
+	return json.Marshal(v)
 }
 
 // serveSync executes a prepared operation inline and writes the
@@ -268,7 +281,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := json.Marshal(v)
+		b, err := marshalResult(v)
 		if err != nil {
 			return nil, err
 		}

@@ -106,9 +106,10 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// plainByte reports whether encoding/json writes c unescaped in a
-// string: printable ASCII other than the quote, the backslash and the
-// three HTML characters it escapes.
+// plainByte reports whether c stands for itself inside a JSON string
+// both ways: encoding/json writes it unescaped and reads it back as is.
+// That is printable ASCII other than the quote, the backslash and the
+// three HTML characters json.Marshal escapes.
 func plainByte(c byte) bool {
 	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }

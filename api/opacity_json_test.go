@@ -30,7 +30,7 @@ var opacityValues = map[string]OpacityResponse{
 	"extreme ints": {L: math.MinInt64, Types: []OpacityType{
 		{Label: "x", Within: math.MaxInt64, Total: -1},
 	}},
-	"html label":     {Types: []OpacityType{{Label: "<a&b>"}}},
+	"html label":     {Types: []OpacityType{{Label: "a<b"}, {Label: "a>b"}, {Label: "a&b"}}},
 	"quote label":    {Types: []OpacityType{{Label: `say "hi"`}}},
 	"backslash":      {Types: []OpacityType{{Label: `a\b`}}},
 	"control bytes":  {Types: []OpacityType{{Label: "\x00\t\n\x1f\x7f"}}},

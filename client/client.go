@@ -33,10 +33,11 @@
 // log.
 //
 // Responses are decoded with encoding/json, except that a type with its
-// own decoder is handed the whole body: api.OpacityResponse parses the
-// compact body the server writes in one pass, several times faster
-// than reflection on a large answer, and hands any other spelling to
-// encoding/json, so the result is the same either way.
+// own decoder is handed the whole body: api.OpacityResponse and
+// api.BatchResponse parse the compact body the server writes in one
+// pass, several times faster than reflection on a large answer, and
+// hand any other spelling to encoding/json, so the result is the same
+// either way.
 package client
 
 import (
@@ -326,10 +327,11 @@ func decodeError(resp *http.Response) error {
 
 // do issues a request and decodes the JSON response into out (skipped
 // when out is nil). A response type with its own decoder
-// (api.OpacityResponse) is handed the whole body directly, which skips
-// the scan json.Decoder makes to find the value's end before calling
-// it; a body that decoder rejects (trailing data, say) is decoded by
-// json.Decoder as every other response is, with the same outcome.
+// (api.OpacityResponse, api.BatchResponse) is handed the whole body
+// directly, which skips the scan json.Decoder makes to find the
+// value's end before calling it; a body that decoder rejects (trailing
+// data, say) is decoded by json.Decoder as every other response is,
+// with the same outcome.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	resp, err := c.send(ctx, method, path, in)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -416,17 +417,22 @@ func TestContinuousAuditClient(t *testing.T) {
 	}
 }
 
-// plainOpacity is api.OpacityResponse without its codec: decoding
-// into it with json.Decoder is how the client read every opacity body
-// before the type had its own decoder.
-type plainOpacity api.OpacityResponse
+// plainOpacity and plainBatch are api.OpacityResponse and
+// api.BatchResponse without their codecs: decoding into them with
+// json.Decoder is how the client read those bodies before the types had
+// their own decoders.
+type (
+	plainOpacity api.OpacityResponse
+	plainBatch   api.BatchResponse
+)
 
-// TestOpacityBodyDecodesAsDecoder serves opacity bodies in spellings
-// the server never writes and checks that the client decodes, or
-// fails, exactly as a json.Decoder of the whole body does: a first
-// document followed by anything is accepted, as it always was.
-func TestOpacityBodyDecodesAsDecoder(t *testing.T) {
-	canonical := `{"l":2,"max_opacity":0.5,"types":[{"label":"P{1,2}","within":1,"total":2,"opacity":0.5},{"label":"P{2,2}","within":0,"total":1,"opacity":0}]}`
+// checkDecodesAsDecoder serves canonical, spellings of it the server
+// never writes, and the extra bodies, and checks that call decodes, or
+// fails, exactly as a json.Decoder of the whole body into P, T's
+// method-free twin, does: a first document followed by anything is
+// accepted, as it always was.
+func checkDecodesAsDecoder[T, P any](t *testing.T, canonical string, extra map[string]string, call func(*client.Client) (*T, error)) {
+	t.Helper()
 	var v any
 	if err := json.Unmarshal([]byte(canonical), &v); err != nil {
 		t.Fatal(err)
@@ -441,11 +447,10 @@ func TestOpacityBodyDecodesAsDecoder(t *testing.T) {
 		"trailing garbage": canonical + "garbage",
 		"two documents":    canonical + "\n" + canonical,
 		"pretty-printed":   string(pretty) + "\n",
-		"escaped label":    `{"l":2,"max_opacity":0,"types":[{"label":"\u003cP\u003e","within":0,"total":0,"opacity":0}]}`,
 		"truncated":        canonical[:len(canonical)-2],
-		"wrong type":       `{"l":"2","max_opacity":0.5,"types":null}`,
 		"empty":            "",
 	}
+	maps.Copy(bodies, extra)
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -457,15 +462,43 @@ func TestOpacityBodyDecodesAsDecoder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotErr := c.Opacity(context.Background(), api.OpacityRequest{Graph: figure1(), L: 2})
-			var want plainOpacity
+			got, gotErr := call(c)
+			var want P
 			wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("client error %v, json.Decoder error %v", gotErr, wantErr)
 			}
-			if wantErr == nil && !reflect.DeepEqual(*got, api.OpacityResponse(want)) {
+			if wantErr != nil {
+				return
+			}
+			if w := reflect.ValueOf(want).Convert(reflect.TypeFor[T]()).Interface(); !reflect.DeepEqual(*got, w) {
 				t.Fatalf("client decoded %+v, json.Decoder %+v", *got, want)
 			}
 		})
 	}
+}
+
+func TestOpacityBodyDecodesAsDecoder(t *testing.T) {
+	checkDecodesAsDecoder[api.OpacityResponse, plainOpacity](t,
+		`{"l":2,"max_opacity":0.5,"types":[{"label":"P{1,2}","within":1,"total":2,"opacity":0.5},{"label":"P{2,2}","within":0,"total":1,"opacity":0}]}`,
+		map[string]string{
+			"escaped label": `{"l":2,"max_opacity":0,"types":[{"label":"\u003cP\u003e","within":0,"total":0,"opacity":0}]}`,
+			"wrong type":    `{"l":"2","max_opacity":0.5,"types":null}`,
+		},
+		func(c *client.Client) (*api.OpacityResponse, error) {
+			return c.Opacity(context.Background(), api.OpacityRequest{Graph: figure1(), L: 2})
+		})
+}
+
+func TestBatchBodyDecodesAsDecoder(t *testing.T) {
+	checkDecodesAsDecoder[api.BatchResponse, plainBatch](t,
+		`{"results":[{"index":0,"op":"opacity","status":200,"cache_hit":true,"result":{"l":2,"max_opacity":0,"types":[]}},{"index":1,"op":"opacity","status":404,"error":{"code":"graph_not_found","message":"m","details":{"graph_ref":"x"}}}],"succeeded":1,"failed":1}`,
+		map[string]string{
+			"escaped op":        `{"results":[{"index":0,"op":"\u003cop\u003e","status":200}],"succeeded":1,"failed":0}`,
+			"whitespace result": `{"results":[{"index":0,"op":"x","status":200,"result":{ "a" : 1 }}],"succeeded":1,"failed":0}`,
+			"wrong type":        `{"results":[{"index":"0","op":"x","status":200}],"succeeded":1,"failed":0}`,
+		},
+		func(c *client.Client) (*api.BatchResponse, error) {
+			return c.Batch(context.Background(), api.BatchRequest{Items: []api.BatchItem{{Op: "properties", Request: json.RawMessage(`{}`)}}})
+		})
 }

@@ -86,7 +86,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Failed++
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	// The codec is called directly, since json.Encoder would re-compact
+	// every result the backends already wrote compactly.
+	b, err := out.MarshalJSON()
+	if err != nil {
+		writeErrorCode(w, http.StatusInternalServerError, api.CodeInternal, err.Error(), nil)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, '\n'))
 }
 
 // partitionBatch splits a batch by routing key. Items that name no
@@ -148,7 +156,7 @@ func (rt *Router) runBatchGroup(r *http.Request, g batchGroup, results []api.Bat
 		return
 	}
 	var resp api.BatchResponse
-	if p.resp.StatusCode != http.StatusOK || json.Unmarshal(p.body, &resp) != nil || len(resp.Results) != len(g.indices) {
+	if p.resp.StatusCode != http.StatusOK || resp.UnmarshalJSON(p.body) != nil || len(resp.Results) != len(g.indices) {
 		status := p.resp.StatusCode
 		code := api.CodeInternal
 		msg := "backend batch answer was not item-aligned"
@@ -166,15 +174,12 @@ func (rt *Router) runBatchGroup(r *http.Request, g batchGroup, results []api.Bat
 
 // failBatchGroup synthesizes one error result per item of the group.
 func (rt *Router) failBatchGroup(g batchGroup, results []api.BatchItemResult, status int, code, msg string) {
-	for _, idx := range g.indices {
+	for j, idx := range g.indices {
 		results[idx] = api.BatchItemResult{
 			Index:  idx,
-			Op:     g.req.Items[0].Op, // overwritten below per item
+			Op:     g.req.Items[j].Op,
 			Status: status,
 			Error:  &api.Error{Code: code, Message: msg},
 		}
-	}
-	for j, idx := range g.indices {
-		results[idx].Op = g.req.Items[j].Op
 	}
 }

@@ -78,5 +78,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = res
 	}
-	writeJSON(w, resp)
+	// The codec is called directly: through json.Encoder, every result
+	// would be scanned and re-compacted once more.
+	b, err := resp.MarshalJSON()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeRawJSON(w, b)
 }

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/api"
@@ -211,5 +215,72 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 	body := decodeError(t, resp)
 	if body.Err.Code != api.CodeGraphNotFound {
 		t.Fatalf("code %q, want %q", body.Err.Code, api.CodeGraphNotFound)
+	}
+}
+
+// plainBatch is api.BatchResponse without its codec, so json.NewEncoder
+// encodes it by reflection: the reference every batch body must equal
+// byte for byte.
+type plainBatch api.BatchResponse
+
+// TestBatchBodyMatchesEncodingJSON sends a batch of every batchable op,
+// with cache misses and hits, failing items and an error that echoes
+// HTML characters and a quote, and requires the body to be exactly what
+// json.NewEncoder writes for the value it holds.
+func TestBatchBodyMatchesEncodingJSON(t *testing.T) {
+	_, ts := newTestAPI(t, Config{})
+	fig := figure1()
+	id := registerGraph(t, ts.URL, fig)
+	steps, published := anonymizeWithTrace(t, fig, 0.5)
+	const badRef = `<x>&"`
+	anon := api.AnonymizeRequest{L: 1, Theta: 0.5, Method: "rem", Seed: 1}
+	req := api.BatchRequest{GraphRef: id, Items: []api.BatchItem{
+		batchItem(t, "properties", api.PropertiesRequest{}),
+		batchItem(t, "opacity", api.OpacityRequest{L: 2}),
+		batchItem(t, "opacity", api.OpacityRequest{L: 2}),
+		batchItem(t, "anonymize", anon),
+		batchItem(t, "anonymize", anon),
+		batchItem(t, "kiso", api.KIsoRequest{K: 2, Seed: 1}),
+		batchItem(t, "audit", api.AuditRequest{PublishedRef: id, OriginalRef: id, L: 1, Theta: 0.5}),
+		batchItem(t, "replay", api.ReplayRequest{OriginalRef: id, Trace: steps, L: 1, Theta: 0.5, Published: &published}),
+		batchItem(t, "dataset", api.DatasetRequest{Key: "gnutella100", Seed: 1}),
+		batchItem(t, "opacity", api.OpacityRequest{GraphRef: badRef, L: 2}),
+		batchItem(t, "opacity", api.OpacityRequest{L: -1}),
+	}}
+	resp := postJSON(t, ts.URL+"/v1/batch", req)
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var plain plainBatch
+	if err := json.Unmarshal(body, &plain); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(plain); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("body differs from json.NewEncoder:\n%s\n%s", body, want.Bytes())
+	}
+	var br api.BatchResponse
+	if err := br.UnmarshalJSON(body); err != nil || !reflect.DeepEqual(br, api.BatchResponse(plain)) {
+		t.Fatalf("UnmarshalJSON gave %+v, %v; encoding/json %+v", br, err, plain)
+	}
+
+	if br.Succeeded != 9 || br.Failed != 2 {
+		t.Fatalf("succeeded=%d failed=%d, want 9/2: %s", br.Succeeded, br.Failed, body)
+	}
+	for i, hit := range []bool{false, false, true, false, true, false, false, false, false, false, false} {
+		if br.Results[i].CacheHit != hit {
+			t.Errorf("item %d: cache_hit %v, want %v", i, br.Results[i].CacheHit, hit)
+		}
+	}
+	e := br.Results[9].Error
+	if e == nil || e.Details["graph_ref"] != badRef || !strings.Contains(e.Message, strconv.Quote(badRef)) {
+		t.Fatalf("bad graph_ref item: error %+v, want it to echo %q in message and details", e, badRef)
+	}
+	if !bytes.Contains(body, []byte(`"graph_ref":"\u003cx\u003e\u0026\""`)) {
+		t.Fatalf("the echoed reference is not escaped as encoding/json escapes it: %s", body)
 	}
 }

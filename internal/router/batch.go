@@ -1,7 +1,9 @@
 // Batch fan-out: one heterogeneous POST /v1/batch is partitioned by
-// ring owner, the per-owner sub-batches run concurrently, and the
-// per-item results merge back in request order. Item isolation
-// survives the split — a sub-batch whose peer is unreachable yields
+// routing key (the graph an item names, or the batch's shared
+// graph_ref), the per-key sub-batches run concurrently, and the
+// per-item results merge back in request order. Two keys owned by the
+// same peer still travel as two sub-batches. Item isolation survives
+// the split — a sub-batch whose peer is unreachable yields
 // synthesized 502 unavailable results for exactly its items, never an
 // envelope-level failure for the rest.
 package router

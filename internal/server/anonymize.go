@@ -6,29 +6,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"time"
 
 	lopacity "repro"
 	"repro/api"
-	"repro/internal/apsp"
 	"repro/internal/jobs"
 )
-
-func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
-	var req api.AnonymizeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareAnonymize(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
 
 // prepareAnonymize validates an anonymize request and packages it as a
 // cacheable operation. The cache key covers every input that steers
@@ -54,15 +38,12 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 		// key); only negatives are outside the domain.
 		return prepared{}, fmt.Errorf("l must be >= 0 (l:0 selects the default 1), got %d", req.L)
 	}
-	if req.L > apsp.MaxL {
-		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
+	l := max(req.L, 1) // l:0 is the library's default of 1
+	if err := checkL(l); err != nil {
+		return prepared{}, err
 	}
-	l := req.L
-	if l == 0 { // the library's default; normalized here so l:0 and l:1 share a cache key
-		l = 1
-	}
-	if req.Theta < 0 || req.Theta > 1 {
-		return prepared{}, fmt.Errorf("theta %v outside [0, 1]", req.Theta)
+	if err := checkTheta(req.Theta); err != nil {
+		return prepared{}, err
 	}
 	method := lopacity.EdgeRemoval
 	if req.Method != "" {
@@ -92,19 +73,15 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 		lookAhead = 1
 	}
 	var key jobs.Key
-	if !cacheOff { // hashing the edge set is O(m); skip it when bypassing
-		key, err = jobs.HashJSON(struct {
-			Op        string   `json:"op"`
-			N         int      `json:"n"`
-			Edges     [][2]int `json:"edges"`
-			L         int      `json:"l"`
-			Theta     float64  `json:"theta"`
-			Method    string   `json:"method"`
-			LookAhead int      `json:"lookahead"`
-			Seed      int64    `json:"seed"`
-			BudgetMS  int64    `json:"budget_ms"`
-		}{"anonymize", g.N(), opEdges(g, ent), l, req.Theta, method.String(),
-			lookAhead, req.Seed, budget.Milliseconds()})
+	if !cacheOff { // an inline graph's digest is O(m); skip it when bypassing
+		key, err = resultKey("anonymize", g, ent, struct {
+			L         int     `json:"l"`
+			Theta     float64 `json:"theta"`
+			Method    string  `json:"method"`
+			LookAhead int     `json:"lookahead"`
+			Seed      int64   `json:"seed"`
+			BudgetMS  int64   `json:"budget_ms"`
+		}{l, req.Theta, method.String(), lookAhead, req.Seed, budget.Milliseconds()})
 		if err != nil {
 			return prepared{}, err
 		}
@@ -117,7 +94,15 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 		if report := jobs.Reporter(ctx); report != nil {
 			// Async path: stream committed steps onto the job's event
 			// stream so watchers see the run advance instead of polling.
-			opts.Progress = progressPublisher(report)
+			publish := progressPublisher(report)
+			opts.Progress = func(p lopacity.Progress) {
+				publish(api.JobProgress{
+					Steps:      p.Steps,
+					MaxOpacity: p.MaxOpacity,
+					ElapsedMS:  p.Elapsed.Milliseconds(),
+					BudgetMS:   p.Budget.Milliseconds(),
+				})
+			}
 		}
 		if ent != nil {
 			// Registry path: seed the run from the cached distance
@@ -148,35 +133,5 @@ func (s *Server) prepareAnonymize(req *api.AnonymizeRequest) (prepared, error) {
 			Distortion: lopacity.Distortion(g, res.Graph),
 		}, !res.TimedOut, nil
 	}
-	return prepared{op: "anonymize", key: key, cacheable: true, cacheOff: cacheOff, run: run}, nil
-}
-
-// progressMinGap throttles the job event stream: progress reports
-// arriving faster than this are dropped (annealing accepts thousands
-// of moves per second). The FIRST report always goes through, so even
-// a one-step run emits at least one progress event before finishing.
-const progressMinGap = 50 * time.Millisecond
-
-// progressPublisher adapts the library's Progress callback to the job
-// event stream. The callback runs on the computation's own goroutine,
-// strictly sequentially, so the throttle state needs no lock.
-func progressPublisher(report func(json.RawMessage)) func(lopacity.Progress) {
-	var last time.Time
-	return func(p lopacity.Progress) {
-		now := time.Now()
-		if !last.IsZero() && now.Sub(last) < progressMinGap {
-			return
-		}
-		last = now
-		b, err := json.Marshal(api.JobProgress{
-			Steps:      p.Steps,
-			MaxOpacity: p.MaxOpacity,
-			ElapsedMS:  p.Elapsed.Milliseconds(),
-			BudgetMS:   p.Budget.Milliseconds(),
-		})
-		if err != nil {
-			return
-		}
-		report(b)
-	}
+	return prepared{cached: !cacheOff, key: key, run: run}, nil
 }

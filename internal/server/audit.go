@@ -5,25 +5,10 @@ package server
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	lopacity "repro"
 	"repro/api"
-	"repro/internal/apsp"
 )
-
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	var req api.AuditRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareAudit(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
 
 // prepareAudit validates an audit request. When the published graph is
 // a registry reference AND its L-capped store is already cached (by a
@@ -34,14 +19,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // sources, so forcing the full O(n·m) APSP build here would make the
 // request slower, not faster.
 func (s *Server) prepareAudit(req *api.AuditRequest) (prepared, error) {
-	if req.L < 1 {
-		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
+	if err := checkL(req.L); err != nil {
+		return prepared{}, err
 	}
-	if req.L > apsp.MaxL {
-		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
-	}
-	if req.Theta < 0 || req.Theta > 1 {
-		return prepared{}, fmt.Errorf("theta %v outside [0, 1]", req.Theta)
+	if err := checkTheta(req.Theta); err != nil {
+		return prepared{}, err
 	}
 	pub, pubEnt, err := s.resolveGraph(req.Published, req.PublishedRef)
 	if err != nil {
@@ -76,5 +58,5 @@ func (s *Server) prepareAudit(req *api.AuditRequest) (prepared, error) {
 		}
 		return resp, false, nil
 	}
-	return prepared{op: "audit", run: run}, nil
+	return prepared{run: run}, nil
 }

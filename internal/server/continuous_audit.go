@@ -9,9 +9,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/api"
@@ -21,19 +19,6 @@ import (
 	"repro/internal/opacity"
 )
 
-func (s *Server) handleContinuousAudit(w http.ResponseWriter, r *http.Request) {
-	var req api.ContinuousAuditRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareContinuousAudit(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
-
 // prepareContinuousAudit validates a continuous-audit request. The
 // operation is not cached: the natural use is a job replaying a live
 // mutation feed, and the per-step NDJSON progress stream — not the
@@ -41,14 +26,11 @@ func (s *Server) handleContinuousAudit(w http.ResponseWriter, r *http.Request) {
 // base store comes from the registered graph's cache, so a warm
 // registry starts the replay with zero APSP builds.
 func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepared, error) {
-	if req.L < 1 {
-		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
+	if err := checkL(req.L); err != nil {
+		return prepared{}, err
 	}
-	if req.L > apsp.MaxL {
-		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
-	}
-	if req.Theta < 0 || req.Theta > 1 {
-		return prepared{}, fmt.Errorf("theta %v outside [0, 1]", req.Theta)
+	if err := checkTheta(req.Theta); err != nil {
+		return prepared{}, err
 	}
 	if len(req.Steps) == 0 {
 		return prepared{}, fmt.Errorf("continuous_audit: provide at least one mutation step")
@@ -79,8 +61,7 @@ func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepar
 	}
 	run := func(ctx context.Context) (any, bool, error) {
 		start := time.Now()
-		report := jobs.Reporter(ctx)
-		var lastReport time.Time
+		publish := progressPublisher(jobs.Reporter(ctx))
 
 		// The replay mutates a private working copy; a referenced
 		// registry graph is never touched.
@@ -134,23 +115,15 @@ func (s *Server) prepareContinuousAudit(req *api.ContinuousAuditRequest) (prepar
 				Satisfied:  satisfied,
 				Repaired:   repaired,
 			})
-			if report != nil {
-				// Async path: stream each replayed step onto the job's
-				// event stream, throttled like anonymize progress; the
-				// first step always goes through.
-				if now := time.Now(); lastReport.IsZero() || now.Sub(lastReport) >= progressMinGap {
-					lastReport = now
-					if b, err := json.Marshal(api.JobProgress{
-						Steps:      i + 1,
-						MaxOpacity: rep.MaxLO,
-						ElapsedMS:  time.Since(start).Milliseconds(),
-					}); err == nil {
-						report(b)
-					}
-				}
-			}
+			// Async path: stream each replayed step onto the job's event
+			// stream, throttled like anonymize progress.
+			publish(api.JobProgress{
+				Steps:      i + 1,
+				MaxOpacity: rep.MaxLO,
+				ElapsedMS:  time.Since(start).Milliseconds(),
+			})
 		}
 		return resp, false, nil
 	}
-	return prepared{op: "continuous_audit", run: run}, nil
+	return prepared{run: run}, nil
 }

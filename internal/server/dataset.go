@@ -18,19 +18,6 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, api.DatasetsResponse{Datasets: lopacity.Datasets()})
 }
 
-func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	var req api.DatasetRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareDataset(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
-
 func (s *Server) prepareDataset(req *api.DatasetRequest) (prepared, error) {
 	run := func(ctx context.Context) (any, bool, error) {
 		g, err := lopacity.Dataset(req.Key, req.Seed)
@@ -46,5 +33,5 @@ func (s *Server) prepareDataset(req *api.DatasetRequest) (prepared, error) {
 			Properties: propertiesResponse(g.Properties()),
 		}, false, nil
 	}
-	return prepared{op: "dataset", run: run}, nil
+	return prepared{run: run}, nil
 }

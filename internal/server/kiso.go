@@ -3,24 +3,10 @@ package server
 
 import (
 	"context"
-	"net/http"
 
 	lopacity "repro"
 	"repro/api"
 )
-
-func (s *Server) handleKIso(w http.ResponseWriter, r *http.Request) {
-	var req api.KIsoRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareKIso(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
 
 func (s *Server) prepareKIso(req *api.KIsoRequest) (prepared, error) {
 	g, _, err := s.resolveGraph(req.Graph, req.GraphRef)
@@ -41,5 +27,5 @@ func (s *Server) prepareKIso(req *api.KIsoRequest) (prepared, error) {
 			Distortion:   res.Distortion,
 		}, false, nil
 	}
-	return prepared{op: "kiso", run: run}, nil
+	return prepared{run: run}, nil
 }

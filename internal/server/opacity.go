@@ -3,42 +3,22 @@ package server
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 
 	lopacity "repro"
 	"repro/api"
-	"repro/internal/apsp"
 	"repro/internal/jobs"
 	"repro/internal/opacity"
 )
-
-func (s *Server) handleOpacity(w http.ResponseWriter, r *http.Request) {
-	var req api.OpacityRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareOpacity(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
 
 // prepareOpacity validates an opacity request and packages it as a
 // cacheable operation. On the graph_ref path the run reuses the
 // registered graph's cached distance store — the second request for
 // the same (graph, L), whatever its engine and store hints, performs
-// zero APSP builds — and
-// the cache key hashes the same canonical edge set an inline spelling
-// of the graph would, so both forms share one result-cache entry.
+// zero APSP builds — and the cache key names the graph by its content
+// address, so inline and ref spellings share one result-cache entry.
 func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
-	if req.L < 1 {
-		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
-	}
-	if req.L > apsp.MaxL {
-		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
+	if err := checkL(req.L); err != nil {
+		return prepared{}, err
 	}
 	g, ent, err := s.resolveGraph(req.Graph, req.GraphRef)
 	if err != nil {
@@ -52,13 +32,10 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 		return prepared{}, err
 	}
 	var key jobs.Key
-	if !cacheOff { // hashing the edge set is O(m); skip it when bypassing
-		key, err = jobs.HashJSON(struct {
-			Op    string   `json:"op"`
-			N     int      `json:"n"`
-			Edges [][2]int `json:"edges"`
-			L     int      `json:"l"`
-		}{"opacity", g.N(), opEdges(g, ent), req.L})
+	if !cacheOff { // an inline graph's digest is O(m); skip it when bypassing
+		key, err = resultKey("opacity", g, ent, struct {
+			L int `json:"l"`
+		}{req.L})
 		if err != nil {
 			return prepared{}, err
 		}
@@ -88,5 +65,5 @@ func (s *Server) prepareOpacity(req *api.OpacityRequest) (prepared, error) {
 		}
 		return resp, true, nil
 	}
-	return prepared{op: "opacity", key: key, cacheable: true, cacheOff: cacheOff, run: run}, nil
+	return prepared{cached: !cacheOff, key: key, run: run}, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -21,24 +22,16 @@ func FuzzPrepareItem(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	const g = `{"n":7,"edges":[[0,1],[0,2],[1,2],[1,3],[1,4],[2,4],[2,5],[3,4],[4,5],[5,6]]}`
-	valid := []struct{ op, doc string }{
-		{"properties", `{"graph":` + g + `}`},
-		{"opacity", `{"graph":` + g + `,"l":2}`},
-		{"opacity", `{"l":2,"cache":"off"}`},
-		{"anonymize", `{"graph":` + g + `,"l":2,"theta":0.5,"method":"rem","seed":1}`},
-		{"kiso", `{"graph":` + g + `,"k":2,"seed":1}`},
-		{"audit", `{"published":` + g + `,"original":` + g + `,"l":2,"theta":0.5}`},
-		{"continuous_audit", `{"graph":` + g + `,"l":2,"steps":[{"add":[[0,6]],"remove":[[5,6]]}]}`},
-		{"dataset", `{"key":"gnutella100","seed":1}`},
-		{"replay", `{"original":` + g + `,"l":2,"theta":0.5,"trace":[{"step":1,"op":"remove","edges":[[1,4]]}]}`},
-	}
+	// Beyond opDocs, one document that only the shared reference
+	// completes.
+	valid := append(slices.Clone(opDocs), struct{ op, doc string }{"opacity", `{"l":2,"cache":"off"}`})
 	for _, seed := range valid {
 		if _, err := srv.prepareItem(seed.op, []byte(seed.doc), shared.ID()); err != nil {
 			f.Fatalf("valid %s seed rejected: %v", seed.op, err)
 		}
 		f.Add(seed.op, []byte(seed.doc))
 	}
+	const g = figure1JSON
 	for _, seed := range []struct{ op, doc string }{
 		{"opacity", `{"graph":` + g + `,"l":2}{"l":3}`},
 		{"opacity", `{"graph":` + g + `,"l":2} trailing`},

@@ -3,24 +3,10 @@ package server
 
 import (
 	"context"
-	"net/http"
 
 	lopacity "repro"
 	"repro/api"
 )
-
-func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request) {
-	var req api.PropertiesRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareProperties(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
 
 func (s *Server) prepareProperties(req *api.PropertiesRequest) (prepared, error) {
 	g, _, err := s.resolveGraph(req.Graph, req.GraphRef)
@@ -30,7 +16,7 @@ func (s *Server) prepareProperties(req *api.PropertiesRequest) (prepared, error)
 	run := func(ctx context.Context) (any, bool, error) {
 		return propertiesResponse(g.Properties()), false, nil
 	}
-	return prepared{op: "properties", run: run}, nil
+	return prepared{run: run}, nil
 }
 
 // propertiesResponse maps the library's property report onto the wire

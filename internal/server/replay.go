@@ -7,25 +7,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 
 	lopacity "repro"
 	"repro/api"
-	"repro/internal/apsp"
 )
-
-func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	var req api.ReplayRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, err := s.prepareReplay(&req)
-	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	s.serveSync(w, r, p)
-}
 
 func (s *Server) prepareReplay(req *api.ReplayRequest) (prepared, error) {
 	g, _, err := s.resolveGraph(req.Original, req.OriginalRef)
@@ -44,11 +29,8 @@ func (s *Server) prepareReplay(req *api.ReplayRequest) (prepared, error) {
 		}
 		opts.Published = pub
 	}
-	if req.L < 1 {
-		return prepared{}, fmt.Errorf("l must be >= 1, got %d", req.L)
-	}
-	if req.L > apsp.MaxL {
-		return prepared{}, fmt.Errorf("l must be <= %d, got %d", apsp.MaxL, req.L)
+	if err := checkL(req.L); err != nil {
+		return prepared{}, err
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -73,5 +55,5 @@ func (s *Server) prepareReplay(req *api.ReplayRequest) (prepared, error) {
 		}
 		return resp, false, nil
 	}
-	return prepared{op: "replay", run: run}, nil
+	return prepared{run: run}, nil
 }

@@ -16,6 +16,7 @@
 //	POST /v1/anonymize   run an anonymization method
 //	POST /v1/kiso        k-isomorphism anonymization
 //	POST /v1/audit       adversary audit of a published graph
+//	POST /v1/continuous_audit L-opacity after each step of a mutation stream
 //	POST /v1/replay      verify an anonymization audit trail
 //	POST /v1/batch       run heterogeneous operations in one request
 //	POST /v1/graphs      register a graph in the content-addressed registry
@@ -53,7 +54,9 @@
 // content-addressed cache (see internal/jobs): requests that hash to
 // the same canonical key — same graph, threshold, and parameters — are
 // served byte-identically from the cache
-// unless the request opts out with "cache": "off". Long-running work
+// unless the request opts out with "cache": "off". Every operation a
+// batch item or job can name is declared once, in the operation table
+// of ops.go, which also yields its route. Long-running work
 // can be submitted to the bounded worker pool via /v1/jobs instead of
 // holding an HTTP connection open, and watched live via the events
 // stream; see docs/API.md for the full reference.
@@ -249,15 +252,10 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("/v1/graphs", s.handleGraphs)
 	mux.HandleFunc("/v1/graphs/{id}", s.handleGraphByID)
 	mux.HandleFunc("/v1/graphs/{id}/snapshot", s.handleGraphSnapshot)
-	mux.HandleFunc("/v1/properties", post(s.handleProperties))
-	mux.HandleFunc("/v1/opacity", post(s.handleOpacity))
-	mux.HandleFunc("/v1/anonymize", post(s.handleAnonymize))
-	mux.HandleFunc("/v1/kiso", post(s.handleKIso))
-	mux.HandleFunc("/v1/audit", post(s.handleAudit))
-	mux.HandleFunc("/v1/continuous_audit", post(s.handleContinuousAudit))
+	for _, op := range operations {
+		mux.HandleFunc("/v1/"+op.name, post(func(w http.ResponseWriter, r *http.Request) { op.serve(s, w, r) }))
+	}
 	mux.HandleFunc("/v1/datasets", s.handleDatasets)
-	mux.HandleFunc("/v1/dataset", post(s.handleDataset))
-	mux.HandleFunc("/v1/replay", post(s.handleReplay))
 	mux.HandleFunc("/v1/batch", post(s.handleBatch))
 	mux.HandleFunc("/v1/jobs", post(s.handleJobSubmit))
 	mux.HandleFunc("/v1/jobs/{id}", s.handleJobByID)
@@ -373,17 +371,6 @@ func (s *Server) resolveGraph(gj api.Graph, ref string) (*lopacity.Graph, *regis
 		return nil, nil, graphNotFound(ref)
 	}
 	return ent.Public(), ent, nil
-}
-
-// opEdges returns the canonical edge set used in cache keys: the
-// registry's precomputed set on the ref path (no re-sort), the graph's
-// sorted edge set inline. Both spellings of one graph hash identically,
-// which is what lets inline and ref requests share cache entries.
-func opEdges(g *lopacity.Graph, ent *registry.Graph) [][2]int {
-	if ent != nil {
-		return ent.Edges()
-	}
-	return g.Edges()
 }
 
 func graphJSON(g *lopacity.Graph) api.Graph {

@@ -1,14 +1,25 @@
 // Batch fan-out: one heterogeneous POST /v1/batch is partitioned by
-// routing key (the graph an item names, or the batch's shared
-// graph_ref), the per-key sub-batches run concurrently, and the
-// per-item results merge back in request order. Two keys owned by the
-// same peer still travel as two sub-batches. Item isolation survives
-// the split — a sub-batch whose peer is unreachable yields
+// the peer that will serve each item, the first candidate for the
+// item's routing key (the graph it names, or the batch's shared
+// graph_ref). Every peer thus gets one sub-batch per request, however
+// many of its graphs the batch names; items with no key form one more
+// group that goes to any peer. The sub-batches run concurrently and
+// the per-item results merge back in request order.
+//
+// Healing is per item, because one sub-batch carries many graph refs:
+// after a sub-batch answers 200, every item that came back 404
+// graph_not_found has its graph hydrated onto the serving peer from a
+// donor, once per graph, and those items alone are resent. An audit
+// names two graphs, so there are two rounds. A batch with one group is
+// relayed whole and healed the same way. Item isolation survives the
+// split: a sub-batch whose peers are all unreachable yields
 // synthesized 502 unavailable results for exactly its items, never an
 // envelope-level failure for the rest.
 package router
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -16,8 +27,10 @@ import (
 	"repro/api"
 )
 
-// batchGroup is the slice of a batch owned by one routing key: the
-// item indices in original order and the sub-batch to send.
+// batchGroup is the slice of a batch one peer serves: the item
+// indices in original order and the sub-batch to send. key is the
+// routing key of its first item, whose candidate order starts at that
+// peer and is the group's failover order.
 type batchGroup struct {
 	key     string
 	indices []int
@@ -34,34 +47,46 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		// Not a parseable batch: let one backend produce the canonical
-		// validation error.
-		p, perr := rt.proxy(r.Context(), proxyOpts{
+	if json.Unmarshal(body, &req) != nil || len(req.Items) == 0 {
+		// Not a batch the router can split: let one backend produce the
+		// canonical validation error.
+		p, err := rt.proxy(r.Context(), proxyOpts{
 			method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
 		})
 		if p == nil {
-			writeUnavailable(w, "", perr)
+			writeUnavailable(w, "", err)
 			return
 		}
 		relay(w, p)
 		return
 	}
-	groups := partitionBatch(&req)
-	if len(groups) <= 1 {
-		// One owner (or an empty/invalid batch): forward whole, with
-		// hydration healing a cold owner.
-		key := ""
-		if len(groups) == 1 {
-			key = groups[0].key
-		}
+	hdr := http.Header{"Content-Type": []string{"application/json"}}
+	if auth := r.Header.Get("Authorization"); auth != "" {
+		hdr.Set("Authorization", auth)
+	}
+	groups := rt.partitionBatch(&req)
+	if len(groups) == 1 {
+		// One peer serves the whole batch: forward the body as it came,
+		// so an envelope-level answer relays unchanged.
+		g := groups[0]
 		p, err := rt.proxy(r.Context(), proxyOpts{
 			method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
-			key: key, hydrateRef: key != "",
+			key: g.key, hydrateRef: g.key != "",
 		})
 		if p == nil {
-			writeUnavailable(w, key, err)
+			results := make([]api.BatchItemResult, len(req.Items))
+			rt.failUnreachable(g, results, err)
+			writeBatch(w, results)
 			return
+		}
+		// Only an answer that names the code can hold an item to heal,
+		// so a healthy answer relays without being decoded.
+		if bytes.Contains(p.body, []byte(api.CodeGraphNotFound)) {
+			if resp, ok := batchAnswer(p, len(req.Items)); ok &&
+				rt.healItems(r.Context(), p.peer, hdr, &req, resp.Results) {
+				writeBatch(w, resp.Results)
+				return
+			}
 		}
 		relay(w, p)
 		return
@@ -73,14 +98,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g batchGroup) {
 			defer wg.Done()
-			rt.runBatchGroup(r, g, results)
+			rt.runBatchGroup(r.Context(), hdr, g, results)
 		}(g)
 	}
 	wg.Wait()
+	writeBatch(w, results)
+}
 
+// writeBatch writes a merged batch answer: indices re-anchored to the
+// original request and the outcomes recounted.
+func writeBatch(w http.ResponseWriter, results []api.BatchItemResult) {
 	out := api.BatchResponse{Results: results}
 	for i := range results {
-		// Re-anchor indices to the original request and recount.
 		results[i].Index = i
 		if results[i].Error == nil && results[i].Status/100 == 2 {
 			out.Succeeded++
@@ -99,14 +128,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(b, '\n'))
 }
 
-// partitionBatch splits a batch by routing key. Items that name no
-// graph of their own inherit the top-level GraphRef; items with no key
-// at all group under "" and go to any healthy peer. The shared
-// GraphRef is preserved on every sub-batch so the backend's injection
-// semantics are unchanged.
-func partitionBatch(req *api.BatchRequest) []batchGroup {
-	order := []string{}
-	byKey := map[string]*batchGroup{}
+// partitionBatch splits a batch by the peer that will serve each item.
+// Items that name no graph of their own inherit the top-level
+// GraphRef; items with no key at all group under "" and go to any
+// healthy peer. The shared GraphRef is preserved on every sub-batch so
+// the backend's injection semantics are unchanged.
+func (rt *Router) partitionBatch(req *api.BatchRequest) []batchGroup {
+	var out []batchGroup
+	byPeer := map[string]int{} // serving peer -> index in out
 	for i, item := range req.Items {
 		refs, inline := routingInfo(item.Request)
 		key := ""
@@ -118,60 +147,129 @@ func partitionBatch(req *api.BatchRequest) []batchGroup {
 		default:
 			key = req.GraphRef
 		}
-		g, ok := byKey[key]
-		if !ok {
-			g = &batchGroup{key: key, req: api.BatchRequest{GraphRef: req.GraphRef}}
-			byKey[key] = g
-			order = append(order, key)
+		peer := "" // any peer
+		if key != "" {
+			peer = rt.candidateOrder(key)[0]
 		}
-		g.indices = append(g.indices, i)
-		g.req.Items = append(g.req.Items, item)
-	}
-	out := make([]batchGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byKey[k])
+		gi, ok := byPeer[peer]
+		if !ok {
+			gi = len(out)
+			byPeer[peer] = gi
+			out = append(out, batchGroup{key: key, req: api.BatchRequest{GraphRef: req.GraphRef}})
+		}
+		out[gi].indices = append(out[gi].indices, i)
+		out[gi].req.Items = append(out[gi].req.Items, item)
 	}
 	return out
 }
 
-// runBatchGroup executes one sub-batch and scatters its per-item
-// results into the original index positions. An unreachable peer (or
-// an envelope-level error) becomes a synthesized per-item error, so
-// the merged response stays index-aligned and item-isolated.
-func (rt *Router) runBatchGroup(r *http.Request, g batchGroup, results []api.BatchItemResult) {
+// runBatchGroup executes one sub-batch, heals its cold items, and
+// scatters its per-item results into the original index positions. An
+// unreachable peer (or an envelope-level error) becomes a synthesized
+// per-item error, so the merged response stays index-aligned and
+// item-isolated.
+func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, g batchGroup, results []api.BatchItemResult) {
 	body, err := json.Marshal(g.req)
 	if err != nil {
 		rt.failBatchGroup(g, results, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
-	hdr := http.Header{"Content-Type": []string{"application/json"}}
-	if auth := r.Header.Get("Authorization"); auth != "" {
-		hdr.Set("Authorization", auth)
-	}
-	p, err := rt.proxy(r.Context(), proxyOpts{
+	p, err := rt.proxy(ctx, proxyOpts{
 		method: http.MethodPost, uri: "/v1/batch", header: hdr, body: body,
 		key: g.key, hydrateRef: g.key != "",
 	})
 	if p == nil {
-		rt.failBatchGroup(g, results, http.StatusBadGateway, api.CodeUnavailable,
-			"no backend available for this batch slice: "+errString(err))
+		rt.failUnreachable(g, results, err)
 		return
 	}
-	var resp api.BatchResponse
-	if p.resp.StatusCode != http.StatusOK || resp.UnmarshalJSON(p.body) != nil || len(resp.Results) != len(g.indices) {
-		status := p.resp.StatusCode
+	resp, ok := batchAnswer(p, len(g.indices))
+	if !ok {
 		code := api.CodeInternal
 		msg := "backend batch answer was not item-aligned"
 		var er api.ErrorResponse
 		if json.Unmarshal(p.body, &er) == nil && er.Err != nil {
 			code, msg = er.Err.Code, er.Err.Message
 		}
-		rt.failBatchGroup(g, results, status, code, msg)
+		rt.failBatchGroup(g, results, p.resp.StatusCode, code, msg)
 		return
 	}
+	rt.healItems(ctx, p.peer, hdr, &g.req, resp.Results)
 	for j, idx := range g.indices {
 		results[idx] = resp.Results[j]
 	}
+}
+
+// batchAnswer decodes a 200 batch answer that must hold n item
+// results.
+func batchAnswer(p *proxied, n int) (api.BatchResponse, bool) {
+	var resp api.BatchResponse
+	if p.resp.StatusCode != http.StatusOK || resp.UnmarshalJSON(p.body) != nil || len(resp.Results) != n {
+		return resp, false
+	}
+	return resp, true
+}
+
+// healItems heals the items of a 200 answer to req that came back 404
+// graph_not_found from peer: it hydrates each graph they name onto
+// peer once, resends only those items as one sub-batch, and splices
+// the answers into results. Two rounds, because an audit names two
+// graphs. An item whose graph no donor could supply, or whose resend
+// failed, keeps its 404. Reports whether any result changed.
+func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, req *api.BatchRequest, results []api.BatchItemResult) bool {
+	tried := map[string]bool{}
+	changed := false
+	for round := 0; round < 2; round++ {
+		hydrated := map[string]bool{}
+		var resend []int
+		for i, res := range results {
+			if res.Status != http.StatusNotFound || res.Error == nil {
+				continue
+			}
+			ref := graphNotFoundRef(res.Error)
+			if ref == "" {
+				continue
+			}
+			if !tried[ref] {
+				tried[ref] = true
+				hydrated[ref] = rt.hydrate(ctx, peer, ref, hdr)
+			}
+			if hydrated[ref] {
+				resend = append(resend, i)
+			}
+		}
+		if len(resend) == 0 {
+			return changed
+		}
+		sub := api.BatchRequest{GraphRef: req.GraphRef, Items: make([]api.BatchItem, len(resend))}
+		for k, i := range resend {
+			sub.Items[k] = req.Items[i]
+		}
+		body, err := json.Marshal(sub)
+		if err != nil {
+			return changed
+		}
+		p, err := rt.exchange(ctx, peer, http.MethodPost, "/v1/batch", hdr, body)
+		if err != nil {
+			return changed
+		}
+		resp, ok := batchAnswer(p, len(resend))
+		if !ok {
+			return changed
+		}
+		for k, i := range resend {
+			results[i] = resp.Results[k]
+			results[i].Index = i
+		}
+		changed = true
+	}
+	return changed
+}
+
+// failUnreachable fails the group's items when every peer that could
+// serve them is unreachable.
+func (rt *Router) failUnreachable(g batchGroup, results []api.BatchItemResult, err error) {
+	rt.failBatchGroup(g, results, http.StatusBadGateway, api.CodeUnavailable,
+		"no backend available for this batch slice: "+errString(err))
 }
 
 // failBatchGroup synthesizes one error result per item of the group.

@@ -232,11 +232,20 @@ func missingGraphRef(status int, body []byte) string {
 		return ""
 	}
 	var er api.ErrorResponse
-	if json.Unmarshal(body, &er) != nil || er.Err == nil || er.Err.Code != api.CodeGraphNotFound {
+	if json.Unmarshal(body, &er) != nil || er.Err == nil {
+		return ""
+	}
+	return graphNotFoundRef(er.Err)
+}
+
+// graphNotFoundRef is the graph reference a graph_not_found error
+// names, from either the graph_ref or the id detail.
+func graphNotFoundRef(e *api.Error) string {
+	if e.Code != api.CodeGraphNotFound {
 		return ""
 	}
 	for _, k := range []string{"graph_ref", "id"} {
-		if v, ok := er.Err.Details[k].(string); ok && v != "" {
+		if v, ok := e.Details[k].(string); ok && v != "" {
 			return v
 		}
 	}

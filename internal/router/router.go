@@ -10,17 +10,19 @@
 // clients point at the router and do not change. Routing is by content
 // address — graph_ref (or published_ref / original_ref) when present,
 // else the digest of the inline graph, computed locally with the same
-// canonicalization the registry uses. Batch requests fan out per
-// owner and merge in order; job endpoints follow the peer that
-// accepted the submission; everything else picks a healthy peer.
+// canonicalization the registry uses. Batch requests fan out as one
+// sub-batch per owning peer and merge in order; job endpoints follow
+// the peer that accepted the submission; everything else picks a
+// healthy peer.
 //
 // When the owner is down, requests fail over along the ring's
 // deterministic candidate order. When the owner is up but cold — a
 // restarted or newly added peer that misses a graph another peer still
 // holds — the router hydrates it: fetch the graph's snapshot envelope
-// from a donor peer, install it on the owner, retry the request. That
-// single mechanism heals restarts and migrates graphs to their ring
-// owner after membership changes, with zero APSP rebuilds.
+// from a donor peer, install it on the owner, retry the request (for a
+// batch, only the items that missed). That single mechanism heals
+// restarts and migrates graphs to their ring owner after membership
+// changes, with zero APSP rebuilds.
 package router
 
 import (
@@ -58,9 +60,17 @@ type Config struct {
 	// RequestLog, when non-nil, receives one JSON line per request.
 	RequestLog io.Writer
 	// Client overrides the outbound HTTP client (tests). The default
-	// client has no overall timeout: job event streams are long-lived.
+	// client has no overall timeout, since job event streams are
+	// long-lived, and pools idle connections to each peer.
 	Client *http.Client
 }
+
+// idleConnsPerPeer is how many idle connections to each peer the
+// default outbound client keeps. A client request in flight mostly
+// holds one connection per peer, so this pools one for each of up to
+// 64 concurrent requests; with Go's default of 2, every request beyond
+// two re-dials.
+const idleConnsPerPeer = 64
 
 func (c *Config) setDefaults() {
 	if c.VNodes == 0 {
@@ -158,7 +168,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	httpc := cfg.Client
 	if httpc == nil {
-		httpc = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = 0 // the per-peer cap bounds the pool
+		tr.MaxIdleConnsPerHost = idleConnsPerPeer
+		httpc = &http.Client{Transport: tr}
 	}
 	rt := &Router{
 		cfg:   cfg,

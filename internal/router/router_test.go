@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +73,10 @@ type tier struct {
 	backends []*backend
 }
 
-func startTier(t *testing.T, n int) *tier {
+func startTier(t *testing.T, n int) *tier { return startTierClient(t, n, nil) }
+
+// startTierClient is startTier with the router's outbound client.
+func startTierClient(t *testing.T, n int, client *http.Client) *tier {
 	t.Helper()
 	tr := &tier{t: t}
 	peers := make([]string, n)
@@ -85,6 +90,7 @@ func startTier(t *testing.T, n int) *tier {
 		VNodes:         64,
 		HealthInterval: 50 * time.Millisecond,
 		FailAfter:      1,
+		Client:         client,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +326,284 @@ func TestRouterBatchFanoutEquivalence(t *testing.T) {
 		if hit := resp.Results[0].CacheHit; hit != (pass == 2) {
 			t.Fatalf("pass %d: opacity item cache_hit %v", pass, hit)
 		}
+	}
+}
+
+func pathGraph(n int) *api.Graph {
+	g := &api.Graph{N: n}
+	for i := 0; i+1 < n; i++ {
+		g.Edges = append(g.Edges, [2]int{i, i + 1})
+	}
+	return g
+}
+
+// ownedGraphs returns k path graphs whose ring owner is peer.
+func (tr *tier) ownedGraphs(peer string, k int) []*api.Graph {
+	var out []*api.Graph
+	for n := 3; len(out) < k; n++ {
+		if g := pathGraph(n); tr.rt.Ring().Owner(digestOf(g)) == peer {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+func registerOn(t *testing.T, base string, g *api.Graph) {
+	t.Helper()
+	if status, body := postJSON(t, base+"/v1/graphs", api.GraphRegisterRequest{Graph: g}); status/100 != 2 {
+		t.Fatalf("register on %s: %d %s", base, status, body)
+	}
+}
+
+func batchItem(t *testing.T, op string, v any) api.BatchItem {
+	return api.BatchItem{Op: op, Request: mustJSON(t, v)}
+}
+
+// TestRouterColdOwnerBatchItem is TestRouterColdOwnerHydration for
+// batch items that name their own graph refs: one item alone, one in
+// the middle of a batch whose other items the donor owns, and an audit
+// whose two graphs are both cold, which takes two healing rounds. The
+// cold owner is healed item by item, and the batch answers
+// byte-identically to the donor.
+func TestRouterColdOwnerBatchItem(t *testing.T) {
+	published := &api.Graph{N: 8, Edges: testEdges[:8]}
+	opacityOf := func(g *api.Graph) api.OpacityRequest {
+		return api.OpacityRequest{GraphRef: digestOf(g), L: 2, Cache: "off"}
+	}
+	for _, tc := range []struct {
+		name  string
+		cold  []*api.Graph // on the donor only; the first picks the owner
+		items func(t *testing.T, tr *tier, donor *backend) []api.BatchItem
+	}{
+		{"one item", []*api.Graph{testGraph()}, func(t *testing.T, _ *tier, _ *backend) []api.BatchItem {
+			return []api.BatchItem{batchItem(t, "opacity", opacityOf(testGraph()))}
+		}},
+		{"two owners", []*api.Graph{testGraph()}, func(t *testing.T, tr *tier, donor *backend) []api.BatchItem {
+			g := tr.ownedGraphs(donor.base, 1)[0]
+			registerOn(t, tr.proxy.URL, g)
+			return []api.BatchItem{
+				batchItem(t, "opacity", opacityOf(g)),
+				batchItem(t, "opacity", opacityOf(testGraph())),
+				batchItem(t, "properties", api.PropertiesRequest{GraphRef: digestOf(g)}),
+			}
+		}},
+		{"audit pair", []*api.Graph{published, testGraph()}, func(t *testing.T, _ *tier, _ *backend) []api.BatchItem {
+			return []api.BatchItem{batchItem(t, "audit", api.AuditRequest{
+				PublishedRef: digestOf(published), OriginalRef: digestOf(testGraph()), L: 2, Theta: 0.5,
+			})}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := startTier(t, 2)
+			owner, donor := tr.backendFor(digestOf(tc.cold[0]))
+			for _, g := range tc.cold {
+				registerOn(t, donor.base, g)
+			}
+			batch := api.BatchRequest{Items: tc.items(t, tr, donor)}
+
+			// The donor answers first, which also warms the stores the
+			// owner then hydrates.
+			status, want := postJSON(t, donor.base+"/v1/batch", batch)
+			if status != http.StatusOK {
+				t.Fatalf("donor batch: %d %s", status, want)
+			}
+			status, got := postJSON(t, tr.proxy.URL+"/v1/batch", batch)
+			if status != http.StatusOK {
+				t.Fatalf("batch via router: %d %s", status, got)
+			}
+			var resp api.BatchResponse
+			if err := json.Unmarshal(got, &resp); err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range resp.Results {
+				if res.Status != http.StatusOK {
+					t.Fatalf("item %d (%s) answered %d: %+v", res.Index, res.Op, res.Status, res.Error)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("healed batch differs from the donor's:\nrouter: %s\ndonor:  %s", got, want)
+			}
+			stats := getJSON[api.StatsResponse](t, owner.base+"/v1/stats")
+			if stats.Registry.Hydrations != int64(len(tc.cold)) || stats.Registry.Builds != 0 {
+				t.Fatalf("owner: hydrations=%d builds=%d, want %d/0",
+					stats.Registry.Hydrations, stats.Registry.Builds, len(tc.cold))
+			}
+		})
+	}
+}
+
+// countingTransport counts the sub-batches the router sends each peer.
+type countingTransport struct {
+	mu      sync.Mutex
+	batches map[string]int // peer base URL -> POST /v1/batch requests
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/batch" {
+		c.mu.Lock()
+		c.batches[r.URL.Scheme+"://"+r.URL.Host]++
+		c.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// take returns the counts so far and starts over.
+func (c *countingTransport) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.batches
+	c.batches = map[string]int{}
+	return m
+}
+
+// TestRouterBatchOneSubBatchPerPeer sends a batch naming four graphs,
+// two owned by each peer: each peer receives exactly one sub-batch, and
+// the merged answer equals a standalone backend's. With one peer
+// stopped, its items fail over to the survivor, which holds replicas,
+// and answer the same bytes; with both stopped, every item answers a
+// per-item 502.
+func TestRouterBatchOneSubBatchPerPeer(t *testing.T) {
+	ct := &countingTransport{batches: map[string]int{}}
+	tr := startTierClient(t, 2, &http.Client{Transport: ct})
+	solo := startBackend(t)
+
+	owned := map[string][]*api.Graph{}
+	for _, b := range tr.backends {
+		owned[b.base] = tr.ownedGraphs(b.base, 2)
+	}
+	var graphs []*api.Graph
+	var items []api.BatchItem
+	for k := 0; k < 2; k++ {
+		for _, b := range tr.backends {
+			g := owned[b.base][k]
+			graphs = append(graphs, g)
+			registerOn(t, tr.proxy.URL, g)
+			registerOn(t, solo.base, g)
+			id := digestOf(g)
+			items = append(items,
+				batchItem(t, "opacity", api.OpacityRequest{GraphRef: id, L: 2, Cache: "off"}),
+				batchItem(t, "properties", api.PropertiesRequest{GraphRef: id}))
+		}
+	}
+	batch := api.BatchRequest{Items: items}
+	status, want := postJSON(t, solo.base+"/v1/batch", batch)
+	if status != http.StatusOK {
+		t.Fatalf("solo batch: %d %s", status, want)
+	}
+
+	ct.take()
+	status, got := postJSON(t, tr.proxy.URL+"/v1/batch", batch)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("tier batch %d differs from solo:\ntier: %s\nsolo: %s", status, got, want)
+	}
+	sent := ct.take()
+	for _, b := range tr.backends {
+		if sent[b.base] != 1 {
+			t.Fatalf("sub-batches per peer %v, want one for each of the 2 peers", sent)
+		}
+	}
+
+	for _, g := range graphs {
+		for _, b := range tr.backends {
+			registerOn(t, b.base, g)
+		}
+	}
+	tr.backends[0].stop()
+	status, got = postJSON(t, tr.proxy.URL+"/v1/batch", batch)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("batch after a peer stopped: %d, differs from solo:\ntier: %s\nsolo: %s", status, got, want)
+	}
+
+	tr.backends[1].stop()
+	status, got = postJSON(t, tr.proxy.URL+"/v1/batch", batch)
+	if status != http.StatusOK {
+		t.Fatalf("batch with every peer stopped: envelope %d, want 200 with per-item errors: %s", status, got)
+	}
+	var resp api.BatchResponse
+	if err := json.Unmarshal(got, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(items) || resp.Failed != len(items) {
+		t.Fatalf("every peer stopped: %d results, %d failed, want %d failed", len(resp.Results), resp.Failed, len(items))
+	}
+	for i, res := range resp.Results {
+		if res.Index != i || res.Status != http.StatusBadGateway || res.Error == nil || res.Error.Code != api.CodeUnavailable {
+			t.Fatalf("every peer stopped: item %d = %+v, want 502 unavailable", i, res)
+		}
+	}
+}
+
+// TestRouterPoolsPeerConnections holds eight requests open on one peer
+// at once, twice: the default outbound client pools all eight
+// connections, so the second round dials none.
+func TestRouterPoolsPeerConnections(t *testing.T) {
+	const k = 8
+	var dials atomic.Int64
+	var mu sync.Mutex
+	var release chan struct{}
+	arrivals := make(chan struct{}, k)
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/opacity" {
+			mu.Lock()
+			rel := release
+			mu.Unlock()
+			arrivals <- struct{}{}
+			<-rel
+		}
+		w.Write([]byte("{}"))
+	}))
+	peer.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	peer.Start()
+	t.Cleanup(peer.Close)
+	rt, err := New(Config{Peers: []string{peer.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	round := func() {
+		mu.Lock()
+		release = make(chan struct{})
+		rel := release
+		mu.Unlock()
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(front.URL+"/v1/opacity", "application/json",
+					bytes.NewReader([]byte(`{"graph_ref":"g","l":2}`)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				drainClose(resp)
+			}()
+		}
+		for i := 0; i < k; i++ {
+			select {
+			case <-arrivals:
+			case <-time.After(10 * time.Second):
+				close(rel)
+				wg.Wait()
+				t.Fatalf("only %d of %d requests reached the peer at once", i, k)
+			}
+		}
+		close(rel)
+		wg.Wait()
+	}
+	round()
+	first := dials.Load()
+	round()
+	if again := dials.Load() - first; again != 0 {
+		t.Fatalf("second round of %d concurrent requests dialed %d new connections (first round %d), want 0",
+			k, again, first)
 	}
 }
 

@@ -4,6 +4,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 
 	lopacity "repro"
@@ -19,6 +20,9 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) prepareDataset(req *api.DatasetRequest) (prepared, error) {
+	if req.Key == "" {
+		return prepared{}, errors.New("key is required (GET /v1/datasets lists them)")
+	}
 	run := func(ctx context.Context) (any, bool, error) {
 		g, err := lopacity.Dataset(req.Key, req.Seed)
 		if err != nil {

@@ -120,17 +120,13 @@ func TestEveryOpIdenticalOnEveryPath(t *testing.T) {
 // TestEveryOpRouteRejectsEmptyDocument posts {} to each operation on
 // every path. Each op route exists (no mux 404 or 405) and answers the
 // error envelope, with the same status and envelope as the batch item
-// and the job. {} is a 400 everywhere but dataset, where it names the
-// empty dataset key: a 404 dataset_not_found raised by the run, so the
-// job is accepted and fails with the same message.
+// and the job: {} is a 400 invalid_request on every path, rejected
+// before a job is queued.
 func TestEveryOpRouteRejectsEmptyDocument(t *testing.T) {
 	_, ts := newTestAPI(t, Config{})
 	for _, d := range opDocs {
 		t.Run(d.op, func(t *testing.T) {
 			wantStatus, wantCode := http.StatusBadRequest, api.CodeInvalidRequest
-			if d.op == "dataset" {
-				wantStatus, wantCode = http.StatusNotFound, api.CodeDatasetNotFound
-			}
 			resp := postDoc(t, ts.URL+"/v1/"+d.op, `{}`)
 			if resp.StatusCode != wantStatus {
 				t.Fatalf("sync status %d, want %d", resp.StatusCode, wantStatus)
@@ -146,13 +142,6 @@ func TestEveryOpRouteRejectsEmptyDocument(t *testing.T) {
 			}
 
 			resp = postJSON(t, ts.URL+"/v1/jobs", api.JobSubmitRequest{Op: d.op, Request: json.RawMessage(`{}`)})
-			if resp.StatusCode == http.StatusAccepted {
-				jr := decodeBody[api.JobResponse](t, resp)
-				if failed := awaitJob(t, ts.URL, jr.ID, "failed"); failed.Error != env.Message {
-					t.Fatalf("job error %q, want %q", failed.Error, env.Message)
-				}
-				return
-			}
 			if resp.StatusCode != wantStatus {
 				t.Fatalf("job submit status %d, want %d", resp.StatusCode, wantStatus)
 			}

@@ -4,7 +4,9 @@
 // graph_ref). Every peer thus gets one sub-batch per request, however
 // many of its graphs the batch names; items with no key form one more
 // group that goes to any peer. The sub-batches run concurrently and
-// the per-item results merge back in request order.
+// the per-item results merge back in request order. When a group's
+// peer is unreachable, its items are partitioned again without that
+// peer, so each item fails over along its own key's candidate order.
 //
 // Healing is per item, because one sub-batch carries many graph refs:
 // after a sub-batch answers 200, every item that came back 404
@@ -12,9 +14,8 @@
 // donor, once per graph, and those items alone are resent. An audit
 // names two graphs, so there are two rounds. A batch with one group is
 // relayed whole and healed the same way. Item isolation survives the
-// split: a sub-batch whose peers are all unreachable yields
-// synthesized 502 unavailable results for exactly its items, never an
-// envelope-level failure for the rest.
+// split: items whose peers are all unreachable yield synthesized 502
+// unavailable results, never an envelope-level failure for the rest.
 package router
 
 import (
@@ -27,14 +28,19 @@ import (
 	"repro/api"
 )
 
-// batchGroup is the slice of a batch one peer serves: the item
-// indices in original order and the sub-batch to send. key is the
-// routing key of its first item, whose candidate order starts at that
-// peer and is the group's failover order.
+// batchGroup is the slice of a batch one peer serves: the original
+// indices of its items, in request order.
 type batchGroup struct {
-	key     string
+	groupID
 	indices []int
-	req     api.BatchRequest
+}
+
+// groupID names a group's peer. peer is "" for the items that name no
+// graph (anyPeer), which any peer may serve, and for items whose
+// candidates are all unreachable.
+type groupID struct {
+	peer    string
+	anyPeer bool
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -64,45 +70,35 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if auth := r.Header.Get("Authorization"); auth != "" {
 		hdr.Set("Authorization", auth)
 	}
-	groups := rt.partitionBatch(&req)
-	if len(groups) == 1 {
-		// One peer serves the whole batch: forward the body as it came,
-		// so an envelope-level answer relays unchanged.
-		g := groups[0]
-		p, err := rt.proxy(r.Context(), proxyOpts{
-			method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
-			key: g.key, hydrateRef: g.key != "",
-		})
-		if p == nil {
-			results := make([]api.BatchItemResult, len(req.Items))
-			rt.failUnreachable(g, results, err)
-			writeBatch(w, results)
-			return
-		}
-		// Only an answer that names the code can hold an item to heal,
-		// so a healthy answer relays without being decoded.
-		if bytes.Contains(p.body, []byte(api.CodeGraphNotFound)) {
-			if resp, ok := batchAnswer(p, len(req.Items)); ok &&
-				rt.healItems(r.Context(), p.peer, hdr, &req, resp.Results) {
-				writeBatch(w, resp.Results)
-				return
-			}
-		}
-		relay(w, p)
+	all := make([]int, len(req.Items))
+	for i := range all {
+		all[i] = i
+	}
+	groups := rt.partitionBatch(&req, all, nil)
+	results := make([]api.BatchItemResult, len(req.Items))
+	if len(groups) > 1 {
+		rt.runGroups(r.Context(), hdr, &req, groups, nil, nil, results)
+		writeBatch(w, results)
 		return
 	}
-
-	results := make([]api.BatchItemResult, len(req.Items))
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g batchGroup) {
-			defer wg.Done()
-			rt.runBatchGroup(r.Context(), hdr, g, results)
-		}(g)
+	// One peer serves the whole batch: forward the body as it came, so
+	// an envelope-level answer relays unchanged.
+	p, err := rt.sendGroup(r.Context(), groups[0], requestURI(r), r.Header, body)
+	if err != nil {
+		rt.failOver(r.Context(), hdr, &req, groups[0], nil, err, results)
+		writeBatch(w, results)
+		return
 	}
-	wg.Wait()
-	writeBatch(w, results)
+	// Only an answer that names the code can hold an item to heal, so a
+	// healthy answer relays without being decoded.
+	if bytes.Contains(p.body, []byte(api.CodeGraphNotFound)) {
+		if resp, ok := batchAnswer(p, len(req.Items)); ok &&
+			rt.healItems(r.Context(), p.peer, hdr, &req, resp.Results) {
+			writeBatch(w, resp.Results)
+			return
+		}
+	}
+	relay(w, p)
 }
 
 // writeBatch writes a merged batch answer: indices re-anchored to the
@@ -128,58 +124,82 @@ func writeBatch(w http.ResponseWriter, results []api.BatchItemResult) {
 	w.Write(append(b, '\n'))
 }
 
-// partitionBatch splits a batch by the peer that will serve each item.
-// Items that name no graph of their own inherit the top-level
-// GraphRef; items with no key at all group under "" and go to any
-// healthy peer. The shared GraphRef is preserved on every sub-batch so
-// the backend's injection semantics are unchanged.
-func (rt *Router) partitionBatch(req *api.BatchRequest) []batchGroup {
+// partitionBatch groups the items at indices by the peer that will
+// serve each: the first candidate for the item's routing key that is
+// not down. The key is the first graph the item names, else its inline
+// graph's digest, else the batch's shared GraphRef; items with no key
+// form the anyPeer group.
+func (rt *Router) partitionBatch(req *api.BatchRequest, indices []int, down map[string]bool) []batchGroup {
 	var out []batchGroup
-	byPeer := map[string]int{} // serving peer -> index in out
-	for i, item := range req.Items {
-		refs, inline := routingInfo(item.Request)
-		key := ""
+	byID := map[groupID]int{} // -> index in out
+	for _, i := range indices {
+		refs, inline := routingInfo(req.Items[i].Request)
+		key := req.GraphRef
 		switch {
 		case len(refs) > 0:
 			key = refs[0]
 		case inline != nil:
 			key = digestOf(inline)
-		default:
-			key = req.GraphRef
 		}
-		peer := "" // any peer
+		id := groupID{anyPeer: true}
 		if key != "" {
-			peer = rt.candidateOrder(key)[0]
+			id = groupID{}
+			for _, peer := range rt.candidateOrder(key) {
+				if !down[peer] {
+					id.peer = peer
+					break
+				}
+			}
 		}
-		gi, ok := byPeer[peer]
+		gi, ok := byID[id]
 		if !ok {
 			gi = len(out)
-			byPeer[peer] = gi
-			out = append(out, batchGroup{key: key, req: api.BatchRequest{GraphRef: req.GraphRef}})
+			byID[id] = gi
+			out = append(out, batchGroup{groupID: id})
 		}
 		out[gi].indices = append(out[gi].indices, i)
-		out[gi].req.Items = append(out[gi].req.Items, item)
 	}
 	return out
 }
 
-// runBatchGroup executes one sub-batch, heals its cold items, and
-// scatters its per-item results into the original index positions. An
-// unreachable peer (or an envelope-level error) becomes a synthesized
-// per-item error, so the merged response stays index-aligned and
-// item-isolated.
-func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, g batchGroup, results []api.BatchItemResult) {
-	body, err := json.Marshal(g.req)
-	if err != nil {
-		rt.failBatchGroup(g, results, http.StatusInternalServerError, api.CodeInternal, err.Error())
+// runGroups runs the groups concurrently and scatters their per-item
+// results into the original index positions. down holds the peers
+// found unreachable so far, and lastErr the latest transport error.
+func (rt *Router) runGroups(ctx context.Context, hdr http.Header, req *api.BatchRequest, groups []batchGroup,
+	down map[string]bool, lastErr error, results []api.BatchItemResult) {
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.runBatchGroup(ctx, hdr, req, g, down, lastErr, results)
+		}()
+	}
+	wg.Wait()
+}
+
+// runBatchGroup executes one sub-batch and heals its cold items. An
+// unreachable peer sends the items on along their candidate orders, and
+// an envelope-level error becomes a synthesized per-item error, so the
+// merged response stays index-aligned and item-isolated.
+func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, req *api.BatchRequest, g batchGroup,
+	down map[string]bool, lastErr error, results []api.BatchItemResult) {
+	if g.peer == "" && !g.anyPeer {
+		rt.failUnreachable(req, g, results, lastErr)
 		return
 	}
-	p, err := rt.proxy(ctx, proxyOpts{
-		method: http.MethodPost, uri: "/v1/batch", header: hdr, body: body,
-		key: g.key, hydrateRef: g.key != "",
-	})
-	if p == nil {
-		rt.failUnreachable(g, results, err)
+	sub := api.BatchRequest{GraphRef: req.GraphRef, Items: make([]api.BatchItem, len(g.indices))}
+	for j, idx := range g.indices {
+		sub.Items[j] = req.Items[idx]
+	}
+	body, err := json.Marshal(sub)
+	if err != nil {
+		rt.failBatchGroup(req, g, results, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		return
+	}
+	p, err := rt.sendGroup(ctx, g, "/v1/batch", hdr, body)
+	if err != nil {
+		rt.failOver(ctx, hdr, req, g, down, err, results)
 		return
 	}
 	resp, ok := batchAnswer(p, len(g.indices))
@@ -190,13 +210,49 @@ func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, g batchGro
 		if json.Unmarshal(p.body, &er) == nil && er.Err != nil {
 			code, msg = er.Err.Code, er.Err.Message
 		}
-		rt.failBatchGroup(g, results, p.resp.StatusCode, code, msg)
+		rt.failBatchGroup(req, g, results, p.resp.StatusCode, code, msg)
 		return
 	}
-	rt.healItems(ctx, p.peer, hdr, &g.req, resp.Results)
+	rt.healItems(ctx, p.peer, hdr, &sub, resp.Results)
 	for j, idx := range g.indices {
 		results[idx] = resp.Results[j]
 	}
+}
+
+// sendGroup posts a group's sub-batch body to its peer, healing an
+// envelope-level graph_not_found (the shared graph_ref) as any keyed
+// request is healed. The anyPeer group walks every peer instead. The
+// error is the transport error of a peer that could not be reached.
+func (rt *Router) sendGroup(ctx context.Context, g batchGroup, uri string, hdr http.Header, body []byte) (*proxied, error) {
+	opts := proxyOpts{method: http.MethodPost, uri: uri, header: hdr, body: body}
+	if g.anyPeer {
+		return rt.proxy(ctx, opts)
+	}
+	p, err := rt.exchange(ctx, g.peer, http.MethodPost, uri, hdr, body)
+	if err != nil {
+		return nil, err
+	}
+	return rt.healMissingGraph(ctx, p, opts), nil
+}
+
+// failOver handles a group whose peer could not be reached: its items
+// are partitioned again with that peer down, so each goes on to its own
+// next candidate. The anyPeer group has already tried every peer.
+func (rt *Router) failOver(ctx context.Context, hdr http.Header, req *api.BatchRequest, g batchGroup,
+	down map[string]bool, err error, results []api.BatchItemResult) {
+	if g.anyPeer {
+		rt.failUnreachable(req, g, results, err)
+		return
+	}
+	next := map[string]bool{g.peer: true}
+	for peer := range down {
+		next[peer] = true
+	}
+	groups := rt.partitionBatch(req, g.indices, next)
+	if len(groups) > 1 || groups[0].peer != "" {
+		rt.countFailover(g.peer)
+	}
+	rt.runGroups(ctx, hdr, req, groups, next, err, results)
 }
 
 // batchAnswer decodes a 200 batch answer that must hold n item
@@ -258,7 +314,6 @@ func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, r
 		}
 		for k, i := range resend {
 			results[i] = resp.Results[k]
-			results[i].Index = i
 		}
 		changed = true
 	}
@@ -267,17 +322,17 @@ func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, r
 
 // failUnreachable fails the group's items when every peer that could
 // serve them is unreachable.
-func (rt *Router) failUnreachable(g batchGroup, results []api.BatchItemResult, err error) {
-	rt.failBatchGroup(g, results, http.StatusBadGateway, api.CodeUnavailable,
+func (rt *Router) failUnreachable(req *api.BatchRequest, g batchGroup, results []api.BatchItemResult, err error) {
+	rt.failBatchGroup(req, g, results, http.StatusBadGateway, api.CodeUnavailable,
 		"no backend available for this batch slice: "+errString(err))
 }
 
 // failBatchGroup synthesizes one error result per item of the group.
-func (rt *Router) failBatchGroup(g batchGroup, results []api.BatchItemResult, status int, code, msg string) {
-	for j, idx := range g.indices {
+func (rt *Router) failBatchGroup(req *api.BatchRequest, g batchGroup, results []api.BatchItemResult, status int, code, msg string) {
+	for _, idx := range g.indices {
 		results[idx] = api.BatchItemResult{
 			Index:  idx,
-			Op:     g.req.Items[j].Op,
+			Op:     req.Items[idx].Op,
 			Status: status,
 			Error:  &api.Error{Code: code, Message: msg},
 		}

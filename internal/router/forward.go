@@ -183,9 +183,7 @@ func (rt *Router) proxy(ctx context.Context, opts proxyOpts) (*proxied, error) {
 	var lastErr error
 	for i, peer := range candidates {
 		if i > 0 {
-			prev := candidates[i-1]
-			rt.peers[prev].failovers.Add(1)
-			rt.gauges.peerFailover.With(prev).Inc()
+			rt.countFailover(candidates[i-1])
 		}
 		if opts.inline != nil && opts.key != "" {
 			rt.registerInline(ctx, peer, opts.header, opts.inline)
@@ -201,6 +199,12 @@ func (rt *Router) proxy(ctx context.Context, opts proxyOpts) (*proxied, error) {
 		return p, nil
 	}
 	return nil, lastErr
+}
+
+// countFailover counts a request that moved on from peer to another.
+func (rt *Router) countFailover(peer string) {
+	rt.peers[peer].failovers.Add(1)
+	rt.gauges.peerFailover.With(peer).Inc()
 }
 
 // healMissingGraph retries a graph_not_found answer after hydrating

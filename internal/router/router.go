@@ -69,7 +69,7 @@ type Config struct {
 // default outbound client keeps. A client request in flight mostly
 // holds one connection per peer, so this pools one for each of up to
 // 64 concurrent requests; with Go's default of 2, every request beyond
-// two re-dials.
+// two re-dials. 64 is a round ceiling, not a measured concurrency.
 const idleConnsPerPeer = 64
 
 func (c *Config) setDefaults() {

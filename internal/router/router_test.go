@@ -533,6 +533,88 @@ func TestRouterBatchOneSubBatchPerPeer(t *testing.T) {
 	}
 }
 
+// TestRouterBatchFailsOverPerItem stops the owner of two graphs whose
+// next candidates differ, on a 3-peer tier whose router still counts
+// the owner healthy, so every batch first tries it. Each item then
+// fails over to its own next candidate, which holds its graph: no
+// graph is copied between peers, and the answer equals a standalone
+// backend's. This holds for a batch the stopped owner serves whole and
+// for one that also names a survivor's graph, which that survivor
+// serves in a sub-batch of its own.
+func TestRouterBatchFailsOverPerItem(t *testing.T) {
+	var backends []*backend
+	var peers []string
+	for i := 0; i < 3; i++ {
+		b := startBackend(t)
+		backends = append(backends, b)
+		peers = append(peers, b.base)
+	}
+	ct := &countingTransport{batches: map[string]int{}}
+	rt, err := New(Config{
+		Peers: peers, VNodes: 64, HealthInterval: time.Hour, FailAfter: 1000,
+		Client: &http.Client{Transport: ct},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	proxy := httptest.NewServer(rt)
+	t.Cleanup(proxy.Close)
+	solo := startBackend(t)
+
+	// Two graphs owned by peers[0]: one next in line for peers[1], one
+	// for peers[2]; and one graph peers[1] owns.
+	next := map[string]*api.Graph{}
+	var own *api.Graph
+	for n := 3; len(next) < 2 || own == nil; n++ {
+		g := pathGraph(n)
+		c := rt.Ring().Candidates(digestOf(g))
+		switch {
+		case c[0] == peers[0] && next[c[1]] == nil:
+			next[c[1]] = g
+		case c[0] == peers[1] && own == nil:
+			own = g
+		}
+	}
+	for peer, g := range next {
+		registerOn(t, peer, g)
+		registerOn(t, solo.base, g)
+	}
+	registerOn(t, peers[1], own)
+	registerOn(t, solo.base, own)
+	opacityOf := func(g *api.Graph) api.BatchItem {
+		return batchItem(t, "opacity", api.OpacityRequest{GraphRef: digestOf(g), L: 2, Cache: "off"})
+	}
+	backends[0].stop()
+
+	for _, tc := range []struct {
+		name  string
+		items []api.BatchItem
+		sent  []int // sub-batches peers[1] and peers[2] receive
+	}{
+		{"one owner", []api.BatchItem{opacityOf(next[peers[1]]), opacityOf(next[peers[2]])}, []int{1, 1}},
+		{"two owners", []api.BatchItem{opacityOf(own), opacityOf(next[peers[2]]), opacityOf(next[peers[1]])}, []int{2, 1}},
+	} {
+		batch := api.BatchRequest{Items: tc.items}
+		status, want := postJSON(t, solo.base+"/v1/batch", batch)
+		if status != http.StatusOK {
+			t.Fatalf("%s: solo batch: %d %s", tc.name, status, want)
+		}
+		ct.take()
+		status, got := postJSON(t, proxy.URL+"/v1/batch", batch)
+		if status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: tier batch %d differs from solo:\ntier: %s\nsolo: %s", tc.name, status, got, want)
+		}
+		if h := rt.gauges.hydrationsOK.Load(); h != 0 {
+			t.Fatalf("%s: %d graphs copied between peers, want 0", tc.name, h)
+		}
+		sent := ct.take()
+		if sent[peers[1]] != tc.sent[0] || sent[peers[2]] != tc.sent[1] {
+			t.Fatalf("%s: sub-batches per peer %v, want %v to the survivors", tc.name, sent, tc.sent)
+		}
+	}
+}
+
 // TestRouterPoolsPeerConnections holds eight requests open on one peer
 // at once, twice: the default outbound client pools all eight
 // connections, so the second round dials none.

@@ -184,6 +184,34 @@ func TestBatchSharedRefCacheReuse(t *testing.T) {
 	}
 }
 
+// TestBatchRepeatsRunInOrder interleaves repeats of three cacheable
+// items. Items run concurrently, but repeats share a lane, so the cache
+// flags are those of a sequential run: each item's first occurrence is
+// the miss, every later one a byte-identical hit.
+func TestBatchRepeatsRunInOrder(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		ts := newTestServer(t, Config{})
+		id := registerGraph(t, ts.URL, figure1())
+		var req api.BatchRequest
+		for _, l := range []int{2, 3, 2, 4, 3, 2} {
+			req.Items = append(req.Items, batchItem(t, "opacity", api.OpacityRequest{GraphRef: id, L: l}))
+		}
+		br := decodeBody[api.BatchResponse](t, postJSON(t, ts.URL+"/v1/batch", req))
+		first := map[string]string{}
+		for i, res := range br.Results {
+			doc := string(req.Items[i].Request)
+			want, seen := first[doc]
+			if res.Status != http.StatusOK || res.CacheHit != seen {
+				t.Fatalf("round %d item %d: status %d cache_hit %v, want 200 and %v", round, i, res.Status, res.CacheHit, seen)
+			}
+			if seen && string(res.Result) != want {
+				t.Fatalf("round %d item %d: cache hit differs from the miss", round, i)
+			}
+			first[doc] = string(res.Result)
+		}
+	}
+}
+
 // TestBatchEnvelopeValidation: empty batches, oversized batches, and a
 // dangling shared reference fail the whole request with the matching
 // status and code.

@@ -4,9 +4,10 @@ import "encoding/json"
 
 // BatchRequest is the POST /v1/batch body: a list of heterogeneous
 // operations executed in order within one HTTP request. GraphRef,
-// when set, is injected as the graph reference of every single-graph
-// item (properties, opacity, anonymize, kiso) that does not name its
-// own graph — the register-once-query-many pattern in one round trip.
+// when set, is injected as the graph reference of every item whose
+// operation inherits it (Op.InheritsGraphRef: properties, opacity,
+// anonymize, kiso, continuous_audit) and that does not name its own
+// graph — the register-once-query-many pattern in one round trip.
 // Items with two graph inputs (audit, replay) and dataset items must
 // carry their own references inline.
 //

@@ -3,10 +3,10 @@ package api
 import "encoding/json"
 
 // JobSubmitRequest submits one POST operation for asynchronous
-// execution: Op names the operation ("properties", "opacity",
-// "anonymize", "kiso", "audit", "continuous_audit", "dataset", or
-// "replay") and Request carries the exact JSON body the synchronous
-// endpoint would take.
+// execution: Op names an operation of the table Ops ("properties",
+// "opacity", "anonymize", "kiso", "audit", "continuous_audit",
+// "dataset", or "replay") and Request carries the exact JSON body the
+// synchronous endpoint would take.
 type JobSubmitRequest struct {
 	Op      string          `json:"op"`
 	Request json.RawMessage `json:"request"`

@@ -1,11 +1,78 @@
 package api
 
+// Op is one POST operation of the v1 wire contract, declared once in
+// Ops: lopserve serves the table, and loprouter routes by it.
+type Op struct {
+	// Name names the operation in batch items and job submissions, and
+	// gives its synchronous route, POST /v1/<Name>.
+	Name string
+	// New returns a new zero request document of the operation's type.
+	New func() Request
+	// InheritsGraphRef reports whether a batch item of this operation
+	// that names no graph inherits the batch's shared graph_ref. Only
+	// an operation whose request names exactly one graph may: those
+	// with two graph inputs (audit, replay) and dataset generation,
+	// which names none, have self-contained items.
+	InheritsGraphRef bool
+}
+
+// Ops is the wire operation table: every POST operation, in the order
+// the unknown-op error names them.
+var Ops = []Op{
+	{"properties", func() Request { return new(PropertiesRequest) }, true},
+	{"opacity", func() Request { return new(OpacityRequest) }, true},
+	{"anonymize", func() Request { return new(AnonymizeRequest) }, true},
+	{"kiso", func() Request { return new(KIsoRequest) }, true},
+	{"audit", func() Request { return new(AuditRequest) }, false},
+	{"continuous_audit", func() Request { return new(ContinuousAuditRequest) }, true},
+	{"dataset", func() Request { return new(DatasetRequest) }, false},
+	{"replay", func() Request { return new(ReplayRequest) }, false},
+}
+
+// LookupOp returns the table entry named name.
+func LookupOp(name string) (Op, bool) {
+	for _, op := range Ops {
+		if op.Name == name {
+			return op, true
+		}
+	}
+	return Op{}, false
+}
+
+// Request is the request document of a table operation.
+type Request interface {
+	// Graphs returns the request's graph reference fields, in routing
+	// priority, and its inline graphs, in the same order. A nil inline
+	// graph is one the request leaves out.
+	Graphs() (refs []*string, inline []*Graph)
+}
+
+// InheritGraphRef points req at a batch's shared graph_ref when the
+// operation inherits it and req names no graph of its own, neither a
+// reference nor an inline graph, and reports whether it did.
+func (op Op) InheritGraphRef(req Request, sharedRef string) bool {
+	if !op.InheritsGraphRef || sharedRef == "" {
+		return false
+	}
+	refs, inline := req.Graphs()
+	if *refs[0] != "" || inline[0].N != 0 || len(inline[0].Edges) != 0 {
+		return false
+	}
+	*refs[0] = sharedRef
+	return true
+}
+
 // PropertiesRequest asks for the structural property report of a
 // graph, given inline or as a registry reference (exactly one of the
 // two).
 type PropertiesRequest struct {
 	Graph    Graph  `json:"graph"`
 	GraphRef string `json:"graph_ref,omitempty"`
+}
+
+// Graphs implements Request.
+func (r *PropertiesRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.GraphRef}, []*Graph{&r.Graph}
 }
 
 // PropertiesResponse mirrors lopacity.Properties (the paper's
@@ -26,8 +93,8 @@ type PropertiesResponse struct {
 // reuse the registered graph's cached distance store, skipping the
 // APSP build). Engine and Store optionally override the server's
 // distance-compute defaults (engines: auto, bfs, fw, pointer, bitbfs;
-// stores: compact, packed); every combination returns the identical
-// report. Cache set to "off" bypasses the content-addressed result
+// stores: compact, packed, paged); every combination returns the
+// identical report. Cache set to "off" bypasses the content-addressed result
 // cache for this request.
 type OpacityRequest struct {
 	Graph    Graph  `json:"graph"`
@@ -36,6 +103,11 @@ type OpacityRequest struct {
 	Engine   string `json:"engine,omitempty"`
 	Store    string `json:"store,omitempty"`
 	Cache    string `json:"cache,omitempty"`
+}
+
+// Graphs implements Request.
+func (r *OpacityRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.GraphRef}, []*Graph{&r.Graph}
 }
 
 // OpacityResponse reports the graph's maximum opacity and per-type
@@ -68,12 +140,18 @@ type AnonymizeRequest struct {
 	// to the server's MaxBudget and defaults to it when omitted.
 	BudgetMS int64 `json:"budget_ms"`
 	// Engine and Store override the server's distance-compute defaults
-	// for this run; results are identical for every combination, only
-	// build time and memory differ.
+	// for this run (engines: auto, bfs, fw, pointer, bitbfs; stores:
+	// compact, packed, paged); results are identical for every
+	// combination, only build time and memory differ.
 	Engine string `json:"engine,omitempty"`
 	Store  string `json:"store,omitempty"`
 	// Cache set to "off" bypasses the content-addressed result cache.
 	Cache string `json:"cache,omitempty"`
+}
+
+// Graphs implements Request.
+func (r *AnonymizeRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.GraphRef}, []*Graph{&r.Graph}
 }
 
 // AnonymizeResponse returns the published graph and the run report.
@@ -97,6 +175,11 @@ type KIsoRequest struct {
 	Seed     int64  `json:"seed"`
 }
 
+// Graphs implements Request.
+func (r *KIsoRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.GraphRef}, []*Graph{&r.Graph}
+}
+
 // KIsoResponse returns the k-isomorphic graph, its block structure,
 // and the edit cost.
 type KIsoResponse struct {
@@ -118,6 +201,11 @@ type AuditRequest struct {
 	OriginalRef  string  `json:"original_ref,omitempty"`
 	L            int     `json:"l"`
 	Theta        float64 `json:"theta"`
+}
+
+// Graphs implements Request.
+func (r *AuditRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.PublishedRef, &r.OriginalRef}, []*Graph{&r.Published, &r.Original}
 }
 
 // AuditResponse reports the strongest inference and every vertex-pair
@@ -162,6 +250,11 @@ type ContinuousAuditRequest struct {
 	Store    string         `json:"store,omitempty"`
 }
 
+// Graphs implements Request.
+func (r *ContinuousAuditRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.GraphRef}, []*Graph{&r.Graph}
+}
+
 // ContinuousAuditStep is the opacity report after one mutation step.
 type ContinuousAuditStep struct {
 	Step       int     `json:"step"`
@@ -192,6 +285,9 @@ type DatasetRequest struct {
 	Key  string `json:"key"`
 	Seed int64  `json:"seed"`
 }
+
+// Graphs implements Request: a dataset request names no graph.
+func (r *DatasetRequest) Graphs() ([]*string, []*Graph) { return nil, nil }
 
 // DatasetResponse returns the generated graph and its properties.
 type DatasetResponse struct {
@@ -231,6 +327,11 @@ type ReplayRequest struct {
 	Published    *Graph      `json:"published"`
 	PublishedRef string      `json:"published_ref,omitempty"`
 	Fast         bool        `json:"fast"`
+}
+
+// Graphs implements Request.
+func (r *ReplayRequest) Graphs() ([]*string, []*Graph) {
+	return []*string{&r.PublishedRef, &r.OriginalRef}, []*Graph{r.Published, &r.Original}
 }
 
 // ReplayResponse reports the verification outcome. Verified is false

@@ -1,9 +1,14 @@
 // Batch fan-out: one heterogeneous POST /v1/batch is partitioned by
 // the peer that will serve each item, the first candidate for the
 // item's routing key (the graph it names, or the batch's shared
-// graph_ref). Every peer thus gets one sub-batch per request, however
-// many of its graphs the batch names; items with no key form one more
-// group that goes to any peer. The sub-batches run concurrently and
+// graph_ref when its operation inherits that, as lopserve applies it).
+// Every peer thus gets one sub-batch per request, however many of its
+// graphs the batch names; items with no key form one more group that
+// goes to any peer. A sub-batch carries the shared graph_ref only when
+// one of its items inherits it. So when no peer holds that graph, the
+// items of the sub-batches that carry it fail, each with a 404
+// graph_not_found, and the others run; a batch with one group gets
+// lopserve's envelope-level 404. The sub-batches run concurrently and
 // the per-item results merge back in request order. When a group's
 // peer is unreachable, its items are partitioned again without that
 // peer, so each item fails over along its own key's candidate order.
@@ -28,6 +33,27 @@ import (
 	"repro/api"
 )
 
+// batch is a decoded batch request with the route of each item,
+// decoded once.
+type batch struct {
+	api.BatchRequest
+	routes []route
+}
+
+// sub is the sub-batch of the items at indices. It carries the shared
+// graph_ref only when one of them inherits it, so a peer that serves
+// only items naming their own graphs need not hold the shared one.
+func (b *batch) sub(indices []int) ([]byte, error) {
+	sub := api.BatchRequest{Items: make([]api.BatchItem, len(indices))}
+	for j, i := range indices {
+		sub.Items[j] = b.Items[i]
+		if b.routes[i].shared {
+			sub.GraphRef = b.GraphRef
+		}
+	}
+	return json.Marshal(sub)
+}
+
 // batchGroup is the slice of a batch one peer serves: the original
 // indices of its items, in request order.
 type batchGroup struct {
@@ -44,40 +70,33 @@ type groupID struct {
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
-	body, ok := rt.readBody(w, r)
+	body, ok := rt.postBody(w, r)
 	if !ok {
 		return
 	}
-	var req api.BatchRequest
-	if json.Unmarshal(body, &req) != nil || len(req.Items) == 0 {
+	var b batch
+	if json.Unmarshal(body, &b.BatchRequest) != nil || len(b.Items) == 0 {
 		// Not a batch the router can split: let one backend produce the
 		// canonical validation error.
-		p, err := rt.proxy(r.Context(), proxyOpts{
-			method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
-		})
-		if p == nil {
-			writeUnavailable(w, "", err)
-			return
+		if p := rt.forward(w, r, body, route{}); p != nil {
+			relay(w, p)
 		}
-		relay(w, p)
 		return
 	}
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
 	if auth := r.Header.Get("Authorization"); auth != "" {
 		hdr.Set("Authorization", auth)
 	}
-	all := make([]int, len(req.Items))
-	for i := range all {
+	all := make([]int, len(b.Items))
+	b.routes = make([]route, len(b.Items))
+	for i, item := range b.Items {
 		all[i] = i
+		b.routes[i] = routeKey(item.Op, item.Request, b.GraphRef)
 	}
-	groups := rt.partitionBatch(&req, all, nil)
-	results := make([]api.BatchItemResult, len(req.Items))
+	groups := rt.partitionBatch(&b, all, nil)
+	results := make([]api.BatchItemResult, len(b.Items))
 	if len(groups) > 1 {
-		rt.runGroups(r.Context(), hdr, &req, groups, nil, nil, results)
+		rt.runGroups(r.Context(), hdr, &b, groups, nil, nil, results)
 		writeBatch(w, results)
 		return
 	}
@@ -85,15 +104,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// an envelope-level answer relays unchanged.
 	p, err := rt.sendGroup(r.Context(), groups[0], requestURI(r), r.Header, body)
 	if err != nil {
-		rt.failOver(r.Context(), hdr, &req, groups[0], nil, err, results)
+		rt.failOver(r.Context(), hdr, &b, groups[0], nil, err, results)
 		writeBatch(w, results)
 		return
 	}
 	// Only an answer that names the code can hold an item to heal, so a
 	// healthy answer relays without being decoded.
 	if bytes.Contains(p.body, []byte(api.CodeGraphNotFound)) {
-		if resp, ok := batchAnswer(p, len(req.Items)); ok &&
-			rt.healItems(r.Context(), p.peer, hdr, &req, resp.Results) {
+		if resp, ok := batchAnswer(p, len(b.Items)); ok &&
+			rt.healItems(r.Context(), p.peer, hdr, &b, all, resp.Results) {
 			writeBatch(w, resp.Results)
 			return
 		}
@@ -126,23 +145,13 @@ func writeBatch(w http.ResponseWriter, results []api.BatchItemResult) {
 
 // partitionBatch groups the items at indices by the peer that will
 // serve each: the first candidate for the item's routing key that is
-// not down. The key is the first graph the item names, else its inline
-// graph's digest, else the batch's shared GraphRef; items with no key
-// form the anyPeer group.
-func (rt *Router) partitionBatch(req *api.BatchRequest, indices []int, down map[string]bool) []batchGroup {
+// not down. Items with no key form the anyPeer group.
+func (rt *Router) partitionBatch(b *batch, indices []int, down map[string]bool) []batchGroup {
 	var out []batchGroup
 	byID := map[groupID]int{} // -> index in out
 	for _, i := range indices {
-		refs, inline := routingInfo(req.Items[i].Request)
-		key := req.GraphRef
-		switch {
-		case len(refs) > 0:
-			key = refs[0]
-		case inline != nil:
-			key = digestOf(inline)
-		}
 		id := groupID{anyPeer: true}
-		if key != "" {
+		if key := b.routes[i].key; key != "" {
 			id = groupID{}
 			for _, peer := range rt.candidateOrder(key) {
 				if !down[peer] {
@@ -165,14 +174,14 @@ func (rt *Router) partitionBatch(req *api.BatchRequest, indices []int, down map[
 // runGroups runs the groups concurrently and scatters their per-item
 // results into the original index positions. down holds the peers
 // found unreachable so far, and lastErr the latest transport error.
-func (rt *Router) runGroups(ctx context.Context, hdr http.Header, req *api.BatchRequest, groups []batchGroup,
+func (rt *Router) runGroups(ctx context.Context, hdr http.Header, b *batch, groups []batchGroup,
 	down map[string]bool, lastErr error, results []api.BatchItemResult) {
 	var wg sync.WaitGroup
 	for _, g := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rt.runBatchGroup(ctx, hdr, req, g, down, lastErr, results)
+			rt.runBatchGroup(ctx, hdr, b, g, down, lastErr, results)
 		}()
 	}
 	wg.Wait()
@@ -182,24 +191,20 @@ func (rt *Router) runGroups(ctx context.Context, hdr http.Header, req *api.Batch
 // unreachable peer sends the items on along their candidate orders, and
 // an envelope-level error becomes a synthesized per-item error, so the
 // merged response stays index-aligned and item-isolated.
-func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, req *api.BatchRequest, g batchGroup,
+func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, b *batch, g batchGroup,
 	down map[string]bool, lastErr error, results []api.BatchItemResult) {
 	if g.peer == "" && !g.anyPeer {
-		rt.failUnreachable(req, g, results, lastErr)
+		rt.failUnreachable(b, g, results, lastErr)
 		return
 	}
-	sub := api.BatchRequest{GraphRef: req.GraphRef, Items: make([]api.BatchItem, len(g.indices))}
-	for j, idx := range g.indices {
-		sub.Items[j] = req.Items[idx]
-	}
-	body, err := json.Marshal(sub)
+	body, err := b.sub(g.indices)
 	if err != nil {
-		rt.failBatchGroup(req, g, results, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		rt.failBatchGroup(b, g, results, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
 	p, err := rt.sendGroup(ctx, g, "/v1/batch", hdr, body)
 	if err != nil {
-		rt.failOver(ctx, hdr, req, g, down, err, results)
+		rt.failOver(ctx, hdr, b, g, down, err, results)
 		return
 	}
 	resp, ok := batchAnswer(p, len(g.indices))
@@ -210,13 +215,13 @@ func (rt *Router) runBatchGroup(ctx context.Context, hdr http.Header, req *api.B
 		if json.Unmarshal(p.body, &er) == nil && er.Err != nil {
 			code, msg = er.Err.Code, er.Err.Message
 		}
-		rt.failBatchGroup(req, g, results, p.resp.StatusCode, code, msg)
+		rt.failBatchGroup(b, g, results, p.resp.StatusCode, code, msg)
 		return
 	}
-	rt.healItems(ctx, p.peer, hdr, &sub, resp.Results)
 	for j, idx := range g.indices {
 		results[idx] = resp.Results[j]
 	}
+	rt.healItems(ctx, p.peer, hdr, b, g.indices, results)
 }
 
 // sendGroup posts a group's sub-batch body to its peer, healing an
@@ -238,21 +243,21 @@ func (rt *Router) sendGroup(ctx context.Context, g batchGroup, uri string, hdr h
 // failOver handles a group whose peer could not be reached: its items
 // are partitioned again with that peer down, so each goes on to its own
 // next candidate. The anyPeer group has already tried every peer.
-func (rt *Router) failOver(ctx context.Context, hdr http.Header, req *api.BatchRequest, g batchGroup,
+func (rt *Router) failOver(ctx context.Context, hdr http.Header, b *batch, g batchGroup,
 	down map[string]bool, err error, results []api.BatchItemResult) {
 	if g.anyPeer {
-		rt.failUnreachable(req, g, results, err)
+		rt.failUnreachable(b, g, results, err)
 		return
 	}
 	next := map[string]bool{g.peer: true}
 	for peer := range down {
 		next[peer] = true
 	}
-	groups := rt.partitionBatch(req, g.indices, next)
+	groups := rt.partitionBatch(b, g.indices, next)
 	if len(groups) > 1 || groups[0].peer != "" {
 		rt.countFailover(g.peer)
 	}
-	rt.runGroups(ctx, hdr, req, groups, next, err, results)
+	rt.runGroups(ctx, hdr, b, groups, next, err, results)
 }
 
 // batchAnswer decodes a 200 batch answer that must hold n item
@@ -265,19 +270,21 @@ func batchAnswer(p *proxied, n int) (api.BatchResponse, bool) {
 	return resp, true
 }
 
-// healItems heals the items of a 200 answer to req that came back 404
-// graph_not_found from peer: it hydrates each graph they name onto
-// peer once, resends only those items as one sub-batch, and splices
-// the answers into results. Two rounds, because an audit names two
-// graphs. An item whose graph no donor could supply, or whose resend
-// failed, keeps its 404. Reports whether any result changed.
-func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, req *api.BatchRequest, results []api.BatchItemResult) bool {
+// healItems heals the items at indices of a 200 answer that came
+// back 404 graph_not_found from peer: it hydrates each graph they name
+// onto peer once, resends only those items as one sub-batch, and
+// splices the answers into results, which is index-aligned with the
+// batch. Two rounds, because an audit names two graphs. An item whose
+// graph no donor could supply, or whose resend failed, keeps its 404.
+// Reports whether any result changed.
+func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, b *batch, indices []int, results []api.BatchItemResult) bool {
 	tried := map[string]bool{}
 	changed := false
 	for round := 0; round < 2; round++ {
 		hydrated := map[string]bool{}
 		var resend []int
-		for i, res := range results {
+		for _, i := range indices {
+			res := results[i]
 			if res.Status != http.StatusNotFound || res.Error == nil {
 				continue
 			}
@@ -296,11 +303,7 @@ func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, r
 		if len(resend) == 0 {
 			return changed
 		}
-		sub := api.BatchRequest{GraphRef: req.GraphRef, Items: make([]api.BatchItem, len(resend))}
-		for k, i := range resend {
-			sub.Items[k] = req.Items[i]
-		}
-		body, err := json.Marshal(sub)
+		body, err := b.sub(resend)
 		if err != nil {
 			return changed
 		}
@@ -322,17 +325,17 @@ func (rt *Router) healItems(ctx context.Context, peer string, hdr http.Header, r
 
 // failUnreachable fails the group's items when every peer that could
 // serve them is unreachable.
-func (rt *Router) failUnreachable(req *api.BatchRequest, g batchGroup, results []api.BatchItemResult, err error) {
-	rt.failBatchGroup(req, g, results, http.StatusBadGateway, api.CodeUnavailable,
+func (rt *Router) failUnreachable(b *batch, g batchGroup, results []api.BatchItemResult, err error) {
+	rt.failBatchGroup(b, g, results, http.StatusBadGateway, api.CodeUnavailable,
 		"no backend available for this batch slice: "+errString(err))
 }
 
 // failBatchGroup synthesizes one error result per item of the group.
-func (rt *Router) failBatchGroup(req *api.BatchRequest, g batchGroup, results []api.BatchItemResult, status int, code, msg string) {
+func (rt *Router) failBatchGroup(b *batch, g batchGroup, results []api.BatchItemResult, status int, code, msg string) {
 	for _, idx := range g.indices {
 		results[idx] = api.BatchItemResult{
 			Index:  idx,
-			Op:     req.Items[idx].Op,
+			Op:     b.Items[idx].Op,
 			Status: status,
 			Error:  &api.Error{Code: code, Message: msg},
 		}

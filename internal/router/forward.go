@@ -40,9 +40,23 @@ func requestURI(r *http.Request) string {
 	return uri
 }
 
-// readBody buffers the request body under the configured cap. On
+// postBody buffers the body of a POST; any other method is a 405. On
 // failure it has already written the error response.
+func (rt *Router) postBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		methodNotAllowed(w, http.MethodPost)
+		return nil, false
+	}
+	return rt.readBody(w, r)
+}
+
+// readBody buffers the request body under the configured cap; a GET
+// or HEAD has none. On failure it has already written the error
+// response.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+		return nil, true
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -161,18 +175,16 @@ type proxyOpts struct {
 	uri    string
 	header http.Header
 	body   []byte // nil for bodyless methods
-
-	key        string     // routing key ("" = any peer)
-	inline     *api.Graph // inline graph to pre-register on the target
-	hydrateRef bool       // heal graph_not_found by peer hydration
+	route
 }
 
 // proxy walks the candidate order for opts.key until some peer
 // answers, failing over on transport errors and counting each hop
-// against the abandoned peer. With hydrateRef set, a 404
-// graph_not_found answer triggers snapshot hydration from a donor
-// peer and one retry per missing reference (two rounds covers an
-// audit pair). Returns nil when every candidate is unreachable.
+// against the abandoned peer. A 404 graph_not_found answer, which
+// only a request naming a graph reference gets, triggers snapshot
+// hydration from a donor peer and one retry per missing reference (two
+// rounds covers an audit pair). Returns nil when every candidate is
+// unreachable.
 func (rt *Router) proxy(ctx context.Context, opts proxyOpts) (*proxied, error) {
 	var candidates []string
 	if opts.key != "" {
@@ -193,10 +205,7 @@ func (rt *Router) proxy(ctx context.Context, opts proxyOpts) (*proxied, error) {
 			lastErr = err
 			continue
 		}
-		if opts.hydrateRef {
-			p = rt.healMissingGraph(ctx, p, opts)
-		}
-		return p, nil
+		return rt.healMissingGraph(ctx, p, opts), nil
 	}
 	return nil, lastErr
 }
@@ -313,43 +322,54 @@ func relay(w http.ResponseWriter, p *proxied) {
 	w.Write(p.body)
 }
 
-// routingProbe is the loose view of a request body the router needs
-// for placement: any reference fields, and any inline graphs.
-type routingProbe struct {
-	GraphRef     string     `json:"graph_ref"`
-	PublishedRef string     `json:"published_ref"`
-	OriginalRef  string     `json:"original_ref"`
-	Graph        *api.Graph `json:"graph"`
-	Published    *api.Graph `json:"published"`
-	Original     *api.Graph `json:"original"`
+// route is where a request document goes.
+type route struct {
+	// key is the routing key: the first graph reference the document
+	// names, else its inline graph's digest ("" = any peer).
+	key string
+	// inline is the document's first inline graph, pre-registered on
+	// the peer that serves it.
+	inline *api.Graph
+	// shared reports that the document inherits its batch's shared
+	// graph_ref.
+	shared bool
 }
 
-// routingInfo extracts the routing key material from a request body:
-// reference fields in priority order, and the first inline graph. A
-// body the router cannot parse routes as unkeyed — the backend owns
-// rejecting it.
-func routingInfo(body []byte) (refs []string, inline *api.Graph) {
-	var p routingProbe
-	if json.Unmarshal(body, &p) != nil {
-		return nil, nil
+// routeKey routes the request document of operation op by the graphs
+// its request type names (api.Request.Graphs), after lopserve's own
+// graph_ref inheritance rule: sharedRef is the batch's graph_ref, ""
+// outside a batch. An op not in the table, or a document the router
+// cannot decode, routes unkeyed: the backend owns rejecting it.
+func routeKey(op string, doc []byte, sharedRef string) route {
+	o, ok := api.LookupOp(op)
+	if !ok {
+		return route{}
 	}
-	seen := map[string]bool{}
-	for _, r := range []string{p.GraphRef, p.PublishedRef, p.OriginalRef} {
-		if r != "" && !seen[r] {
-			seen[r] = true
-			refs = append(refs, r)
-		}
+	req := o.New()
+	if json.Unmarshal(doc, req) != nil {
+		return route{}
 	}
+	out := route{shared: o.InheritGraphRef(req, sharedRef)}
+	refs, inline := req.Graphs()
 	// The wire types serialize Graph as a value, so a reference-only
 	// request still carries {"n":0}: only a graph with vertices is an
 	// inline graph.
-	for _, g := range []*api.Graph{p.Graph, p.Published, p.Original} {
+	for _, g := range inline {
 		if g != nil && g.N > 0 {
-			inline = g
+			out.inline = g
 			break
 		}
 	}
-	return refs, inline
+	for _, ref := range refs {
+		if *ref != "" {
+			out.key = *ref
+			return out
+		}
+	}
+	if out.inline != nil {
+		out.key = digestOf(out.inline)
+	}
+	return out
 }
 
 // digestOf computes the content address of an inline wire graph with

@@ -1,8 +1,11 @@
-// Per-endpoint routing strategies. Single-graph operations route by
-// the body's content address; graph CRUD routes by the path id (DELETE
-// broadcasts — a delete must not resurrect via a stale replica); jobs
-// follow the peer that accepted the submission; list endpoints merge
-// across the tier.
+// Per-endpoint routing strategies. Every operation of the wire table
+// api.Ops gets its POST /v1/<op> route from that table, and routes by
+// the graph its document names (routeKey) there, as a job submission
+// and, in batch.go, as a batch item; so adding an operation to the
+// table needs no edit here. Graph CRUD routes by the path id (DELETE
+// broadcasts — a delete must not resurrect via a stale replica); job
+// lifecycle requests follow the peer that accepted the submission;
+// list endpoints merge across the tier.
 package router
 
 import (
@@ -15,55 +18,44 @@ import (
 	"repro/api"
 )
 
-// handleGraphOp proxies the single-graph POST operations
-// (/v1/properties, /v1/opacity, /v1/anonymize, /v1/kiso, /v1/audit,
-// /v1/continuous_audit, /v1/replay) to the peer owning the request's
-// graph.
-func (rt *Router) handleGraphOp(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
+// handleOp proxies POST /v1/<op>, for every operation of the wire
+// table, to the peer that owns the graph its document names; an
+// operation that names none goes to any peer.
+func (rt *Router) handleOp(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := rt.postBody(w, r)
+		if !ok {
+			return
+		}
+		if p := rt.forward(w, r, body, routeKey(op, body, "")); p != nil {
+			relay(w, p)
+		}
 	}
+}
+
+// forward proxies a request with its buffered body along its route. A
+// nil answer means every candidate was unreachable and the 502 is
+// already written.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, to route) *proxied {
+	p, err := rt.proxy(r.Context(), proxyOpts{
+		method: r.Method, uri: requestURI(r), header: r.Header, body: body, route: to,
+	})
+	if p == nil {
+		writeUnavailable(w, to.key, err)
+	}
+	return p
+}
+
+// handleAnyPeer proxies GET /v1/datasets, which has no graph affinity,
+// to any healthy peer, round-robin.
+func (rt *Router) handleAnyPeer(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	refs, inline := routingInfo(body)
-	key := ""
-	if len(refs) > 0 {
-		key = refs[0]
-	} else if inline != nil {
-		key = digestOf(inline)
+	if p := rt.forward(w, r, body, route{}); p != nil {
+		relay(w, p)
 	}
-	p, err := rt.proxy(r.Context(), proxyOpts{
-		method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
-		key: key, inline: inline, hydrateRef: len(refs) > 0,
-	})
-	if p == nil {
-		writeUnavailable(w, key, err)
-		return
-	}
-	relay(w, p)
-}
-
-// handleAnyPeer proxies endpoints with no graph affinity
-// (/v1/dataset, /v1/datasets) to any healthy peer, round-robin.
-func (rt *Router) handleAnyPeer(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		var ok bool
-		if body, ok = rt.readBody(w, r); !ok {
-			return
-		}
-	}
-	p, err := rt.proxy(r.Context(), proxyOpts{
-		method: r.Method, uri: requestURI(r), header: r.Header, body: body,
-	})
-	if p == nil {
-		writeUnavailable(w, "", err)
-		return
-	}
-	relay(w, p)
 }
 
 // handleGraphs is GET /v1/graphs (merged across the tier) and POST
@@ -78,15 +70,9 @@ func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		p, err := rt.proxy(r.Context(), proxyOpts{
-			method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
-			key: registerKey(body),
-		})
-		if p == nil {
-			writeUnavailable(w, "", err)
-			return
+		if p := rt.forward(w, r, body, route{key: registerKey(body)}); p != nil {
+			relay(w, p)
 		}
-		relay(w, p)
 	default:
 		methodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
@@ -174,22 +160,13 @@ func (rt *Router) handleGraphByID(w http.ResponseWriter, r *http.Request) {
 		rt.broadcastDelete(w, r, id)
 		return
 	}
-	var body []byte
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		var ok bool
-		if body, ok = rt.readBody(w, r); !ok {
-			return
-		}
-	}
-	p, err := rt.proxy(r.Context(), proxyOpts{
-		method: r.Method, uri: requestURI(r), header: r.Header, body: body,
-		key: id, hydrateRef: true,
-	})
-	if p == nil {
-		writeUnavailable(w, id, err)
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
-	relay(w, p)
+	if p := rt.forward(w, r, body, route{key: id}); p != nil {
+		relay(w, p)
+	}
 }
 
 // broadcastDelete deletes id on every reachable peer. The answer is
@@ -221,38 +198,19 @@ func (rt *Router) broadcastDelete(w http.ResponseWriter, r *http.Request, id str
 	}
 }
 
-// handleJobSubmit routes POST /v1/jobs by the inner request's graph
-// and remembers which peer minted the job id, so the lifecycle
-// endpoints can find it without a content address.
+// handleJobSubmit routes POST /v1/jobs as its op's route would route
+// the inner request, and remembers which peer minted the job id, so
+// the lifecycle endpoints can find it without a content address.
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
-	body, ok := rt.readBody(w, r)
+	body, ok := rt.postBody(w, r)
 	if !ok {
 		return
 	}
-	var submit struct {
-		Request json.RawMessage `json:"request"`
-	}
-	var key string
-	var inline *api.Graph
-	var refs []string
-	if json.Unmarshal(body, &submit) == nil && len(submit.Request) > 0 {
-		refs, inline = routingInfo(submit.Request)
-		if len(refs) > 0 {
-			key = refs[0]
-		} else if inline != nil {
-			key = digestOf(inline)
-		}
-	}
-	p, err := rt.proxy(r.Context(), proxyOpts{
-		method: http.MethodPost, uri: requestURI(r), header: r.Header, body: body,
-		key: key, inline: inline, hydrateRef: len(refs) > 0,
-	})
+	// A submission the router cannot decode routes unkeyed.
+	var submit api.JobSubmitRequest
+	_ = json.Unmarshal(body, &submit)
+	p := rt.forward(w, r, body, routeKey(submit.Op, submit.Request, ""))
 	if p == nil {
-		writeUnavailable(w, key, err)
 		return
 	}
 	if p.resp.StatusCode/100 == 2 {

@@ -7,13 +7,15 @@
 // rebuilding every graph.
 //
 // The router speaks the same v1 wire contract as a single lopserve:
-// clients point at the router and do not change. Routing is by content
-// address — graph_ref (or published_ref / original_ref) when present,
-// else the digest of the inline graph, computed locally with the same
-// canonicalization the registry uses. Batch requests fan out as one
-// sub-batch per owning peer and merge in order; job endpoints follow
-// the peer that accepted the submission; everything else picks a
-// healthy peer.
+// clients point at the router and do not change. It reads lopserve's
+// own operation table, api.Ops, for its operation routes and for the
+// graphs each request type names. Routing is by content address: the
+// first graph reference a request names, in its type's priority
+// order, else the digest of its inline graph, computed locally with
+// the same canonicalization the registry uses. Batch requests fan out
+// as one sub-batch per owning peer and merge in order; job endpoints
+// follow the peer that accepted the submission; everything else picks
+// a healthy peer.
 //
 // When the owner is down, requests fail over along the ring's
 // deterministic candidate order. When the owner is up but cold — a
@@ -34,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/api"
 	"repro/internal/obs"
 )
 
@@ -203,21 +206,18 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// routes installs the route table. Single-graph operations share one
-// body-sniffing forwarder; the rest have dedicated strategies.
+// routes installs the route table. Every operation of the wire table
+// api.Ops gets its POST /v1/<op> route from that table; the rest have
+// dedicated strategies.
 func (rt *Router) routes() {
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/v1/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("/v1/stats", rt.handleStats)
 
-	for _, op := range []string{
-		"/v1/properties", "/v1/opacity", "/v1/anonymize",
-		"/v1/kiso", "/v1/audit", "/v1/continuous_audit", "/v1/replay",
-	} {
-		rt.mux.HandleFunc(op, rt.handleGraphOp)
+	for _, op := range api.Ops {
+		rt.mux.HandleFunc("/v1/"+op.Name, rt.handleOp(op.Name))
 	}
-	rt.mux.HandleFunc("/v1/dataset", rt.handleAnyPeer)
 	rt.mux.HandleFunc("/v1/datasets", rt.handleAnyPeer)
 
 	rt.mux.HandleFunc("/v1/graphs", rt.handleGraphs)

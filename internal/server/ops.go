@@ -1,4 +1,5 @@
-// The operation table: every POST operation, declared once.
+// The operation table: every POST operation of the wire table api.Ops,
+// bound to its validator.
 //
 // Each operation is validated into a "prepared" form: cheap checks up
 // front (bad requests fail fast with a 400 on every path), then a run
@@ -27,82 +28,57 @@ import (
 	"repro/internal/registry"
 )
 
-// operations lists the POST operations in the order the unknown-op
-// error names them. The last argument exposes a single-graph request's
-// graph_ref and inline graph, so a batch item that names no graph of
-// its own inherits the batch's shared graph_ref; it is nil for the
-// operations with two graph inputs (audit, replay) and for dataset
-// generation, whose items must be self-contained.
+// operations binds each operation of the wire table, api.Ops, to the
+// validator of its request type, in table order.
 var operations = []operation{
-	newOp("properties", (*Server).prepareProperties,
-		func(r *api.PropertiesRequest) (*string, api.Graph) { return &r.GraphRef, r.Graph }),
-	newOp("opacity", (*Server).prepareOpacity,
-		func(r *api.OpacityRequest) (*string, api.Graph) { return &r.GraphRef, r.Graph }),
-	newOp("anonymize", (*Server).prepareAnonymize,
-		func(r *api.AnonymizeRequest) (*string, api.Graph) { return &r.GraphRef, r.Graph }),
-	newOp("kiso", (*Server).prepareKIso,
-		func(r *api.KIsoRequest) (*string, api.Graph) { return &r.GraphRef, r.Graph }),
-	newOp("audit", (*Server).prepareAudit, nil),
-	newOp("continuous_audit", (*Server).prepareContinuousAudit,
-		func(r *api.ContinuousAuditRequest) (*string, api.Graph) { return &r.GraphRef, r.Graph }),
-	newOp("dataset", (*Server).prepareDataset, nil),
-	newOp("replay", (*Server).prepareReplay, nil),
+	newOp((*Server).prepareProperties),
+	newOp((*Server).prepareOpacity),
+	newOp((*Server).prepareAnonymize),
+	newOp((*Server).prepareKIso),
+	newOp((*Server).prepareAudit),
+	newOp((*Server).prepareContinuousAudit),
+	newOp((*Server).prepareDataset),
+	newOp((*Server).prepareReplay),
 }
 
-// operation is one entry of the table.
+// operation is one entry of the table: an api.Ops entry and the
+// validator of its request type.
 type operation struct {
-	name string
-	// serve answers POST /v1/<name>, whose body is the request
-	// document.
-	serve func(s *Server, w http.ResponseWriter, r *http.Request)
-	// item prepares the request document of a batch item or job;
-	// sharedRef is the batch's graph_ref ("" for a job).
-	item func(s *Server, raw json.RawMessage, sharedRef string) (prepared, error)
+	name    string
+	wire    api.Op
+	prepare func(s *Server, req api.Request) (prepared, error)
 }
 
-// newOp builds a table entry from the operation's request type T, its
-// validator, and graphOf (see operations).
-func newOp[T any](name string, prep func(*Server, *T) (prepared, error),
-	graphOf func(*T) (*string, api.Graph)) operation {
-	named := func(s *Server, req *T) (prepared, error) {
-		p, err := prep(s, req)
-		p.op = name
-		return p, err
+// newOp binds the validator of request type R to its api.Ops entry.
+func newOp[R api.Request](prep func(*Server, R) (prepared, error)) operation {
+	for _, wire := range api.Ops {
+		if _, ok := wire.New().(R); ok {
+			return operation{name: wire.Name, wire: wire, prepare: func(s *Server, req api.Request) (prepared, error) {
+				p, err := prep(s, req.(R))
+				p.op = wire.Name
+				return p, err
+			}}
+		}
 	}
-	return operation{
-		name: name,
-		serve: func(s *Server, w http.ResponseWriter, r *http.Request) {
-			var req T
-			if !s.decode(w, r, &req) {
-				return
-			}
-			p, err := named(s, &req)
-			var b json.RawMessage
-			if err == nil {
-				b, _, err = s.runPrepared(r.Context(), p)
-			}
-			if err != nil {
-				writeError(w, errStatus(err, http.StatusBadRequest), err)
-				return
-			}
-			writeRawJSON(w, b)
-		},
-		item: func(s *Server, raw json.RawMessage, sharedRef string) (prepared, error) {
-			var req T
-			if err := decodeStrict(raw, &req); err != nil {
-				return prepared{}, err
-			}
-			if graphOf != nil && sharedRef != "" {
-				// An item's own inline graph or reference always wins;
-				// conflicts between its forms are still rejected by
-				// resolveGraph.
-				if ref, g := graphOf(&req); *ref == "" && g.N == 0 && len(g.Edges) == 0 {
-					*ref = sharedRef
-				}
-			}
-			return named(s, &req)
-		},
+	panic(fmt.Sprintf("server: %T is not the request type of an api.Ops entry", *new(R)))
+}
+
+// serve answers POST /v1/<name>, whose body is the request document.
+func (op operation) serve(s *Server, w http.ResponseWriter, r *http.Request) {
+	req := op.wire.New()
+	if !s.decode(w, r, req) {
+		return
 	}
+	p, err := op.prepare(s, req)
+	var b json.RawMessage
+	if err == nil {
+		b, _, err = s.runPrepared(r.Context(), p)
+	}
+	if err != nil {
+		writeError(w, errStatus(err, http.StatusBadRequest), err)
+		return
+	}
+	writeRawJSON(w, b)
 }
 
 // prepareItem validates the request document of a batch item or job
@@ -111,7 +87,15 @@ func newOp[T any](name string, prep func(*Server, *T) (prepared, error),
 func (s *Server) prepareItem(name string, raw json.RawMessage, sharedRef string) (prepared, error) {
 	for _, op := range operations {
 		if op.name == name {
-			return op.item(s, raw, sharedRef)
+			req := op.wire.New()
+			if err := decodeStrict(raw, req); err != nil {
+				return prepared{}, err
+			}
+			// An item's own inline graph or reference always wins;
+			// conflicts between its forms are still rejected by
+			// resolveGraph.
+			op.wire.InheritGraphRef(req, sharedRef)
+			return op.prepare(s, req)
 		}
 	}
 	names := make([]string, len(operations))

@@ -52,6 +52,19 @@ func TestOperationTableNames(t *testing.T) {
 	}
 }
 
+// TestOperationsFollowWireTable checks that the server binds a
+// validator to every operation of the wire table, in table order.
+func TestOperationsFollowWireTable(t *testing.T) {
+	if len(operations) != len(api.Ops) {
+		t.Fatalf("%d operations served, %d in api.Ops", len(operations), len(api.Ops))
+	}
+	for i, op := range api.Ops {
+		if operations[i].name != op.Name {
+			t.Fatalf("operation %d is %q, api.Ops has %q", i, operations[i].name, op.Name)
+		}
+	}
+}
+
 // postDoc posts a raw request document.
 func postDoc(t *testing.T, url, doc string) *http.Response {
 	t.Helper()

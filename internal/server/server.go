@@ -55,8 +55,9 @@
 // the same canonical key — same graph, threshold, and parameters — are
 // served byte-identically from the cache
 // unless the request opts out with "cache": "off". Every operation a
-// batch item or job can name is declared once, in the operation table
-// of ops.go, which also yields its route. Long-running work
+// batch item or job can name is declared once, in the wire operation
+// table api.Ops, which also yields its route; ops.go binds each entry
+// to its validator. Long-running work
 // can be submitted to the bounded worker pool via /v1/jobs instead of
 // holding an HTTP connection open, and watched live via the events
 // stream; see docs/API.md for the full reference.

@@ -26,11 +26,12 @@ func NewAdversary(published, original *Graph) (*Adversary, error) {
 
 // UseDistances equips the adversary with a prebuilt L-capped distance
 // store of the PUBLISHED graph (a registry handle, see
-// lopacity.DistanceStore). Queries with L within the store's cap then
-// read capped distances instead of running per-source BFS — the
-// serving layer's audit path reuses the same cached store its opacity
-// and anonymize paths do. Answers are identical with or without the
-// store. Passing nil reverts to the BFS path.
+// lopacity.DistanceStore). A query at L counts from that store when
+// the store's cap is L, or when both are at least n-1, past which no
+// distance reaches; a query at any other L builds a private store
+// capped at min(L, n-1). The serving layer's audit path thus reuses
+// the cached store its opacity and anonymize paths do. Answers are
+// identical with or without the store. Passing nil drops it.
 func (adv *Adversary) UseDistances(d *DistanceStore) error {
 	return adv.a.UseStore(d.store())
 }

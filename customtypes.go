@@ -1,10 +1,9 @@
 package lopacity
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
-	"repro/internal/anonymize"
 	"repro/internal/apsp"
 	"repro/internal/opacity"
 )
@@ -19,11 +18,10 @@ import (
 type PairClassifier func(u, v int) string
 
 // classifierTypes evaluates the classifier over all n(n-1)/2 pairs of g,
-// verifying symmetry, and returns the internal type assigner plus the
-// sorted type labels.
-func (g *Graph) classifierTypes(classify PairClassifier) (*opacity.FuncTypes, []string, error) {
+// verifying symmetry, and returns the internal type assigner.
+func (g *Graph) classifierTypes(classify PairClassifier) (*opacity.FuncTypes, error) {
 	if classify == nil {
-		return nil, nil, fmt.Errorf("lopacity: nil classifier")
+		return nil, fmt.Errorf("lopacity: nil classifier")
 	}
 	n := g.N()
 	index := map[string]int{}
@@ -34,7 +32,7 @@ func (g *Graph) classifierTypes(classify PairClassifier) (*opacity.FuncTypes, []
 		for v := u + 1; v < n; v++ {
 			name := classify(u, v)
 			if name != classify(v, u) {
-				return nil, nil, fmt.Errorf("lopacity: classifier is asymmetric on (%d, %d): %q vs %q",
+				return nil, fmt.Errorf("lopacity: classifier is asymmetric on (%d, %d): %q vs %q",
 					u, v, name, classify(v, u))
 			}
 			id := -1
@@ -58,7 +56,7 @@ func (g *Graph) classifierTypes(classify PairClassifier) (*opacity.FuncTypes, []
 		}
 		return pairType[u*n+v]
 	}
-	return opacity.NewFuncTypes(fn, totals, labels), labels, nil
+	return opacity.NewFuncTypes(fn, totals, labels), nil
 }
 
 // OpacityBy computes the L-opacity report of g under an arbitrary
@@ -71,45 +69,17 @@ func (g *Graph) OpacityBy(L int, classify PairClassifier) (OpacityReport, error)
 	if L < 1 || L > apsp.MaxL {
 		return OpacityReport{}, fmt.Errorf("lopacity: L must be in [1, %d], got %d", apsp.MaxL, L)
 	}
-	types, labels, err := g.classifierTypes(classify)
+	types, err := g.classifierTypes(classify)
 	if err != nil {
 		return OpacityReport{}, err
 	}
+	return g.typeReport(L, types), nil
+}
 
-	within := make([]int, types.NumTypes())
-	m := apsp.Build(g.g, L, apsp.BuildOptions{})
-	m.EachPair(func(u, v, d int) {
-		if d > L {
-			return
-		}
-		if id := types.TypeOf(u, v); id >= 0 {
-			within[id]++
-		}
-	})
-
-	out := OpacityReport{L: L}
-	order := make([]int, len(labels))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return labels[order[a]] < labels[order[b]] })
-	for _, id := range order {
-		total := types.Total(id)
-		lo := 0.0
-		if total > 0 {
-			lo = float64(within[id]) / float64(total)
-		}
-		out.Types = append(out.Types, TypeOpacity{
-			Label:   labels[id],
-			Total:   total,
-			Within:  within[id],
-			Opacity: lo,
-		})
-		if lo > out.MaxOpacity {
-			out.MaxOpacity = lo
-		}
-	}
-	return out, nil
+// typeReport computes the opacity report of g under a type system over
+// a fresh store capped at L.
+func (g *Graph) typeReport(L int, types opacity.TypeAssigner) OpacityReport {
+	return publicReport(L, opacity.NewTypeReport(types, apsp.Build(g.g, L, apsp.BuildOptions{})))
 }
 
 // AnonymizeBy runs an anonymization method under an arbitrary
@@ -128,55 +98,12 @@ func AnonymizeBy(g *Graph, opts Options, classify PairClassifier) (*Result, erro
 	if opts.Theta < 0 || opts.Theta > 1 {
 		return nil, fmt.Errorf("lopacity: theta %v outside [0, 1]", opts.Theta)
 	}
-	if opts.L == 0 {
-		opts.L = 1
-	}
-	if opts.LookAhead == 0 {
-		opts.LookAhead = 1
-	}
-	types, _, err := g.classifierTypes(classify)
+	types, err := g.classifierTypes(classify)
 	if err != nil {
 		return nil, err
 	}
-	var res anonymize.Result
-	switch opts.Method {
-	case EdgeRemoval, EdgeRemovalInsertion:
-		h := anonymize.Removal
-		if opts.Method == EdgeRemovalInsertion {
-			h = anonymize.RemovalInsertion
-		}
-		res, err = anonymize.Run(g.g, anonymize.Options{
-			L: opts.L, Theta: opts.Theta, Heuristic: h,
-			LookAhead: opts.LookAhead, Seed: opts.Seed,
-			Workers: opts.Workers, Budget: opts.Budget,
-			Types: types,
-		})
-	case SimulatedAnnealing:
-		res, err = anonymize.Anneal(g.g, anonymize.AnnealOptions{
-			L: opts.L, Theta: opts.Theta, Seed: opts.Seed,
-			Budget: opts.Budget, Types: types,
-		})
-	default:
-		return nil, fmt.Errorf("lopacity: method %v does not support custom pair types", opts.Method)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Graph:      &Graph{g: res.Graph},
-		Satisfied:  res.Satisfied,
-		MaxOpacity: res.FinalLO,
-		Removed:    toPairs(res.Removed),
-		Inserted:   toPairs(res.Inserted),
-		Steps:      res.Steps,
-		TimedOut:   res.TimedOut,
-	}, nil
+	return anonymizeWith(context.Background(), g, opts, types, "custom pair types")
 }
-
-// assertFuncTypesCompatible keeps the facade honest: the internal
-// tracker consumes the same abstraction, so OpacityBy reports can be
-// cross-checked against opacity.NewTracker in tests.
-var _ opacity.TypeAssigner = (*opacity.FuncTypes)(nil)
 
 // OpacityByLabels computes the L-opacity report when every vertex
 // carries a categorical label and pairs are typed by unordered label
@@ -191,33 +118,7 @@ func (g *Graph) OpacityByLabels(L int, labels []string) (OpacityReport, error) {
 	if err != nil {
 		return OpacityReport{}, err
 	}
-	within := make([]int, lt.NumTypes())
-	m := apsp.Build(g.g, L, apsp.BuildOptions{})
-	m.EachPair(func(u, v, d int) {
-		if d <= L {
-			within[lt.TypeOf(u, v)]++
-		}
-	})
-	out := OpacityReport{L: L}
-	order := make([]int, lt.NumTypes())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return lt.Label(order[a]) < lt.Label(order[b]) })
-	for _, id := range order {
-		total := lt.Total(id)
-		if total == 0 {
-			continue
-		}
-		lo := float64(within[id]) / float64(total)
-		out.Types = append(out.Types, TypeOpacity{
-			Label: lt.Label(id), Total: total, Within: within[id], Opacity: lo,
-		})
-		if lo > out.MaxOpacity {
-			out.MaxOpacity = lo
-		}
-	}
-	return out, nil
+	return g.typeReport(L, lt), nil
 }
 
 // AnonymizeByLabels runs an anonymization method with label-pair
@@ -234,45 +135,7 @@ func AnonymizeByLabels(g *Graph, opts Options, labels []string) (*Result, error)
 	if opts.Theta < 0 || opts.Theta > 1 {
 		return nil, fmt.Errorf("lopacity: theta %v outside [0, 1]", opts.Theta)
 	}
-	if opts.L == 0 {
-		opts.L = 1
-	}
-	if opts.LookAhead == 0 {
-		opts.LookAhead = 1
-	}
-	var res anonymize.Result
-	switch opts.Method {
-	case EdgeRemoval, EdgeRemovalInsertion:
-		h := anonymize.Removal
-		if opts.Method == EdgeRemovalInsertion {
-			h = anonymize.RemovalInsertion
-		}
-		res, err = anonymize.Run(g.g, anonymize.Options{
-			L: opts.L, Theta: opts.Theta, Heuristic: h,
-			LookAhead: opts.LookAhead, Seed: opts.Seed,
-			Workers: opts.Workers, Budget: opts.Budget,
-			Types: lt,
-		})
-	case SimulatedAnnealing:
-		res, err = anonymize.Anneal(g.g, anonymize.AnnealOptions{
-			L: opts.L, Theta: opts.Theta, Seed: opts.Seed,
-			Budget: opts.Budget, Types: lt,
-		})
-	default:
-		return nil, fmt.Errorf("lopacity: method %v does not support label types", opts.Method)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Graph:      &Graph{g: res.Graph},
-		Satisfied:  res.Satisfied,
-		MaxOpacity: res.FinalLO,
-		Removed:    toPairs(res.Removed),
-		Inserted:   toPairs(res.Inserted),
-		Steps:      res.Steps,
-		TimedOut:   res.TimedOut,
-	}, nil
+	return anonymizeWith(context.Background(), g, opts, lt, "label types")
 }
 
 // labelTypes validates and interns per-vertex labels.

@@ -9,9 +9,11 @@
 // within distance L? With the paper's uniform-candidate semantics this
 // confidence is exactly the L-opacity of the degree-pair type {d1, d2},
 // so an L-opaque graph with threshold theta bounds every such inference
-// by theta. Tests verify that equivalence against package opacity, and
-// the linkage experiments use it to demonstrate attacks before and
-// after anonymization.
+// by theta. The adversary therefore reads its answers off package
+// opacity's per-type census of the published graph rather than counting
+// candidate pairs itself; tests check them against a brute-force count
+// over BFS distances, and the linkage experiments use them to
+// demonstrate attacks before and after anonymization.
 package attack
 
 import (
@@ -20,25 +22,26 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
+	"repro/internal/opacity"
 )
 
 // Adversary holds the published graph together with the background
 // knowledge (original degree of every vertex) the paper assumes.
 type Adversary struct {
 	published *graph.Graph
-	degrees   []int
 	// byDegree maps an original degree to the candidate vertex set.
 	byDegree map[int][]int
-	// frozen is the CSR snapshot of the published graph, built lazily on
-	// the first BFS query. The published graph never mutates after New,
-	// so the snapshot stays valid for the adversary's lifetime.
-	frozen *graph.CSR
-	// dist caches BFS distance rows from vertices we have queried.
-	dist map[int][]int32
+	// types are the degree-pair types of the original degrees: type
+	// {d1, d2} holds exactly the candidate pairs of a (d1, d2) query.
+	types *opacity.DegreeTypes
 	// store, when non-nil, is a prebuilt L-capped distance store of the
-	// published graph; queries with L <= store.L() read it instead of
-	// running per-source BFS. See UseStore.
+	// published graph; see UseStore.
 	store apsp.Store
+	// census holds every type's count of pairs within censusL in the
+	// published graph: the census of the last effective L queried, so
+	// that MaxConfidence then VulnerablePairs walk the distances once.
+	census  *opacity.Tracker
+	censusL int
 }
 
 // New builds an adversary for a published graph and the original degree
@@ -58,19 +61,18 @@ func New(published *graph.Graph, originalDegrees []int) (*Adversary, error) {
 	}
 	return &Adversary{
 		published: published,
-		degrees:   append([]int(nil), originalDegrees...),
 		byDegree:  byDegree,
-		dist:      make(map[int][]int32),
+		types:     opacity.NewDegreeTypes(originalDegrees),
 	}, nil
 }
 
 // UseStore equips the adversary with a prebuilt L-capped distance
 // store of the published graph (as cached by the serving layer's
-// registry). Queries whose L does not exceed the store's cap then read
-// capped distances from the store — zero BFS — while larger L falls
-// back to the BFS path; answers are identical either way, because a
-// capped entry is exact whenever it is <= L. The store is only read,
-// so it may be shared concurrently with other consumers.
+// registry). A query at L counts from the store when the store's cap
+// and L are the same effective L — equal, or both at least n-1, past
+// which no distance reaches; any other L builds a private store capped
+// at its effective L. Answers are identical either way. The store is
+// only read, so it may be shared concurrently with other consumers.
 func (a *Adversary) UseStore(s apsp.Store) error {
 	if s != nil && s.N() != a.published.N() {
 		return fmt.Errorf("attack: store covers %d vertices, published graph has %d", s.N(), a.published.N())
@@ -86,21 +88,24 @@ func (a *Adversary) Candidates(degree int) []int {
 	return a.byDegree[degree]
 }
 
-// distances returns (computing and caching on demand) the BFS distance
-// row of src in the published graph, with -1 for unreachable. Rows are
-// computed on the CSR snapshot — contiguous int32 window scans instead
-// of map-bucket walks — which is what makes the exhaustive
-// MaxConfidence sweep tolerable on large graphs.
-func (a *Adversary) distances(src int) []int32 {
-	if row, ok := a.dist[src]; ok {
-		return row
+// within returns the census of pairs within L, taken once per effective
+// L = min(L, n-1) over the UseStore store or a private build. It is nil
+// when the effective L is below 1: no two distinct vertices are that
+// close.
+func (a *Adversary) within(L int) *opacity.Tracker {
+	n := a.published.N()
+	eff := min(L, n-1)
+	if eff < 1 {
+		return nil
 	}
-	if a.frozen == nil {
-		a.frozen = a.published.Frozen()
+	if a.census == nil || a.censusL != eff {
+		s := a.store
+		if s == nil || min(s.L(), n-1) != eff {
+			s = apsp.Build(a.published, eff, apsp.BuildOptions{})
+		}
+		a.census, a.censusL = opacity.NewTracker(a.types, s), eff
 	}
-	row := a.frozen.BFSDistances(src)
-	a.dist[src] = row
-	return row
+	return a.census
 }
 
 // Inference is the outcome of a linkage query.
@@ -131,46 +136,36 @@ func (inf Inference) String() string {
 // L-opacity of the {d1, d2} vertex-pair type, which is what Definition
 // 3 bounds by theta.
 func (a *Adversary) LinkageConfidence(d1, d2, L int) Inference {
-	inf := Inference{DegreeA: d1, DegreeB: d2, L: L}
-	ca, cb := a.Candidates(d1), a.Candidates(d2)
-	// count tallies candidate partners of u. Candidate sets of distinct
-	// degrees are disjoint and the same-degree case excludes u itself,
-	// so u never pairs with itself. A capped store answers d <= L
-	// exactly whenever L is within its cap; otherwise fall back to the
-	// cached BFS rows.
-	useStore := a.store != nil && L <= a.store.L()
-	count := func(u int, partners []int) {
-		if useStore {
-			for _, v := range partners {
-				inf.Total++
-				if a.store.Get(u, v) <= L {
-					inf.Within++
-				}
-			}
-			return
-		}
-		row := a.distances(u)
-		for _, v := range partners {
-			inf.Total++
-			if d := row[v]; d >= 0 && int(d) <= L {
-				inf.Within++
-			}
-		}
+	ca, cb := a.byDegree[d1], a.byDegree[d2]
+	if len(ca) == 0 || len(cb) == 0 {
+		return Inference{DegreeA: d1, DegreeB: d2, L: L}
 	}
-	if d1 == d2 {
-		// Unordered pairs of distinct candidates within one set.
-		for i, u := range ca {
-			count(u, ca[i+1:])
-		}
-	} else {
-		for _, u := range ca {
-			count(u, cb)
-		}
+	return a.inference(a.types.TypeOf(ca[0], cb[0]), d1, d2, L, a.within(L))
+}
+
+// inference reads the counts of type id, standing for degrees {d1, d2},
+// off the census (nil when no pair is within L).
+func (a *Adversary) inference(id, d1, d2, L int, census *opacity.Tracker) Inference {
+	inf := Inference{DegreeA: d1, DegreeB: d2, L: L, Total: a.types.Total(id)}
+	if census != nil {
+		inf.Within = census.Count(id)
 	}
 	if inf.Total > 0 {
 		inf.Confidence = float64(inf.Within) / float64(inf.Total)
 	}
 	return inf
+}
+
+// each calls fn with the inference of every populated degree pair, in
+// ascending (d1, d2) order: type IDs rise with the degree pair.
+func (a *Adversary) each(L int, fn func(Inference)) {
+	census := a.within(L)
+	for id := range a.types.NumTypes() {
+		if a.types.Total(id) > 0 {
+			d1, d2 := a.types.DegreePair(id)
+			fn(a.inference(id, d1, d2, L, census))
+		}
+	}
 }
 
 // MaxConfidence scans every populated degree pair and returns the
@@ -179,23 +174,12 @@ func (a *Adversary) LinkageConfidence(d1, d2, L int) Inference {
 // the lexicographically smallest degree pair, keeping reports
 // deterministic.
 func (a *Adversary) MaxConfidence(L int) Inference {
-	degrees := make([]int, 0, len(a.byDegree))
-	for d := range a.byDegree {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
 	best := Inference{L: L}
-	for i, d1 := range degrees {
-		for _, d2 := range degrees[i:] {
-			inf := a.LinkageConfidence(d1, d2, L)
-			if inf.Total == 0 {
-				continue
-			}
-			if inf.Confidence > best.Confidence {
-				best = inf
-			}
+	a.each(L, func(inf Inference) {
+		if inf.Confidence > best.Confidence {
+			best = inf
 		}
-	}
+	})
 	return best
 }
 
@@ -204,20 +188,12 @@ func (a *Adversary) MaxConfidence(L int) Inference {
 // An empty result certifies the graph L-opaque with respect to theta
 // under degree background knowledge.
 func (a *Adversary) VulnerablePairs(L int, theta float64) []Inference {
-	degrees := make([]int, 0, len(a.byDegree))
-	for d := range a.byDegree {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
 	var out []Inference
-	for i, d1 := range degrees {
-		for _, d2 := range degrees[i:] {
-			inf := a.LinkageConfidence(d1, d2, L)
-			if inf.Total > 0 && inf.Confidence > theta {
-				out = append(out, inf)
-			}
+	a.each(L, func(inf Inference) {
+		if inf.Confidence > theta {
+			out = append(out, inf)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {
 			return out[i].Confidence > out[j].Confidence

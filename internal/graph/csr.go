@@ -92,18 +92,3 @@ func (c *CSR) BoundedBFSInto(src, maxDepth int, dist []int32, queue []int32) []i
 	}
 	return queue
 }
-
-// BFSDistances runs an unbounded BFS from src and returns the full
-// distance row, with -1 for unreachable vertices. It is the CSR
-// counterpart of Graph.BFSDistances for callers that issue many
-// per-source queries against a frozen snapshot (the attack package's
-// adversary). The row is freshly allocated.
-func (c *CSR) BFSDistances(src int) []int32 {
-	n := c.N()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	c.BoundedBFSInto(src, n, dist, make([]int32, 0, n))
-	return dist
-}

@@ -79,25 +79,6 @@ func TestCSRBoundedBFSMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestCSRBFSDistances: the unbounded row matches Graph.BFSDistances,
-// including -1 for unreachable vertices.
-func TestCSRBFSDistances(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(4, 5)
-	c := g.Frozen()
-	for src := 0; src < 6; src++ {
-		want := g.BFSDistances(src)
-		got := c.BFSDistances(src)
-		for v := range want {
-			if int(got[v]) != want[v] {
-				t.Fatalf("src %d: row %v, want %v", src, got, want)
-			}
-		}
-	}
-}
-
 // TestCSRBFSZeroAllocs is the hot-loop allocation guarantee: with a
 // pre-filled dist row and a pre-sized queue, a bounded BFS plus its
 // touched-only reset allocates nothing.

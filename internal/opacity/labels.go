@@ -1,9 +1,6 @@
 package opacity
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LabelTypes assigns every vertex a categorical label (community,
 // department, role ...) and types each vertex pair by its unordered
@@ -83,19 +80,5 @@ func (lt *LabelTypes) Total(id int) int { return lt.totals[id] }
 
 // Label renders the type as "{a,b}" with names in lexical order.
 func (lt *LabelTypes) Label(id int) string { return lt.typeLabels[id] }
-
-// Labels returns the distinct label names in first-seen order.
-func (lt *LabelTypes) Labels() []string {
-	out := make([]string, len(lt.names))
-	copy(out, lt.names)
-	return out
-}
-
-// SortedLabels returns the distinct label names sorted.
-func (lt *LabelTypes) SortedLabels() []string {
-	out := lt.Labels()
-	sort.Strings(out)
-	return out
-}
 
 var _ TypeAssigner = (*LabelTypes)(nil)

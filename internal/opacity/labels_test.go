@@ -114,13 +114,3 @@ func TestLabelTypesWithTracker(t *testing.T) {
 		t.Fatalf("tracker maxLO=%v, brute force %v", ev.MaxLO, maxLO)
 	}
 }
-
-func TestLabelTypesLabelsAccessors(t *testing.T) {
-	lt := NewLabelTypes([]string{"z", "a", "z"})
-	if got := lt.Labels(); len(got) != 2 || got[0] != "z" || got[1] != "a" {
-		t.Fatalf("Labels()=%v", got)
-	}
-	if got := lt.SortedLabels(); got[0] != "a" || got[1] != "z" {
-		t.Fatalf("SortedLabels()=%v", got)
-	}
-}

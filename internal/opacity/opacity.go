@@ -2,6 +2,7 @@ package opacity
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/apsp"
@@ -65,16 +66,24 @@ func NewReportWith(g *graph.Graph, degrees []int, L int, build apsp.BuildOptions
 // degrees must be the original degree vector the pair types are drawn
 // from; the store is only read, so it may be shared concurrently.
 func NewReportFromStore(degrees []int, m apsp.Store) Report {
-	types := NewDegreeTypes(degrees)
+	return NewTypeReport(NewDegreeTypes(degrees), m)
+}
+
+// NewTypeReport computes the report of any type system over a prebuilt
+// distance store: one census of the pairs within m.L() (NewTracker),
+// then a row per populated type in ascending label order. The store is
+// only read, so it may be shared concurrently.
+func NewTypeReport(types TypeAssigner, m apsp.Store) Report {
 	tr := NewTracker(types, m)
 	ev := tr.Evaluate()
 	rep := Report{L: m.L(), MaxLO: ev.MaxLO, N: ev.Population}
-	for _, id := range types.order { // ascending label order, no sort
+	order := labelOrder(types)
+	for _, id := range order {
 		if types.Total(id) == 0 {
 			continue
 		}
 		if rep.ByType == nil {
-			rep.ByType = make([]TypeReport, 0, len(types.order))
+			rep.ByType = make([]TypeReport, 0, len(order))
 		}
 		rep.ByType = append(rep.ByType, TypeReport{
 			Label:   types.Label(id),
@@ -84,6 +93,21 @@ func NewReportFromStore(degrees []int, m apsp.Store) Report {
 		})
 	}
 	return rep
+}
+
+// labelOrder returns the type IDs in ascending label order: degree
+// types keep theirs precomputed, any other assigner's IDs are sorted
+// by label, equal labels by ID.
+func labelOrder(types TypeAssigner) []int {
+	if dt, ok := types.(*DegreeTypes); ok {
+		return dt.order
+	}
+	order := make([]int, types.NumTypes())
+	for id := range order {
+		order[id] = id
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(types.Label(a), types.Label(b)) })
+	return order
 }
 
 // String renders the report as an aligned table.

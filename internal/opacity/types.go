@@ -8,6 +8,7 @@ package opacity
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -172,18 +173,15 @@ func (d *DegreeTypes) Degrees() []int {
 	return append([]int(nil), d.degrees...)
 }
 
-// DegreePair returns the unordered degree pair a type ID stands for.
+// DegreePair returns the unordered degree pair a type ID stands for:
+// IDs run row by row, so it finds the last row whose first ID is at
+// most id.
 func (d *DegreeTypes) DegreePair(id int) (g, h int) {
-	k := len(d.distinct)
-	gi := 0
-	for ; gi < k; gi++ {
-		first := d.pairID(gi, gi)
-		last := d.pairID(gi, k-1)
-		if id >= first && id <= last {
-			return d.distinct[gi], d.distinct[gi+(id-first)]
-		}
+	if id < 0 || id >= d.numTypes {
+		panic(fmt.Sprintf("opacity: invalid type id %d", id))
 	}
-	panic(fmt.Sprintf("opacity: invalid type id %d", id))
+	gi := sort.Search(len(d.distinct), func(i int) bool { return d.pairID(i, i) > id }) - 1
+	return d.distinct[gi], d.distinct[gi+id-d.pairID(gi, gi)]
 }
 
 // FuncTypes adapts an arbitrary classification function into a

@@ -309,11 +309,11 @@ func (g *Graph) seedStore(l int, st apsp.Store) bool {
 
 // CachedDistances returns the store for L only when it is already
 // built, refreshing its recency and counting a hit — it
-// never triggers (or waits for) an APSP build. Callers with a cheaper
-// fallback than a full build (the audit path's lazy per-source BFS)
-// use this instead of Store so a cold registry never forces the
-// O(n·m) build into their request. A slot whose build is still in
-// flight reports absent.
+// never triggers (or waits for) an APSP build. Callers that should not
+// make the registry build and keep a store (the audit path, which on a
+// miss builds a private store for its census and drops it) use this
+// instead of Store, so a cold registry is left as it was. A slot whose
+// build is still in flight reports absent.
 func (g *Graph) CachedDistances(L int) (apsp.Store, bool) {
 	g.mu.Lock()
 	el, ok := g.stores[L]

@@ -13,11 +13,11 @@ import (
 // prepareAudit validates an audit request. When the published graph is
 // a registry reference AND its L-capped store is already cached (by a
 // prior opacity/anonymize/audit request or a warm restart), the
-// adversary reads linkage distances from that store instead of running
-// per-source BFS — zero distance computation. A cold registry keeps
-// the lazy BFS path: an audit only touches the candidate sets'
-// sources, so forcing the full O(n·m) APSP build here would make the
-// request slower, not faster.
+// adversary counts its degree-pair census from that store — zero
+// distance computation. On a cold registry the adversary builds a
+// private store for its census — one build and one row walk answer the
+// whole audit — and the registry is left as it was, so a one-off audit
+// takes no slot of its store budget.
 func (s *Server) prepareAudit(req *api.AuditRequest) (prepared, error) {
 	if err := checkL(req.L); err != nil {
 		return prepared{}, err

@@ -152,9 +152,11 @@ func TestWarmRestartZeroBuilds(t *testing.T) {
 }
 
 // TestAuditColdRegistryDoesNotBuild: a published_ref audit against a
-// graph with no cached store must keep the lazy BFS path — forcing
-// the full APSP build into the request would be a regression, since
-// an audit only traverses from its candidate sets.
+// graph with no cached store must leave the registry as it was — the
+// adversary builds its census store privately, so no registry store is
+// built or cached and the store budget stays free for the graphs'
+// opacity and anonymize traffic — and must answer byte-identically to
+// the same audit over a store cached afterwards.
 func TestAuditColdRegistryDoesNotBuild(t *testing.T) {
 	srv, _ := newTestAPI(t, Config{})
 	id, err := srv.RegisterDataset("gnutella100", 1)

@@ -277,7 +277,7 @@ func progressFunc(fn func(Progress)) func(anonymize.Progress) {
 
 // DistanceStore is an opaque handle to a prebuilt L-capped distance
 // store. Handles come from this module's serving layers (the graph
-// registry caches one store per (graph, L, engine, backing)); pass one
+// registry caches one store per (graph, L)); pass one
 // through Options.Distances or Adversary.UseDistances to skip the APSP
 // build those operations would otherwise pay. The underlying store is
 // treated as read-only by every consumer.
@@ -352,104 +352,107 @@ func AnonymizeContext(ctx context.Context, g *Graph, opts Options) (*Result, err
 	if opts.Theta < 0 || opts.Theta > 1 {
 		return nil, fmt.Errorf("lopacity: theta %v outside [0, 1]", opts.Theta)
 	}
-	if opts.L == 0 {
-		opts.L = 1
-	}
 	if opts.L < 0 {
 		return nil, fmt.Errorf("lopacity: L %d must be >= 1", opts.L)
+	}
+	return anonymizeWith(ctx, g, opts, nil, "")
+}
+
+// anonymizeWith runs opts.Method on g, after the caller's validation,
+// with vertex-pair types from types — nil meaning the degree types of
+// the input graph. Only EdgeRemoval, EdgeRemovalInsertion and
+// SimulatedAnnealing take other types; for any other method the error
+// names what the caller's types are.
+func anonymizeWith(ctx context.Context, g *Graph, opts Options, types opacity.TypeAssigner, what string) (*Result, error) {
+	if opts.L == 0 {
+		opts.L = 1
 	}
 	if opts.LookAhead == 0 {
 		opts.LookAhead = 1
 	}
+	var traceErr error
+	var trace func(anonymize.Step)
+	if opts.TraceWriter != nil {
+		trace = traceFunc(opts.TraceWriter, &traceErr)
+	}
+	var res anonymize.Result
+	var err error
 	switch opts.Method {
 	case EdgeRemoval, EdgeRemovalInsertion:
 		h := anonymize.Removal
 		if opts.Method == EdgeRemovalInsertion {
 			h = anonymize.RemovalInsertion
 		}
-		var traceErr error
-		var trace func(anonymize.Step)
-		if opts.TraceWriter != nil {
-			trace = traceFunc(opts.TraceWriter, &traceErr)
-		}
-		res, err := anonymize.RunContext(ctx, g.g, anonymize.Options{
+		res, err = anonymize.RunContext(ctx, g.g, anonymize.Options{
 			L: opts.L, Theta: opts.Theta, Heuristic: h,
 			LookAhead: opts.LookAhead, Seed: opts.Seed,
 			Workers:   opts.Workers,
 			Budget:    opts.Budget,
+			Types:     types,
 			Trace:     trace,
 			Progress:  progressFunc(opts.Progress),
 			Distances: opts.Distances.store(),
 		})
-		if err != nil {
-			return nil, err
-		}
-		if traceErr != nil {
-			return nil, traceErr
-		}
-		return &Result{
-			Graph:      &Graph{g: res.Graph},
-			Satisfied:  res.Satisfied,
-			MaxOpacity: res.FinalLO,
-			Removed:    toPairs(res.Removed),
-			Inserted:   toPairs(res.Inserted),
-			Steps:      res.Steps,
-			TimedOut:   res.TimedOut,
-			Cancelled:  res.Cancelled,
-		}, nil
 	case SimulatedAnnealing:
-		var traceErr error
-		var trace func(anonymize.Step)
-		if opts.TraceWriter != nil {
-			trace = traceFunc(opts.TraceWriter, &traceErr)
-		}
-		res, err := anonymize.AnnealContext(ctx, g.g, anonymize.AnnealOptions{
+		res, err = anonymize.AnnealContext(ctx, g.g, anonymize.AnnealOptions{
 			L: opts.L, Theta: opts.Theta, Seed: opts.Seed,
 			Budget:    opts.Budget,
+			Types:     types,
 			Trace:     trace,
 			Progress:  progressFunc(opts.Progress),
 			Distances: opts.Distances.store(),
 		})
-		if err != nil {
-			return nil, err
+	default:
+		if types != nil {
+			return nil, fmt.Errorf("lopacity: method %v does not support %s", opts.Method, what)
 		}
-		if traceErr != nil {
-			return nil, traceErr
-		}
-		return &Result{
-			Graph:      &Graph{g: res.Graph},
-			Satisfied:  res.Satisfied,
-			MaxOpacity: res.FinalLO,
-			Removed:    toPairs(res.Removed),
-			Inserted:   toPairs(res.Inserted),
-			Steps:      res.Steps,
-			TimedOut:   res.TimedOut,
-			Cancelled:  res.Cancelled,
-		}, nil
-	case GADEDRand, GADEDMax, GADES:
-		if opts.L != 1 {
-			return nil, fmt.Errorf("lopacity: %v is defined only for L = 1 (got L = %d)", opts.Method, opts.L)
-		}
-		alg := map[Method]baseline.Algorithm{
-			GADEDRand: baseline.GADEDRand,
-			GADEDMax:  baseline.GADEDMax,
-			GADES:     baseline.GADES,
-		}[opts.Method]
-		res, err := baseline.Run(g.g, alg, baseline.Options{Theta: opts.Theta, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		removed, inserted := swapEdits(res)
-		return &Result{
-			Graph:      &Graph{g: res.Graph},
-			Satisfied:  res.Satisfied,
-			MaxOpacity: res.FinalLO,
-			Removed:    removed,
-			Inserted:   inserted,
-			Steps:      res.Steps,
-		}, nil
+		return anonymizeBaseline(g, opts)
 	}
-	return nil, fmt.Errorf("lopacity: unknown method %v", opts.Method)
+	if err != nil {
+		return nil, err
+	}
+	if traceErr != nil {
+		return nil, traceErr
+	}
+	return &Result{
+		Graph:      &Graph{g: res.Graph},
+		Satisfied:  res.Satisfied,
+		MaxOpacity: res.FinalLO,
+		Removed:    toPairs(res.Removed),
+		Inserted:   toPairs(res.Inserted),
+		Steps:      res.Steps,
+		TimedOut:   res.TimedOut,
+		Cancelled:  res.Cancelled,
+	}, nil
+}
+
+// anonymizeBaseline runs one of the Zhang & Zhang baselines, which are
+// defined only for degree types at L = 1.
+func anonymizeBaseline(g *Graph, opts Options) (*Result, error) {
+	alg, ok := map[Method]baseline.Algorithm{
+		GADEDRand: baseline.GADEDRand,
+		GADEDMax:  baseline.GADEDMax,
+		GADES:     baseline.GADES,
+	}[opts.Method]
+	if !ok {
+		return nil, fmt.Errorf("lopacity: unknown method %v", opts.Method)
+	}
+	if opts.L != 1 {
+		return nil, fmt.Errorf("lopacity: %v is defined only for L = 1 (got L = %d)", opts.Method, opts.L)
+	}
+	res, err := baseline.Run(g.g, alg, baseline.Options{Theta: opts.Theta, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	removed, inserted := swapEdits(res)
+	return &Result{
+		Graph:      &Graph{g: res.Graph},
+		Satisfied:  res.Satisfied,
+		MaxOpacity: res.FinalLO,
+		Removed:    removed,
+		Inserted:   inserted,
+		Steps:      res.Steps,
+	}, nil
 }
 
 func toPairs(es []graph.Edge) [][2]int {
@@ -528,7 +531,12 @@ func (g *Graph) OpacityWith(L int, original *Graph, opts ReportOptions) OpacityR
 	if original == nil {
 		original = g
 	}
-	rep := opacity.NewReportWith(g.g, original.g.Degrees(), L, apsp.BuildOptions{Workers: opts.Workers})
+	return publicReport(L, opacity.NewReportWith(g.g, original.g.Degrees(), L, apsp.BuildOptions{Workers: opts.Workers}))
+}
+
+// publicReport converts an internal opacity report at L to the public
+// form.
+func publicReport(L int, rep opacity.Report) OpacityReport {
 	out := OpacityReport{L: L, MaxOpacity: rep.MaxLO}
 	for _, tr := range rep.ByType {
 		out.Types = append(out.Types, TypeOpacity{

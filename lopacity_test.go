@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -487,6 +488,41 @@ func TestTraceWriterFailureSurfaces(t *testing.T) {
 	g := figure1()
 	if _, err := Anonymize(g, Options{L: 1, Theta: 0.5, Seed: 1, TraceWriter: failingWriter{}}); err == nil {
 		t.Fatal("trace write failure swallowed")
+	}
+}
+
+// TestAnonymizeByHonoursTraceAndProgress: a custom classifier that
+// reproduces the degree types must drive the same run as Anonymize, so
+// the trace bytes and the progress reports of each supported method
+// are identical, not dropped.
+func TestAnonymizeByHonoursTraceAndProgress(t *testing.T) {
+	g := figure1()
+	byDegree := func(u, v int) string {
+		a, b := g.Degree(u), g.Degree(v)
+		return fmt.Sprintf("{%d,%d}", min(a, b), max(a, b))
+	}
+	for _, m := range []Method{EdgeRemoval, EdgeRemovalInsertion, SimulatedAnnealing} {
+		run := func(anon func(Options) (*Result, error)) (string, []Progress) {
+			var buf bytes.Buffer
+			var progress []Progress
+			opts := Options{L: 1, Theta: 0.5, Method: m, Seed: 1, TraceWriter: &buf,
+				Progress: func(p Progress) { p.Elapsed = 0; progress = append(progress, p) }}
+			if _, err := anon(opts); err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			return buf.String(), progress
+		}
+		wantTrace, wantProgress := run(func(o Options) (*Result, error) { return Anonymize(g, o) })
+		gotTrace, gotProgress := run(func(o Options) (*Result, error) { return AnonymizeBy(g, o, byDegree) })
+		if wantTrace == "" {
+			t.Fatalf("%v: Anonymize wrote no trace", m)
+		}
+		if gotTrace != wantTrace {
+			t.Errorf("%v: AnonymizeBy trace\n%s\nwant\n%s", m, gotTrace, wantTrace)
+		}
+		if !slices.Equal(gotProgress, wantProgress) {
+			t.Errorf("%v: AnonymizeBy progress %+v, want %+v", m, gotProgress, wantProgress)
+		}
 	}
 }
 

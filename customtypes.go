@@ -107,9 +107,15 @@ func AnonymizeBy(g *Graph, opts Options, classify PairClassifier) (*Result, erro
 
 // OpacityByLabels computes the L-opacity report when every vertex
 // carries a categorical label and pairs are typed by unordered label
-// pair — the node-labeled setting of the related work, computed in
-// O(n + #labels²) for the census rather than the classifier's O(n²).
-// labels must have exactly N entries.
+// pair — the node-labeled setting of the related work. The census is
+// one walk of the distance rows per label class, not the classifier's
+// per-pair lookup. labels must have exactly N entries.
+//
+// A type is labelled "{a,b}" with the two rendered label names in
+// ascending byte order. Rendering writes '%', ',', '{' and '}' as %25,
+// %2C, %7B and %7D and keeps every other byte, so "{a,b}" splits at its
+// only comma and two label pairs never share a type label; names
+// without those four characters render as themselves.
 func (g *Graph) OpacityByLabels(L int, labels []string) (OpacityReport, error) {
 	if L < 1 || L > apsp.MaxL {
 		return OpacityReport{}, fmt.Errorf("lopacity: L must be in [1, %d], got %d", apsp.MaxL, L)
@@ -139,7 +145,7 @@ func AnonymizeByLabels(g *Graph, opts Options, labels []string) (*Result, error)
 }
 
 // labelTypes validates and interns per-vertex labels.
-func (g *Graph) labelTypes(labels []string) (*opacity.LabelTypes, error) {
+func (g *Graph) labelTypes(labels []string) (*opacity.ClassTypes, error) {
 	if len(labels) != g.N() {
 		return nil, fmt.Errorf("lopacity: %d labels for %d vertices", len(labels), g.N())
 	}

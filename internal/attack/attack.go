@@ -33,7 +33,7 @@ type Adversary struct {
 	byDegree map[int][]int
 	// types are the degree-pair types of the original degrees: type
 	// {d1, d2} holds exactly the candidate pairs of a (d1, d2) query.
-	types *opacity.DegreeTypes
+	types *opacity.ClassTypes
 	// store, when non-nil, is a prebuilt L-capped distance store of the
 	// published graph; see UseStore.
 	store apsp.Store

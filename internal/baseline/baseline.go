@@ -128,7 +128,7 @@ func Run(g *graph.Graph, alg Algorithm, opts Options) (Result, error) {
 // pairs within distance L are exactly the current edges.
 type l1state struct {
 	g      *graph.Graph
-	types  *opacity.DegreeTypes
+	types  *opacity.ClassTypes
 	counts []int
 	rng    *rand.Rand
 	opts   Options

@@ -3,6 +3,7 @@ package opacity
 import (
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/apsp"
@@ -16,7 +17,8 @@ var benchReportSink Report
 // on a WebRMAT graph of the serving benchmark's audit size (n=2000,
 // m=20000): a compact store at L=2 and L=3, an overlay over the L=2
 // store with ~1000 dirty cells, the shape a repaired child store takes,
-// and the paged view of the L=2 snapshot as BuildToFile writes it.
+// the paged view of the L=2 snapshot as BuildToFile writes it, and a
+// label report over the L=2 store with 8 labels (v mod 8).
 func BenchmarkNewReportFromStore(b *testing.B) {
 	g, err := gen.RMAT(2000, 20000, gen.WebRMAT(), rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -58,4 +60,14 @@ func BenchmarkNewReportFromStore(b *testing.B) {
 			}
 		})
 	}
+	labels := make([]string, g.N())
+	for v := range labels {
+		labels[v] = strconv.Itoa(v % 8)
+	}
+	b.Run("rmat2000_L2_labels8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchReportSink = NewTypeReport(NewLabelTypes(labels), l2)
+		}
+	})
 }

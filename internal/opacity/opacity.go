@@ -71,43 +71,47 @@ func NewReportFromStore(degrees []int, m apsp.Store) Report {
 
 // NewTypeReport computes the report of any type system over a prebuilt
 // distance store: one census of the pairs within m.L() (NewTracker),
-// then a row per populated type in ascending label order. The store is
-// only read, so it may be shared concurrently.
+// then a row per populated type in ascending label order. Labels and
+// the order are built here, once per report: class types write them
+// into one buffer (ClassTypes.rows), any other assigner's IDs are
+// sorted by Label, equal labels by ID. The store is only read, so it
+// may be shared concurrently.
 func NewTypeReport(types TypeAssigner, m apsp.Store) Report {
 	tr := NewTracker(types, m)
 	ev := tr.Evaluate()
 	rep := Report{L: m.L(), MaxLO: ev.MaxLO, N: ev.Population}
-	order := labelOrder(types)
-	for _, id := range order {
+	labelRows(types, func(id int, label string) {
 		if types.Total(id) == 0 {
-			continue
+			return
 		}
 		if rep.ByType == nil {
-			rep.ByType = make([]TypeReport, 0, len(order))
+			rep.ByType = make([]TypeReport, 0, types.NumTypes())
 		}
 		rep.ByType = append(rep.ByType, TypeReport{
-			Label:   types.Label(id),
+			Label:   label,
 			Total:   types.Total(id),
 			Within:  tr.Count(id),
 			Opacity: tr.OpacityOf(id),
 		})
-	}
+	})
 	return rep
 }
 
-// labelOrder returns the type IDs in ascending label order: degree
-// types keep theirs precomputed, any other assigner's IDs are sorted
-// by label, equal labels by ID.
-func labelOrder(types TypeAssigner) []int {
-	if dt, ok := types.(*DegreeTypes); ok {
-		return dt.order
+// labelRows calls fn with every type ID and its label in ascending
+// label order.
+func labelRows(types TypeAssigner, fn func(id int, label string)) {
+	if c, ok := types.(*ClassTypes); ok {
+		c.rows(fn)
+		return
 	}
 	order := make([]int, types.NumTypes())
 	for id := range order {
 		order[id] = id
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(types.Label(a), types.Label(b)) })
-	return order
+	for _, id := range order {
+		fn(id, types.Label(id))
+	}
 }
 
 // String renders the report as an aligned table.

@@ -353,21 +353,3 @@ func TestTrackerAccessors(t *testing.T) {
 		t.Fatalf("reverse Update left Evaluate at %+v, want %+v", tr.Evaluate(), ev)
 	}
 }
-
-func TestDegreeTypesDegreesCopy(t *testing.T) {
-	degrees := fixture.Figure1Degrees()
-	types := NewDegreeTypes(degrees)
-	got := types.Degrees()
-	if len(got) != len(degrees) {
-		t.Fatalf("Degrees() length %d", len(got))
-	}
-	got[0] = -5
-	if types.Degrees()[0] == -5 {
-		t.Fatal("Degrees() aliases internal state")
-	}
-	for i, d := range types.Degrees() {
-		if d != degrees[i] {
-			t.Fatalf("Degrees()[%d] = %d, want %d", i, d, degrees[i])
-		}
-	}
-}

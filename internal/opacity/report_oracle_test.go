@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/apsp"
@@ -14,9 +15,9 @@ import (
 )
 
 // oracleReport is the report spelled out the plain way: BFS distances
-// per source, a map from "P{a,b}" labels built with fmt.Sprintf, and
+// per source, a map from the label pairLabel gives each pair, and
 // sort.Strings for the row order.
-func oracleReport(g *graph.Graph, degrees []int, L int) Report {
+func oracleReport(g *graph.Graph, pairLabel func(u, v int) string, L int) Report {
 	n := g.N()
 	total, within := map[string]int{}, map[string]int{}
 	dist := make([]int, n)
@@ -37,11 +38,7 @@ func oracleReport(g *graph.Graph, degrees []int, L int) Report {
 			}
 		}
 		for v := u + 1; v < n; v++ {
-			a, b := degrees[u], degrees[v]
-			if a > b {
-				a, b = b, a
-			}
-			label := fmt.Sprintf("P{%d,%d}", a, b)
+			label := pairLabel(u, v)
 			total[label]++
 			if dist[v] >= 0 && dist[v] <= L {
 				within[label]++
@@ -65,6 +62,43 @@ func oracleReport(g *graph.Graph, degrees []int, L int) Report {
 		}
 	}
 	return rep
+}
+
+// degreeLabel names a pair "P{a,b}" by its degrees a <= b, built with
+// fmt.Sprintf.
+func degreeLabel(degrees []int) func(u, v int) string {
+	return func(u, v int) string {
+		a, b := degrees[u], degrees[v]
+		if a > b {
+			a, b = b, a
+		}
+		return fmt.Sprintf("P{%d,%d}", a, b)
+	}
+}
+
+// escapeName renders a label name byte by byte, writing '%', ',', '{'
+// and '}' as '%' and their two-digit upper-case hex code.
+func escapeName(name string) string {
+	var b strings.Builder
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; strings.IndexByte("%,{}", c) >= 0 {
+			fmt.Fprintf(&b, "%%%02X", c)
+		} else {
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
+// nameLabel names a pair "{a,b}" by its escaped label names a <= b.
+func nameLabel(labels []string) func(u, v int) string {
+	return func(u, v int) string {
+		a, b := escapeName(labels[u]), escapeName(labels[v])
+		if a > b {
+			a, b = b, a
+		}
+		return "{" + a + "," + b + "}"
+	}
 }
 
 // oracleGraph is a sparse random graph with isolated vertices, plus
@@ -117,12 +151,18 @@ func overlayOnto(base, want apsp.Store) *apsp.Overlay {
 	return o
 }
 
+// oracleNames are label names mixing the characters a rendered name
+// escapes, so that unescaped they would collide ("a,b" and "c" against
+// "a" and "b,c") and escaped they sort apart from their raw order.
+var oracleNames = []string{"a", "a,b", "b,c", "c", "{x}", "}", "{", ",", "%", "%2C", "a%", "0", ""}
+
 // TestNewReportFromStoreMatchesOracle: the class-pair census and the
 // derived label order give exactly the oracle's report — MaxLO, N,
 // every row, row order — on every backing, including overlays with
-// dirty cells at depth one and two, for the graph's own degrees and for
-// a degree vector whose values mix label lengths (so label order and
-// numeric order disagree) with a singleton class.
+// dirty cells at depth one and two, for the graph's own degrees, for a
+// degree vector whose values mix label lengths (so label order and
+// numeric order disagree) with a singleton class, and for label types
+// whose names hold ',', '{', '}' and '%', with a singleton label.
 func TestNewReportFromStoreMatchesOracle(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(17))
@@ -135,8 +175,13 @@ func TestNewReportFromStoreMatchesOracle(t *testing.T) {
 		for v := range synthetic {
 			synthetic[v] = mixed[rng.Intn(len(mixed))]
 		}
+		labels := make([]string, n)
+		for v := range labels {
+			labels[v] = oracleNames[rng.Intn(len(oracleNames))]
+		}
 		if n > 0 {
 			synthetic[n-1] = 1000 // a singleton class: its own type has |T| = 0
+			labels[n-1] = "only,{one}"
 		}
 		for _, L := range []int{1, 2, 3, 5} {
 			compact := apsp.Build(g, L, apsp.BuildOptions{})
@@ -167,11 +212,20 @@ func TestNewReportFromStoreMatchesOracle(t *testing.T) {
 				"overlay":  shallow,
 				"overlay2": deep,
 			}
-			for dname, degrees := range map[string][]int{"own": g.Degrees(), "mixed": synthetic} {
-				want := oracleReport(g, degrees, L)
+			cases := []struct {
+				name      string
+				report    func(apsp.Store) Report
+				pairLabel func(u, v int) string
+			}{
+				{"own degrees", func(st apsp.Store) Report { return NewReportFromStore(g.Degrees(), st) }, degreeLabel(g.Degrees())},
+				{"mixed degrees", func(st apsp.Store) Report { return NewReportFromStore(synthetic, st) }, degreeLabel(synthetic)},
+				{"labels", func(st apsp.Store) Report { return NewTypeReport(NewLabelTypes(labels), st) }, nameLabel(labels)},
+			}
+			for _, c := range cases {
+				want := oracleReport(g, c.pairLabel, L)
 				for name, st := range stores {
-					if got := NewReportFromStore(degrees, st); !reflect.DeepEqual(got, want) {
-						t.Errorf("n=%d L=%d %s degrees, %s store: report\n%v\nwant\n%v", n, L, dname, name, got, want)
+					if got := c.report(st); !reflect.DeepEqual(got, want) {
+						t.Errorf("n=%d L=%d %s, %s store: report\n%v\nwant\n%v", n, L, c.name, name, got, want)
 					}
 				}
 			}

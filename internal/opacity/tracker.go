@@ -40,9 +40,10 @@ type loGroup struct {
 // every typed pair within L (the loop of Algorithm 1, lines 3-6). Any
 // Store backing works; the tracker keeps no reference to the store
 // afterward, so trackers built from a compact and a packed store of the
-// same graph are identical. Degree types are counted per degree-class
-// pair straight off the store's rows (apsp.CountWithinByClass); any
-// other assigner is asked for the type of each pair within L.
+// same graph are identical. Class types (degrees, labels) are counted
+// per class pair straight off the store's rows
+// (apsp.CountWithinByClass); any other assigner is asked for the type
+// of each pair within L.
 func NewTracker(types TypeAssigner, m apsp.Store) *Tracker {
 	k := types.NumTypes()
 	t := &Tracker{
@@ -52,8 +53,8 @@ func NewTracker(types TypeAssigner, m apsp.Store) *Tracker {
 		totals: make([]int, k),
 		lo:     make([]float64, k),
 	}
-	if dt, ok := types.(*DegreeTypes); ok {
-		dt.countWithin(m, t.counts)
+	if c, ok := types.(*ClassTypes); ok {
+		c.countWithin(m, t.counts)
 	} else {
 		l := m.L()
 		m.EachPair(func(i, j, d int) {

@@ -6,6 +6,7 @@
 package opacity
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -19,7 +20,10 @@ import (
 // (paper Definition 1). Implementations must be stable: the type of a
 // pair never changes across graph mutations, because the paper's
 // publication model fixes types from properties of the ORIGINAL graph
-// (by default, original degrees).
+// (by default, original degrees). ClassTypes, which types a pair by its
+// vertices' classes, is counted by NewTracker straight off the store's
+// rows and labelled by NewTypeReport in one buffer; any other assigner
+// is asked TypeOf for each pair within L and Label for each row.
 type TypeAssigner interface {
 	// TypeOf returns the type ID of the unordered pair {u, v}, or -1 if
 	// the pair belongs to no type (pairs "indifferent to us").
@@ -34,154 +38,205 @@ type TypeAssigner interface {
 	Label(id int) string
 }
 
-// DegreeTypes is the paper's default type system: the type of a pair is
-// the unordered pair of the two vertices' ORIGINAL degrees. All degree
-// combinations occurring in the graph define types.
-type DegreeTypes struct {
-	degrees  []int   // original degree per vertex, frozen
-	class    []int32 // per vertex: index of its degree in distinct
-	distinct []int   // sorted distinct degree values
-	nv       []int   // vertex count per distinct degree
-	numTypes int
-	totals   []int
-	labels   string // every type's label, concatenated in ID order
-	labelAt  []int  // type id's label is labels[labelAt[id]:labelAt[id+1]]
-	order    []int  // type IDs in ascending label order
+// ClassTypes types a vertex pair by the unordered pair of its two
+// vertices' classes (paper Definition 1): the paper's degree classes
+// (NewDegreeTypes) or categorical vertex labels (NewLabelTypes). Every
+// pair of classes defines a type, so k classes give k(k+1)/2 types. A
+// ClassTypes is never written after construction, so goroutines may
+// share it.
+type ClassTypes struct {
+	class  []int32  // per vertex: the index of its class
+	names  []string // rendered class names in class order; none holds ',' or '}'
+	prefix string   // written before each type's "{a,b}" label
+	totals []int    // |T| per type, from the per-class vertex counts
 }
 
-// NewDegreeTypes builds the degree-based type system from the original
-// degree vector (paper Section 4: "a pair type T is associated with a
-// certain pair of degrees"). The degree vector is copied and frozen.
-func NewDegreeTypes(degrees []int) *DegreeTypes {
-	d := &DegreeTypes{degrees: append([]int(nil), degrees...)}
-	sorted := slices.Clone(degrees)
+// NewDegreeTypes builds the paper's default type system from the
+// ORIGINAL degree vector (Section 4: "a pair type T is associated with
+// a certain pair of degrees"). A vertex's class is the rank of its
+// degree among the distinct degrees, named by its decimal form; a
+// type's label is "P{a,b}" with a <= b.
+func NewDegreeTypes(degrees []int) *ClassTypes {
+	class, distinct := rank(degrees)
+	names := make([]string, len(distinct))
+	for i, deg := range distinct {
+		names[i] = strconv.Itoa(deg)
+	}
+	return newClassTypes(class, names, "P")
+}
+
+// NewLabelTypes types each vertex pair by its unordered pair of
+// categorical vertex labels (community, department, role ...) — the
+// node-labeled setting of Zhou & Pei (ICDE 2008) cast into Definition
+// 1. A label's rendered name escapes '%', ',', '{' and '}' as %25,
+// %2C, %7B and %7D, so a type's label "{a,b}" (a <= b) names exactly
+// one pair of labels; a vertex's class is the rank of its rendered
+// name among the distinct names. The census comes from the label
+// counts, not from a scan of all pairs.
+func NewLabelTypes(labels []string) *ClassTypes {
+	rendered := make([]string, len(labels))
+	for v, name := range labels {
+		rendered[v] = nameEscaper.Replace(name)
+	}
+	class, names := rank(rendered)
+	return newClassTypes(class, names, "")
+}
+
+var nameEscaper = strings.NewReplacer("%", "%25", ",", "%2C", "{", "%7B", "}", "%7D")
+
+// rank returns every key's rank among the distinct keys, and the
+// distinct keys in ascending order.
+func rank[T cmp.Ordered](keys []T) ([]int32, []T) {
+	sorted := slices.Clone(keys)
 	slices.Sort(sorted)
-	d.distinct = slices.Clone(slices.Compact(sorted))
-	k := len(d.distinct)
-	d.nv = make([]int, k)
-	d.class = make([]int32, len(degrees))
-	for v, deg := range degrees {
-		i, _ := slices.BinarySearch(d.distinct, deg)
-		d.class[v] = int32(i)
-		d.nv[i]++
+	distinct := slices.Clone(slices.Compact(sorted))
+	class := make([]int32, len(keys))
+	for v, key := range keys {
+		i, _ := slices.BinarySearch(distinct, key)
+		class[v] = int32(i)
 	}
-	d.numTypes = k * (k + 1) / 2
-	d.totals = make([]int, d.numTypes)
-	dec := make([]string, k)
-	size := 4 * d.numTypes
-	for i, deg := range d.distinct {
-		dec[i] = strconv.Itoa(deg)
-		size += (k + 1) * len(dec[i]) // each degree appears in k+1 labels
+	return class, distinct
+}
+
+// newClassTypes derives the type populations from the class sizes: a
+// class of c vertices gives its own type c(c-1)/2 pairs, and two
+// classes of c and d vertices give theirs c*d.
+func newClassTypes(class []int32, names []string, prefix string) *ClassTypes {
+	k := len(names)
+	nv := make([]int, k)
+	for _, i := range class {
+		nv[i]++
 	}
-	var b strings.Builder
-	b.Grow(size)
-	d.labelAt = make([]int, 1, d.numTypes+1)
-	for gi := 0; gi < k; gi++ { // IDs run consecutively in this order
+	c := &ClassTypes{class: class, names: names, prefix: prefix, totals: make([]int, k*(k+1)/2)}
+	for gi := range k {
 		for hi := gi; hi < k; hi++ {
-			id := d.pairID(gi, hi)
 			if gi == hi {
-				d.totals[id] = d.nv[gi] * (d.nv[gi] - 1) / 2
+				c.totals[c.pairID(gi, hi)] = nv[gi] * (nv[gi] - 1) / 2
 			} else {
-				d.totals[id] = d.nv[gi] * d.nv[hi]
+				c.totals[c.pairID(gi, hi)] = nv[gi] * nv[hi]
 			}
-			b.WriteString("P{")
-			b.WriteString(dec[gi])
-			b.WriteByte(',')
-			b.WriteString(dec[hi])
-			b.WriteByte('}')
-			d.labelAt = append(d.labelAt, b.Len())
 		}
 	}
-	d.labels = b.String()
-	d.order = d.labelOrder(dec)
-	return d
+	return c
 }
 
-// labelOrder returns the type IDs in ascending label order without
-// comparing labels, given each distinct degree's decimal form. Those
-// hold no ',' or '}', so "P{a,b}" < "P{c,d}" exactly when a+"," <
-// c+"," or, for a = c, when b+"}" < d+"}": the order is the distinct
-// degrees sorted on the first key, each followed by its partners
-// sorted on the second.
-func (d *DegreeTypes) labelOrder(dec []string) []int {
+// pairID packs an ordered class pair gi <= hi into a dense ID; IDs run
+// consecutively through the pairs in (gi, hi) order.
+func (c *ClassTypes) pairID(gi, hi int) int {
+	return gi*len(c.names) - gi*(gi-1)/2 + (hi - gi)
+}
+
+// classPair returns the class pair gi <= hi a type ID stands for: IDs
+// run row by row, so gi is the last row whose first ID is at most id.
+func (c *ClassTypes) classPair(id int) (gi, hi int) {
+	if id < 0 || id >= len(c.totals) {
+		panic(fmt.Sprintf("opacity: invalid type id %d", id))
+	}
+	gi = sort.Search(len(c.names), func(i int) bool { return c.pairID(i, i) > id }) - 1
+	return gi, gi + id - c.pairID(gi, gi)
+}
+
+// countWithin adds to counts, indexed by type ID, the pairs of s within
+// L: a census per ordered class pair, folded into the unordered pairs
+// the type IDs stand for.
+func (c *ClassTypes) countWithin(s apsp.Store, counts []int) {
+	k := len(c.names)
+	cnt := make([]int64, k*k)
+	apsp.CountWithinByClass(s, c.class, k, cnt)
+	for gi := range k {
+		for hi := gi; hi < k; hi++ {
+			n := cnt[gi*k+hi]
+			if hi != gi {
+				n += cnt[hi*k+gi]
+			}
+			counts[c.pairID(gi, hi)] += int(n)
+		}
+	}
+}
+
+// rows calls fn with every type ID and its label in ascending label
+// order. It writes every label into one buffer, and derives the order
+// without comparing labels: no class name holds ',' or '}', so
+// "{a,b}" < "{c,d}" exactly when a+"," < c+"," or, for a = c, when
+// b+"}" < d+"}". The order is the classes sorted on the first key,
+// each followed by its partners (the classes from it on) sorted on the
+// second.
+func (c *ClassTypes) rows(fn func(id int, label string)) {
 	byKey := func(term string) []int {
-		idx, keys := make([]int, len(dec)), make([]string, len(dec))
+		idx, keys := make([]int, len(c.names)), make([]string, len(c.names))
 		for i := range idx {
-			idx[i], keys[i] = i, dec[i]+term
+			idx[i], keys[i] = i, c.names[i]+term
 		}
 		slices.SortFunc(idx, func(x, y int) int { return strings.Compare(keys[x], keys[y]) })
 		return idx
 	}
-	partners := byKey("}")
-	order := make([]int, 0, d.numTypes)
-	for _, gi := range byKey(",") {
-		for _, hi := range partners {
-			if hi >= gi {
-				order = append(order, d.pairID(gi, hi))
+	first, partners := byKey(","), byKey("}")
+	each := func(emit func(gi, hi int)) {
+		for _, gi := range first {
+			for _, hi := range partners {
+				if hi >= gi {
+					emit(gi, hi)
+				}
 			}
 		}
 	}
-	return order
-}
-
-// pairID packs an ordered index pair gi <= hi over k distinct degrees
-// into a dense ID.
-func (d *DegreeTypes) pairID(gi, hi int) int {
-	k := len(d.distinct)
-	return gi*k - gi*(gi-1)/2 + (hi - gi)
-}
-
-// countWithin adds to counts, indexed by type ID, the pairs of s within
-// L: a census per ordered degree-class pair, folded into the unordered
-// pairs the type IDs stand for.
-func (d *DegreeTypes) countWithin(s apsp.Store, counts []int) {
-	k := len(d.distinct)
-	cnt := make([]int64, k*k)
-	apsp.CountWithinByClass(s, d.class, k, cnt)
-	for gi := 0; gi < k; gi++ {
-		for hi := gi; hi < k; hi++ {
-			c := cnt[gi*k+hi]
-			if hi != gi {
-				c += cnt[hi*k+gi]
-			}
-			counts[d.pairID(gi, hi)] += int(c)
-		}
+	size := len(c.totals) * (len(c.prefix) + 3)
+	for _, name := range c.names {
+		size += (len(c.names) + 1) * len(name) // each name appears in k+1 labels
 	}
+	var b strings.Builder
+	b.Grow(size)
+	each(func(gi, hi int) {
+		b.WriteString(c.prefix)
+		b.WriteByte('{')
+		b.WriteString(c.names[gi])
+		b.WriteByte(',')
+		b.WriteString(c.names[hi])
+		b.WriteByte('}')
+	})
+	labels, at := b.String(), 0
+	each(func(gi, hi int) {
+		end := at + len(c.prefix) + 3 + len(c.names[gi]) + len(c.names[hi])
+		fn(c.pairID(gi, hi), labels[at:end])
+		at = end
+	})
 }
 
-// TypeOf implements TypeAssigner using original degrees: two slice
-// reads of the per-vertex degree class, then the dense pair ID.
-func (d *DegreeTypes) TypeOf(u, v int) int {
-	gi, hi := int(d.class[u]), int(d.class[v])
+// TypeOf implements TypeAssigner: two slice reads of the per-vertex
+// class, then the dense pair ID.
+func (c *ClassTypes) TypeOf(u, v int) int {
+	gi, hi := int(c.class[u]), int(c.class[v])
 	if gi > hi {
 		gi, hi = hi, gi
 	}
-	return d.pairID(gi, hi)
+	return c.pairID(gi, hi)
 }
 
 // NumTypes implements TypeAssigner.
-func (d *DegreeTypes) NumTypes() int { return d.numTypes }
+func (c *ClassTypes) NumTypes() int { return len(c.totals) }
 
 // Total implements TypeAssigner.
-func (d *DegreeTypes) Total(id int) int { return d.totals[id] }
+func (c *ClassTypes) Total(id int) int { return c.totals[id] }
 
-// Label implements TypeAssigner.
-func (d *DegreeTypes) Label(id int) string { return d.labels[d.labelAt[id]:d.labelAt[id+1]] }
-
-// Degrees returns the frozen original degree vector.
-func (d *DegreeTypes) Degrees() []int {
-	return append([]int(nil), d.degrees...)
+// Label implements TypeAssigner: the prefix, then "{a,b}" over the two
+// class names in class order. It builds the string on each call; a
+// report writes every label at once (rows).
+func (c *ClassTypes) Label(id int) string {
+	gi, hi := c.classPair(id)
+	return c.prefix + "{" + c.names[gi] + "," + c.names[hi] + "}"
 }
 
-// DegreePair returns the unordered degree pair a type ID stands for:
-// IDs run row by row, so it finds the last row whose first ID is at
-// most id.
-func (d *DegreeTypes) DegreePair(id int) (g, h int) {
-	if id < 0 || id >= d.numTypes {
-		panic(fmt.Sprintf("opacity: invalid type id %d", id))
+// DegreePair returns the unordered degree pair, smaller first, that a
+// type ID of NewDegreeTypes stands for, read back from the two class
+// names.
+func (c *ClassTypes) DegreePair(id int) (g, h int) {
+	gi, hi := c.classPair(id)
+	g, errG := strconv.Atoi(c.names[gi])
+	h, errH := strconv.Atoi(c.names[hi])
+	if err := cmp.Or(errG, errH); err != nil {
+		panic(fmt.Sprintf("opacity: type %d is not a degree pair: %v", id, err))
 	}
-	gi := sort.Search(len(d.distinct), func(i int) bool { return d.pairID(i, i) > id }) - 1
-	return d.distinct[gi], d.distinct[gi+id-d.pairID(gi, gi)]
+	return g, h
 }
 
 // FuncTypes adapts an arbitrary classification function into a

@@ -481,7 +481,8 @@ func swapEdits(res baseline.Result) (removed, inserted [][2]int) {
 // TypeOpacity describes one vertex-pair type in an opacity report.
 type TypeOpacity struct {
 	// Label identifies the type; with degree-based types it reads
-	// "{d1,d2}".
+	// "P{d1,d2}" (d1 <= d2), with label types "{a,b}" (see
+	// OpacityByLabels).
 	Label string
 	// Total is |T|: all pairs of the type, reachable or not.
 	Total int
